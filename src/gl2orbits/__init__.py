@@ -26,6 +26,7 @@ from .divchain import (
     verify_case2_chain,
 )
 from .gl2 import (
+    ClosureBudgetError,
     Mat2,
     MatrixGroup,
     borel,

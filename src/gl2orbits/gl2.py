@@ -23,6 +23,10 @@ CLOSURE_BUDGET = 2_000_000
 MatTuple = tuple[int, int, int, int]
 
 
+class ClosureBudgetError(ValueError):
+    """A closure generated more elements than its budget allows."""
+
+
 @dataclass(frozen=True, slots=True)
 class Mat2:
     """Row-major [[a, b], [c, d]] over Z/lZ; must be invertible."""
@@ -173,7 +177,9 @@ def _close(
             if y not in seen:
                 seen.add(y)
                 if len(seen) > budget:
-                    raise ValueError(f"closure exceeded element budget {budget}")
+                    raise ClosureBudgetError(
+                        f"closure exceeded element budget {budget}"
+                    )
                 queue.append(y)
     return seen
 

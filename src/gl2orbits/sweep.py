@@ -19,12 +19,11 @@ import hashlib
 import io
 import json
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from math import gcd
 from random import Random
-from typing import Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from .divchain import (
@@ -40,16 +39,16 @@ from .divchain import (
     verify_case2_chain,
 )
 from .gl2 import (
+    ClosureBudgetError,
     Mat2,
     MatrixGroup,
     MatTuple,
-    _close,
     _make_group,
-    _mul_t,
-    borel,
     closure,
+    conjugate,
     decode_tuple,
     nonsplit_cartan,
+    trivial_group,
 )
 from .modarith import PrimeModulus, divisors, is_prime, least_primitive_root
 from .orbits import (
@@ -237,55 +236,46 @@ def _serialize_group(G: MatrixGroup) -> dict:
     }
 
 
+def _failure(
+    scenario: dict,
+    vector: list[int] | None = None,
+    expected_divisor: int | None = None,
+    value: int | None = None,
+) -> dict:
+    """The failure record of a failed or invalid row, as the reports print it."""
+    return {
+        "scenario": scenario,
+        "vector": vector,
+        "expected_divisor": expected_divisor,
+        "value": value,
+    }
+
+
 # ---------------------------------------------------------------------------
 # Subgroup enumeration
 
 
-def enumerate_upper_triangular_subgroups(
-    m: PrimeModulus, max_prime: int = LEMMA31_EXHAUSTIVE_CAP
-) -> Iterator[MatrixGroup]:
+def enumerate_upper_triangular_subgroups(m: PrimeModulus) -> Iterator[MatrixGroup]:
     """Every subgroup of the Borel, exactly once, in a deterministic order.
 
-    Starts from all cyclic subgroups and closes the collection under joins
-    with cyclic subgroups; every subgroup is a join of the cyclic subgroups
-    of its elements, so the fixpoint is the full lattice. Guarded to small
-    primes: the Borel lattice grows sharply.
+    The Borel is B = U ⋊ T with U the unit shears and T the diagonal group.
+    |U| = l is prime, so a subgroup G either contains U, and is then D·U
+    for its diagonal parts D <= T, or meets U trivially, and is then
+    u^-1 D u for a shear u and some D <= T. A scalar D is its own
+    conjugate; any other D has l distinct shear conjugates. Groups come in
+    ascending (order, sorted element tuples). Guarded to small primes.
     """
     ell = m.ell
-    if ell > max_prime:
-        raise ValueError(
-            f"exhaustive Borel lattice enumeration capped at l <= {max_prime}"
-        )
-    big = borel(m)
-    identity = (1, 0, 0, 1)
-    cyclics: dict[frozenset[MatTuple], tuple[MatTuple, ...]] = {
-        frozenset([identity]): ()
-    }
-    for t in sorted(g.as_tuple() for g in big.elements):
-        elems = {identity}
-        cur = t
-        while cur != identity:
-            elems.add(cur)
-            cur = _mul_t(cur, t, ell)
-        key = frozenset(elems)
-        if key not in cyclics:
-            cyclics[key] = (t,)
-    subgroups: dict[frozenset[MatTuple], tuple[MatTuple, ...]] = dict(cyclics)
-    worklist = deque(subgroups.items())
-    cyclic_items = sorted(cyclics.items(), key=lambda kv: sorted(kv[0]))
-    while worklist:
-        elems, gens = worklist.popleft()
-        for c_elems, c_gens in cyclic_items:
-            if c_elems <= elems:
-                continue
-            joined_gens = tuple(dict.fromkeys(gens + c_gens))
-            joined = frozenset(_close(joined_gens, ell, seed=elems | c_elems))
-            if joined not in subgroups:
-                subgroups[joined] = joined_gens
-                worklist.append((joined, joined_gens))
-    ordered = sorted(subgroups.items(), key=lambda kv: (len(kv[0]), sorted(kv[0])))
-    for elems, gens in ordered:
-        yield _make_group(m, elems, gens)
+    cap = LEMMA31_EXHAUSTIVE_CAP
+    if ell > cap:
+        raise ValueError(f"exhaustive Borel lattice enumeration capped at l <= {cap}")
+    groups = []
+    for D in enumerate_diagonal_subgroups(m):
+        groups.append(_adjoin_unipotent(D))
+        shears = [0] if D.is_scalar else range(ell)
+        groups.extend(conjugate(D, Mat2(1, t, 0, 1, m)) for t in shears)
+    groups.sort(key=lambda G: (G.order, sorted(g.as_tuple() for g in G.elements)))
+    yield from groups
 
 
 def enumerate_diagonal_subgroups(m: PrimeModulus) -> Iterator[MatrixGroup]:
@@ -295,26 +285,16 @@ def enumerate_diagonal_subgroups(m: PrimeModulus) -> Iterator[MatrixGroup]:
     Hermite forms [[d1, c], [0, d2]] with d1 | n, d2 | n, 0 <= c < d1 and
     d1 | (n / d2) * c; the subgroup has index d1 * d2.
     """
-    ell = m.ell
-    n = ell - 1
+    n = m.ell - 1
     if n == 1:
-        yield _make_group(m, [(1, 0, 0, 1)], [])
+        yield trivial_group(m)
         return
-    g = least_primitive_root(m).value
-    pow_g = [1] * n
-    for i in range(1, n):
-        pow_g[i] = (pow_g[i - 1] * g) % ell
+    pow_g = _primitive_root_powers(m)
     for d1 in divisors(n):
         for d2 in divisors(n):
             step = d1 // gcd(d1, n // d2)
             for c in range(0, d1, step):
-                elems = [
-                    (pow_g[(x * d1 + y * c) % n], 0, 0, pow_g[(y * d2) % n])
-                    for x in range(n // d1)
-                    for y in range(n // d2)
-                ]
-                gens = [(pow_g[d1 % n], 0, 0, 1), (pow_g[c], 0, 0, pow_g[d2 % n])]
-                yield _make_group(m, elems, dict.fromkeys(gens))
+                yield _diagonal_group_from_hnf(m, pow_g, d1, d2, c)
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +312,26 @@ def _sample_triangular_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
     gens = [Mat2(*_random_triangular_tuple(rng, ell), m) for _ in range(k)]
     try:
         return closure(gens, m, budget=SAMPLED_CLOSURE_BUDGET)
-    except ValueError:
+    except ClosureBudgetError:
         # Over budget at very large primes: fall back to a single generator.
         return closure(gens[:1], m, budget=SAMPLED_CLOSURE_BUDGET)
 
 
-def _diagonal_group_from_hnf(
-    m: PrimeModulus, d1: int, d2: int, c: int
-) -> MatrixGroup:
+def _primitive_root_powers(m: PrimeModulus) -> list[int]:
+    """[g^0, ..., g^(l-2)] mod l for the least primitive root g."""
     ell = m.ell
-    n = ell - 1
     g = least_primitive_root(m).value
-    pow_g = [1] * n
-    for i in range(1, n):
+    pow_g = [1] * (ell - 1)
+    for i in range(1, ell - 1):
         pow_g[i] = (pow_g[i - 1] * g) % ell
+    return pow_g
+
+
+def _diagonal_group_from_hnf(
+    m: PrimeModulus, pow_g: list[int], d1: int, d2: int, c: int
+) -> MatrixGroup:
+    """The diagonal group whose exponent lattice has Hermite form [[d1, c], [0, d2]]."""
+    n = m.ell - 1
     elems = [
         (pow_g[(x * d1 + y * c) % n], 0, 0, pow_g[(y * d2) % n])
         for x in range(n // d1)
@@ -358,12 +344,12 @@ def _diagonal_group_from_hnf(
 def _sample_diagonal_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
     n = m.ell - 1
     if n == 1:
-        return _make_group(m, [(1, 0, 0, 1)], [])
+        return trivial_group(m)
     d1 = rng.choice(divisors(n))
     d2 = rng.choice(divisors(n))
     step = d1 // gcd(d1, n // d2)
     c = rng.randrange(0, d1, step)
-    return _diagonal_group_from_hnf(m, d1, d2, c)
+    return _diagonal_group_from_hnf(m, _primitive_root_powers(m), d1, d2, c)
 
 
 def _adjoin_unipotent(Gss: MatrixGroup) -> MatrixGroup:
@@ -389,7 +375,7 @@ def _sample_case1(rng: Random, m: PrimeModulus, deg: int) -> Case1Scenario | Non
     d1, d2 = rng.choice(pairs)
     step = d1 // gcd(d1, n // d2)
     c = rng.randrange(0, d1, step)
-    comparison = _diagonal_group_from_hnf(m, d1, d2, c)
+    comparison = _diagonal_group_from_hnf(m, _primitive_root_powers(m), d1, d2, c)
     gens = list(comparison.generators)
     if rng.random() < 0.5:
         # Adjoin diagonal 12-torsion: it cannot change the 12th powers.
@@ -488,36 +474,45 @@ def _check_triangular_group(G: MatrixGroup) -> tuple[bool, str]:
     return True, ""
 
 
-def _lemma31_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
+def _group_suite_rows(
+    cfg: SweepConfig,
+    suite: str,
+    ell: int,
+    cap: int,
+    enumerate_groups: Callable[[PrimeModulus], Iterable[MatrixGroup]],
+    sample_group: Callable[[Random, PrimeModulus], MatrixGroup],
+    check: Callable[[MatrixGroup], tuple[bool, str]],
+) -> list[ScenarioRow]:
+    """Check every group of the lattice up to the cap, else a seeded sample."""
     m = PrimeModulus(ell)
-    rows = []
-    if cfg.mode == "exhaustive" and ell <= LEMMA31_EXHAUSTIVE_CAP:
-        groups: list[MatrixGroup] = list(enumerate_upper_triangular_subgroups(m))
+    if cfg.mode == "exhaustive" and ell <= cap:
+        groups = enumerate_groups(m)
     else:
-        allocation = _allocate(cfg.sample_count, cfg.primes)
-        groups = []
-        for i in range(allocation[ell]):
-            rng = Random(_subseed(cfg.seed, "lemma31", ell, i))
-            groups.append(_sample_triangular_group(rng, m))
+        count = _allocate(cfg.sample_count, cfg.primes)[ell]
+        groups = (
+            sample_group(Random(_subseed(cfg.seed, suite, ell, i)), m)
+            for i in range(count)
+        )
+    rows = []
     for i, G in enumerate(groups):
-        ok, note = _check_triangular_group(G)
+        ok, note = check(G)
         failure = None
         if not ok:
-            scenario = _serialize_group(G)
-            scenario["note"] = note
-            failure = {
-                "scenario": scenario,
-                "vector": None,
-                "expected_divisor": None,
-                "value": None,
-            }
+            failure = _failure({**_serialize_group(G), "note": note})
         rows.append(
             ScenarioRow(
-                "lemma31", ell, _row_id("lemma31", ell, i),
-                "pass" if ok else "fail", failure,
+                suite, ell, _row_id(suite, ell, i), "pass" if ok else "fail", failure
             )
         )
     return rows
+
+
+def _lemma31_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
+    return _group_suite_rows(
+        cfg, "lemma31", ell, LEMMA31_EXHAUSTIVE_CAP,
+        enumerate_upper_triangular_subgroups, _sample_triangular_group,
+        _check_triangular_group,
+    )
 
 
 def _check_diagonal_prediction(Gp: MatrixGroup) -> tuple[bool, str]:
@@ -540,35 +535,11 @@ def _check_diagonal_prediction(Gp: MatrixGroup) -> tuple[bool, str]:
 
 
 def _lemma32_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
-    m = PrimeModulus(ell)
-    if cfg.mode == "exhaustive" and ell <= LEMMA32_EXHAUSTIVE_CAP:
-        groups = list(enumerate_diagonal_subgroups(m))
-    else:
-        allocation = _allocate(cfg.sample_count, cfg.primes)
-        groups = []
-        for i in range(allocation[ell]):
-            rng = Random(_subseed(cfg.seed, "lemma32", ell, i))
-            groups.append(_sample_diagonal_group(rng, m))
-    rows = []
-    for i, Gp in enumerate(groups):
-        ok, note = _check_diagonal_prediction(Gp)
-        failure = None
-        if not ok:
-            scenario = _serialize_group(Gp)
-            scenario["note"] = note
-            failure = {
-                "scenario": scenario,
-                "vector": None,
-                "expected_divisor": None,
-                "value": None,
-            }
-        rows.append(
-            ScenarioRow(
-                "lemma32", ell, _row_id("lemma32", ell, i),
-                "pass" if ok else "fail", failure,
-            )
-        )
-    return rows
+    return _group_suite_rows(
+        cfg, "lemma32", ell, LEMMA32_EXHAUSTIVE_CAP,
+        enumerate_diagonal_subgroups, _sample_diagonal_group,
+        _check_diagonal_prediction,
+    )
 
 
 def _sample_nested_pair(
@@ -595,7 +566,7 @@ def _sample_nested_pair(
         ]
         try:
             G = closure(gens, m, budget=30_000)
-        except ValueError:
+        except ClosureBudgetError:
             G = _sample_diagonal_group(rng, m)
     codes = sorted(g.encode() for g in G.elements)
     k = rng.choice([0, 1, 2])
@@ -668,12 +639,7 @@ def _lemma33_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
                 "H": _serialize_group(H),
                 "note": note,
             }
-            failure = {
-                "scenario": scenario,
-                "vector": failure_vector,
-                "expected_divisor": expected,
-                "value": value,
-            }
+            failure = _failure(scenario, failure_vector, expected, value)
         rows.append(
             ScenarioRow(
                 "lemma33", ell, _row_id("lemma33", ell, i),
@@ -692,12 +658,7 @@ def _certificate_rows(cfg: SweepConfig, kind: str, ell: int) -> list[ScenarioRow
             rows.append(
                 ScenarioRow(
                     kind, ell, sid, "invalid",
-                    {
-                        "scenario": {"ell": 2, "note": "requires an odd prime"},
-                        "vector": None,
-                        "expected_divisor": None,
-                        "value": None,
-                    },
+                    _failure({"ell": 2, "note": "requires an odd prime"}),
                 )
             )
             continue
@@ -706,15 +667,12 @@ def _certificate_rows(cfg: SweepConfig, kind: str, ell: int) -> list[ScenarioRow
             rows.append(
                 ScenarioRow(
                     kind, ell, sid, "invalid",
-                    {
-                        "scenario": {
+                    _failure(
+                        {
                             "ell": ell,
                             "note": "no scenario compatible with the degree list",
-                        },
-                        "vector": None,
-                        "expected_divisor": None,
-                        "value": None,
-                    },
+                        }
+                    ),
                 )
             )
             continue
@@ -726,17 +684,7 @@ def _certificate_rows(cfg: SweepConfig, kind: str, ell: int) -> list[ScenarioRow
         if not report.valid:
             detail = _describe_scenario(scenario)
             detail["failed_checks"] = list(report.failed_names)
-            rows.append(
-                ScenarioRow(
-                    kind, ell, sid, "invalid",
-                    {
-                        "scenario": detail,
-                        "vector": None,
-                        "expected_divisor": None,
-                        "value": None,
-                    },
-                )
-            )
+            rows.append(ScenarioRow(kind, ell, sid, "invalid", _failure(detail)))
             continue
         cert = (
             verify_case1_chain(scenario)
@@ -745,17 +693,15 @@ def _certificate_rows(cfg: SweepConfig, kind: str, ell: int) -> list[ScenarioRow
         )
         failure = None
         if not cert.verdict:
-            failure = {
-                "scenario": _describe_scenario(scenario),
-                "vector": (cert.counterexample or {}).get("vector"),
-                "expected_divisor": (cert.counterexample or {}).get(
-                    "expected_divisor", ell - 1
-                ),
-                "value": (cert.counterexample or {}).get("value"),
-            }
-            failure["scenario"]["failed_checks"] = [
-                c.name for c in cert.checks if not c.passed
-            ]
+            detail = _describe_scenario(scenario)
+            detail["failed_checks"] = [c.name for c in cert.checks if not c.passed]
+            counterexample = cert.counterexample or {}
+            failure = _failure(
+                detail,
+                counterexample.get("vector"),
+                counterexample.get("expected_divisor", ell - 1),
+                counterexample.get("value"),
+            )
         rows.append(
             ScenarioRow(
                 kind, ell, sid, "pass" if cert.verdict else "fail", failure
@@ -782,27 +728,23 @@ def _inert_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
                 rows.append(
                     ScenarioRow(
                         "inert", ell, sid, "invalid",
-                        {
-                            "scenario": {
+                        _failure(
+                            {
                                 "ell": ell, "w": w, "f": f,
                                 "note": "hypotheses unsatisfiable",
-                            },
-                            "vector": None,
-                            "expected_divisor": None,
-                            "value": None,
-                        },
+                            }
+                        ),
                     )
                 )
                 continue
             ok = all(inert_bound_check(m, w, f, r) for r in admissible)
             failure = None
             if not ok:
-                failure = {
-                    "scenario": {"ell": ell, "w": w, "f": f, "rho": list(admissible)},
-                    "vector": None,
-                    "expected_divisor": ell + 1,
-                    "value": 12 * w * f,
-                }
+                failure = _failure(
+                    {"ell": ell, "w": w, "f": f, "rho": list(admissible)},
+                    expected_divisor=ell + 1,
+                    value=12 * w * f,
+                )
             rows.append(
                 ScenarioRow("inert", ell, sid, "pass" if ok else "fail", failure)
             )
@@ -815,23 +757,13 @@ def _nonsplit_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
         return [
             ScenarioRow(
                 "nonsplit", ell, sid, "invalid",
-                {
-                    "scenario": {"ell": 2, "note": "requires an odd prime"},
-                    "vector": None,
-                    "expected_divisor": None,
-                    "value": None,
-                },
+                _failure({"ell": 2, "note": "requires an odd prime"}),
             )
         ]
     ok = nonsplit_orbit_check(PrimeModulus(ell))
     failure = None
     if not ok:
-        failure = {
-            "scenario": {"ell": ell},
-            "vector": None,
-            "expected_divisor": ell * ell - 1,
-            "value": None,
-        }
+        failure = _failure({"ell": ell}, expected_divisor=ell * ell - 1)
     return [ScenarioRow("nonsplit", ell, sid, "pass" if ok else "fail", failure)]
 
 

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gl2orbits.gl2 import (
+    ClosureBudgetError,
     Mat2,
     borel,
     closure,
@@ -254,8 +255,12 @@ def test_group_equality_ignores_generators():
 
 
 def test_closure_budget_guard():
-    with pytest.raises(ValueError):
+    with pytest.raises(ClosureBudgetError):
         closure([Mat2(1, 1, 0, 1, PrimeModulus(13))], budget=4)
+    # A generic ValueError, such as mixed moduli, is not a budget overrun.
+    with pytest.raises(ValueError) as excinfo:
+        closure([Mat2(1, 1, 0, 1, PrimeModulus(13)), Mat2(1, 1, 0, 1, M5)])
+    assert not isinstance(excinfo.value, ClosureBudgetError)
 
 
 def test_borel_prime_cap():

@@ -2,11 +2,22 @@ import itertools
 import json
 import subprocess
 import sys
+from collections import deque
 
 import pytest
 
-from gl2orbits.gl2 import Mat2, MatrixGroup, borel, closure, scalars, split_cartan, unipotent
-from gl2orbits.modarith import PrimeModulus
+from gl2orbits.gl2 import (
+    Mat2,
+    MatrixGroup,
+    _close,
+    _mul_t,
+    borel,
+    closure,
+    scalars,
+    split_cartan,
+    unipotent,
+)
+from gl2orbits.modarith import PrimeModulus, divisors
 from gl2orbits.sweep import (
     ConfigError,
     SweepConfig,
@@ -35,6 +46,60 @@ def brute_force_subgroups(G):
                 continue
             found.add(s)
     return found
+
+
+def borel_join_fixpoint(m):
+    """Every subgroup of the Borel as a sorted list of element-tuple sets.
+
+    Starts from all cyclic subgroups and closes the collection under joins
+    with cyclic subgroups; every subgroup is a join of the cyclic subgroups
+    of its elements, so the fixpoint is the full lattice. Ordered by
+    (order, sorted element tuples).
+    """
+    ell = m.ell
+    identity = (1, 0, 0, 1)
+    cyclics = {frozenset([identity]): ()}
+    for t in sorted(g.as_tuple() for g in borel(m).elements):
+        elems = {identity}
+        cur = t
+        while cur != identity:
+            elems.add(cur)
+            cur = _mul_t(cur, t, ell)
+        cyclics.setdefault(frozenset(elems), (t,))
+    subgroups = dict(cyclics)
+    worklist = deque(subgroups.items())
+    while worklist:
+        elems, gens = worklist.popleft()
+        for c_elems, c_gens in cyclics.items():
+            if c_elems <= elems:
+                continue
+            joined_gens = tuple(dict.fromkeys(gens + c_gens))
+            joined = frozenset(_close(joined_gens, ell, seed=elems | c_elems))
+            if joined not in subgroups:
+                subgroups[joined] = joined_gens
+                worklist.append((joined, joined_gens))
+    return sorted(subgroups, key=lambda s: (len(s), sorted(s)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_borel_lattice_matches_join_fixpoint(p):
+    m = PrimeModulus(p)
+    enumerated = [
+        frozenset(g.as_tuple() for g in G.elements)
+        for G in enumerate_upper_triangular_subgroups(m)
+    ]
+    assert enumerated == borel_join_fixpoint(m)
+
+
+@pytest.mark.parametrize("p, count", [(11, 440), (13, 1188)])
+def test_borel_lattice_counts(p, count):
+    # S groups D·U, plus tau scalar D and l shear conjugates of every other
+    # D, where S counts the diagonal subgroups and tau the divisors of l - 1.
+    m = PrimeModulus(p)
+    S = len(list(enumerate_diagonal_subgroups(m)))
+    tau = len(divisors(p - 1))
+    assert S + tau + p * (S - tau) == count
+    assert len(list(enumerate_upper_triangular_subgroups(m))) == count
 
 
 def test_borel_lattice_matches_brute_force_mod_3():
