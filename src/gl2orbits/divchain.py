@@ -36,6 +36,7 @@ from .gl2 import (
 from .modarith import PrimeModulus, divisors, power_image_order
 from .orbits import (
     Vector2,
+    _orbit_sizes,
     orbit_size_map,
     uniform_divisibility_transfer,
 )
@@ -123,7 +124,8 @@ def _cached_cartan(m: PrimeModulus) -> MatrixGroup:
 
 
 def _det_image_order(G: MatrixGroup) -> int:
-    return len({g.det for g in G.elements})
+    ell = G.modulus.ell
+    return len({(a * d - b * c) % ell for a, b, c, d in G.element_tuples()})
 
 
 def _orbit_size_multiset(sizes: Mapping[int, int]) -> list[int]:
@@ -215,7 +217,7 @@ def validate_case2(s: Case2Scenario) -> ValidationReport:
             CheckRecord("semisimplification_contained", gss.is_subgroup_of(s.G))
         )
         sixth = all(
-            pow(g.a, 6, ell) == pow(g.d, 6, ell) for g in gss.elements
+            pow(a, 6, ell) == pow(d, 6, ell) for a, _, _, d in gss.element_tuples()
         )
         checks.append(CheckRecord("sixth_powers_agree", sixth))
         n_chi = _det_image_order(gss)
@@ -374,7 +376,7 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
     checks.append(
         CheckRecord("sixth_power_scalar", sixth.is_scalar, f"order {sixth.order}")
     )
-    n_r = len({g.a for g in gss.elements})
+    n_r = len({a for a, _, _, _ in gss.element_tuples()})
     n_chi = _det_image_order(gss)
     r6 = power_image_order(n_r, 6)
     checks.append(
@@ -525,15 +527,15 @@ def replay_certificate(
 ) -> bool:
     """Independently replay a certificate against its scenario.
 
-    Recomputes every orbit size from scratch, compares with the stored
-    sizes, and re-evaluates the final divisibility; for small groups the
-    orbit of a sample of vectors is additionally recomputed elementwise,
-    without the generator walk. Returns True when the stored verdict is
-    reproduced exactly.
+    Recomputes every orbit size from scratch, bypassing the orbit-map
+    cache, compares with the stored sizes, and re-evaluates the final
+    divisibility; for small groups the orbit of a sample of vectors is
+    additionally recomputed elementwise, without the generator walk.
+    Returns True when the stored verdict is reproduced exactly.
     """
     G = scenario.G
     ell = G.modulus.ell
-    fresh = orbit_size_map(G)
+    fresh = _orbit_sizes(G)
     if dict(cert.orbit_sizes) != fresh:
         return False
     n = ell - 1

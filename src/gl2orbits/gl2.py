@@ -1,9 +1,11 @@
 """2x2 invertible matrices over Z/lZ and finite subgroups of GL2(l).
 
-Groups carry their full element set. Constructions are exhaustive by
-design; a prime cap keeps the largest standard group (the Borel, order
-l(l-1)^2) near a million elements. Closure runs breadth-first over plain
-integer 4-tuples and materializes matrix objects once at the end.
+Groups carry their full element set as integer codes a*l^3 + b*l^2 + c*l + d;
+``Mat2`` objects are built only at the API edge (``elements``, iteration,
+generators and witnesses). Constructions are exhaustive by design and write
+codes directly; a prime cap keeps the largest standard group (the Borel,
+order l(l-1)^2) near a million elements. Closure runs breadth-first over
+plain integer 4-tuples and encodes the result once at the end.
 """
 
 from __future__ import annotations
@@ -192,73 +194,112 @@ def decode_tuple(code: int, ell: int) -> MatTuple:
     return (a, b, c, d)
 
 
+def _encode_all(tuples: Iterable[MatTuple], ell: int) -> list[int]:
+    """Codes a*l^3 + b*l^2 + c*l + d of reduced entry tuples."""
+    return [((a * ell + b) * ell + c) * ell + d for a, b, c, d in tuples]
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixGroup:
     """A finite subgroup of GL2(l) with explicit elements and generators.
 
-    Equality is element-set equality; generators are a non-canonical
-    convenience kept for fast orbit computations. Instances are immutable
-    and safe for concurrent reads.
+    The elements are stored as the frozenset ``codes`` of their canonical
+    integer encodings a*l^3 + b*l^2 + c*l + d (see ``Mat2.encode``); every
+    entry is below l, so ascending codes are ascending (a, b, c, d) tuples.
+    ``elements`` is the same set as ``Mat2`` objects, built on first
+    access. Equality is element-set equality; generators are a
+    non-canonical convenience kept for fast orbit computations. Instances
+    are immutable and safe for concurrent reads.
     """
 
     modulus: PrimeModulus
-    elements: frozenset[Mat2]
+    codes: frozenset[int]
     generators: tuple[Mat2, ...]
 
     def __post_init__(self) -> None:
         ell = self.modulus.ell
-        if Mat2.identity(self.modulus) not in self.elements:
+        codes = self.codes
+        if codes and (min(codes) < 0 or max(codes) >= ell**4):
+            raise ValueError("element code outside the reduced entry range")
+        l2, l3 = ell * ell, ell * ell * ell
+        for code in codes:
+            # a * d - b * c, read off the code.
+            det = code // l3 * (code % ell) - code // l2 % ell * (code // ell % ell)
+            if det % ell == 0:
+                a, b, c, d = decode_tuple(code, ell)
+                raise ValueError(f"singular matrix [[{a},{b}],[{c},{d}]] mod {ell}")
+        if l3 + 1 not in codes:
             raise ValueError("group must contain the identity")
         for g in self.generators:
-            if g not in self.elements:
+            if g.modulus != self.modulus or g.encode() not in codes:
                 raise ValueError("generator outside element set")
         gl2_order = (ell * ell - 1) * (ell * ell - ell)
-        if gl2_order % len(self.elements) != 0:
+        if gl2_order % len(codes) != 0:
             raise ValueError("element count violates Lagrange in GL2(l)")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MatrixGroup):
             return NotImplemented
-        return self.modulus == other.modulus and self.elements == other.elements
+        return self.modulus == other.modulus and self.codes == other.codes
 
     def __hash__(self) -> int:
-        return hash((self.modulus.ell, self.elements))
+        return hash((self.modulus.ell, self.codes))
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     @property
     def identity(self) -> Mat2:
         return Mat2.identity(self.modulus)
 
+    def decode(self, code: int) -> Mat2:
+        return Mat2(*decode_tuple(code, self.modulus.ell), self.modulus)
+
+    @cached_property
+    def elements(self) -> frozenset[Mat2]:
+        return frozenset(self)
+
+    def element_tuples(self) -> Iterator[MatTuple]:
+        ell = self.modulus.ell
+        return (decode_tuple(code, ell) for code in self.codes)
+
     def __contains__(self, m: Mat2) -> bool:
-        return m in self.elements
+        return m.modulus == self.modulus and m.encode() in self.codes
 
     def __iter__(self) -> Iterator[Mat2]:
-        return iter(self.elements)
+        return map(self.decode, self.codes)
 
     def sorted_elements(self) -> list[Mat2]:
         """Elements in ascending canonical encoding, for reproducible output."""
-        return sorted(self.elements, key=Mat2.encode)
+        return [self.decode(code) for code in sorted(self.codes)]
 
     def generator_tuples(self) -> list[MatTuple]:
         return [g.as_tuple() for g in self.generators]
 
     def is_subgroup_of(self, other: MatrixGroup) -> bool:
-        return self.modulus == other.modulus and self.elements <= other.elements
+        return self.modulus == other.modulus and self.codes <= other.codes
+
+    # The predicates below read the codes: c = 0 exactly when the code is
+    # below l modulo l^2, b = c = 0 exactly when it is below l modulo l^3,
+    # and diag(a, a) is a * (l^3 + 1).
 
     @cached_property
     def is_upper_triangular(self) -> bool:
-        return all(m.c == 0 for m in self.elements)
+        ell = self.modulus.ell
+        l2 = ell * ell
+        return all(code % l2 < ell for code in self.codes)
 
     @cached_property
     def is_diagonal(self) -> bool:
-        return all(m.b == 0 and m.c == 0 for m in self.elements)
+        ell = self.modulus.ell
+        l3 = ell * ell * ell
+        return all(code % l3 < ell for code in self.codes)
 
     @cached_property
     def is_scalar(self) -> bool:
-        return all(m.b == 0 and m.c == 0 and m.a == m.d for m in self.elements)
+        l3 = self.modulus.ell ** 3
+        return all(code % (l3 + 1) == 0 for code in self.codes)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -276,12 +317,17 @@ class MatrixGroup:
 
 def _make_group(
     modulus: PrimeModulus,
-    element_tuples: Iterable[MatTuple],
+    codes: Iterable[int],
     generator_tuples: Iterable[MatTuple],
 ) -> MatrixGroup:
-    elems = frozenset(Mat2(a, b, c, d, modulus) for a, b, c, d in element_tuples)
-    gens = tuple(Mat2(a, b, c, d, modulus) for a, b, c, d in generator_tuples)
-    return MatrixGroup(modulus, elems, gens)
+    """The one constructor of groups: element codes plus reduced generator tuples."""
+    gens = []
+    for t in generator_tuples:
+        g = Mat2(*t, modulus)
+        if g.as_tuple() != tuple(t):
+            raise ValueError(f"generator entries {t} are not reduced mod {modulus.ell}")
+        gens.append(g)
+    return MatrixGroup(modulus, frozenset(codes), tuple(gens))
 
 
 def closure(
@@ -304,11 +350,11 @@ def closure(
             raise ValueError("mixed moduli in generator list")
     tuples = [g.as_tuple() for g in gens]
     closed = _close(tuples, modulus.ell, budget=budget)
-    return _make_group(modulus, closed, tuples)
+    return _make_group(modulus, _encode_all(closed, modulus.ell), tuples)
 
 
 def trivial_group(m: PrimeModulus) -> MatrixGroup:
-    return _make_group(m, [(1, 0, 0, 1)], [])
+    return _make_group(m, _encode_all([(1, 0, 0, 1)], m.ell), [])
 
 
 def borel(m: PrimeModulus, cap: int = BOREL_PRIME_CAP) -> MatrixGroup:
@@ -316,8 +362,9 @@ def borel(m: PrimeModulus, cap: int = BOREL_PRIME_CAP) -> MatrixGroup:
     ell = m.ell
     if ell > cap:
         raise ValueError(f"borel({ell}) exceeds the prime cap {cap}")
+    l2, l3 = ell * ell, ell * ell * ell
     elems = [
-        (a, b, 0, d)
+        a * l3 + b * l2 + d
         for a in range(1, ell)
         for d in range(1, ell)
         for b in range(ell)
@@ -332,7 +379,8 @@ def borel(m: PrimeModulus, cap: int = BOREL_PRIME_CAP) -> MatrixGroup:
 def split_cartan(m: PrimeModulus) -> MatrixGroup:
     """All invertible diagonal matrices, order (l-1)^2."""
     ell = m.ell
-    elems = [(a, 0, 0, d) for a in range(1, ell) for d in range(1, ell)]
+    l3 = ell * ell * ell
+    elems = [a * l3 + d for a in range(1, ell) for d in range(1, ell)]
     gens: list[MatTuple] = []
     if ell > 2:
         g = least_primitive_root(m).value
@@ -343,7 +391,7 @@ def split_cartan(m: PrimeModulus) -> MatrixGroup:
 def scalars(m: PrimeModulus) -> MatrixGroup:
     """Scalar matrices a*I, order l-1."""
     ell = m.ell
-    elems = [(a, 0, 0, a) for a in range(1, ell)]
+    elems = [a * (ell**3 + 1) for a in range(1, ell)]
     gens: list[MatTuple] = []
     if ell > 2:
         g = least_primitive_root(m).value
@@ -354,7 +402,7 @@ def scalars(m: PrimeModulus) -> MatrixGroup:
 def unipotent(m: PrimeModulus) -> MatrixGroup:
     """Upper unitriangular matrices [[1, b], [0, 1]], order l."""
     ell = m.ell
-    elems = [(1, b, 0, 1) for b in range(ell)]
+    elems = [ell**3 + b * ell * ell + 1 for b in range(ell)]
     return _make_group(m, elems, [(1, 1, 0, 1)])
 
 
@@ -368,16 +416,20 @@ def nonsplit_cartan(m: PrimeModulus) -> MatrixGroup:
     m.require_odd("nonsplit_cartan")
     ell = m.ell
     eps = least_primitive_root(m).value
-    elems = [
-        (a, (b * eps) % ell, b, a)
-        for a in range(ell)
-        for b in range(ell)
-        if (a, b) != (0, 0)
-    ]
+    elems = _encode_all(
+        (
+            (a, (b * eps) % ell, b, a)
+            for a in range(ell)
+            for b in range(ell)
+            if (a, b) != (0, 0)
+        ),
+        ell,
+    )
     n = ell * ell - 1
     factors = prime_factors(n)
     gen: MatTuple | None = None
-    for t in sorted(elems):
+    for code in sorted(elems):
+        t = decode_tuple(code, ell)
         if all(_pow_t(t, n // q, ell) != (1, 0, 0, 1) for q in factors):
             gen = t
             break
@@ -393,7 +445,12 @@ def kth_power_subgroup(G: MatrixGroup, k: int) -> MatrixGroup:
     if not G.is_abelian:
         raise ValueError("k-th power subgroup only defined here for abelian groups")
     ell = G.modulus.ell
-    elems = {_pow_t(g.as_tuple(), k, ell) for g in G.elements}
+    if G.is_diagonal:
+        l3 = ell**3
+        power = [pow(x, k, ell) for x in range(ell)]
+        elems = [power[code // l3] * l3 + power[code % ell] for code in G.codes]
+    else:
+        elems = _encode_all((_pow_t(t, k, ell) for t in G.element_tuples()), ell)
     gens = [_pow_t(g.as_tuple(), k, ell) for g in G.generators]
     return _make_group(G.modulus, elems, dict.fromkeys(gens))
 
@@ -405,7 +462,9 @@ def conjugate(G: MatrixGroup, P: Mat2) -> MatrixGroup:
     ell = G.modulus.ell
     p = P.as_tuple()
     p_inv = P.inverse().as_tuple()
-    elems = [_mul_t(_mul_t(p_inv, g.as_tuple(), ell), p, ell) for g in G.elements]
+    elems = _encode_all(
+        (_mul_t(_mul_t(p_inv, t, ell), p, ell) for t in G.element_tuples()), ell
+    )
     gens = [_mul_t(_mul_t(p_inv, g.as_tuple(), ell), p, ell) for g in G.generators]
     return _make_group(G.modulus, elems, gens)
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Literal
+from types import MappingProxyType
+from typing import Literal, Mapping
+from weakref import WeakKeyDictionary
 
 from .gl2 import MatrixGroup, MatTuple
 from .modarith import PrimeModulus
@@ -93,25 +95,41 @@ class DiagonalOrbitPrediction:
             raise ValueError("mixed orbit counts do not multiply to (l - 1)^2")
 
 
-def _step(gens: list[MatTuple], ell: int, code: int) -> list[int]:
-    x, y = code % ell, code // ell
-    return [((c * x + d * y) % ell) * ell + (a * x + b * y) % ell for a, b, c, d in gens]
-
-
 def _orbit_codes(gens: list[MatTuple], ell: int, start: int) -> set[int]:
     seen = {start}
     stack = [start]
     while stack:
         code = stack.pop()
-        for nxt in _step(gens, ell, code):
+        x, y = code % ell, code // ell
+        for a, b, c, d in gens:
+            nxt = ((c * x + d * y) % ell) * ell + (a * x + b * y) % ell
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
     return seen
 
 
-def orbit_size_map(G: MatrixGroup) -> dict[int, int]:
-    """Orbit size for every nonzero vector, keyed by vector encoding."""
+# Orbit size maps by group. Equal groups share one entry, and an entry is
+# dropped when the group object it was stored under is freed.
+_ORBIT_SIZE_MAPS: WeakKeyDictionary[MatrixGroup, Mapping[int, int]] = (
+    WeakKeyDictionary()
+)
+
+
+def orbit_size_map(G: MatrixGroup) -> Mapping[int, int]:
+    """Orbit size for every nonzero vector, keyed by vector encoding.
+
+    Computed once per group and cached; the returned mapping is read-only.
+    """
+    sizes = _ORBIT_SIZE_MAPS.get(G)
+    if sizes is None:
+        sizes = MappingProxyType(_orbit_sizes(G))
+        _ORBIT_SIZE_MAPS[G] = sizes
+    return sizes
+
+
+def _orbit_sizes(G: MatrixGroup) -> dict[int, int]:
+    """The uncached orbit size map, walked from G's generators."""
     ell = G.modulus.ell
     gens = G.generator_tuples()
     sizes: dict[int, int] = {}
@@ -119,9 +137,7 @@ def orbit_size_map(G: MatrixGroup) -> dict[int, int]:
         if code in sizes:
             continue
         component = _orbit_codes(gens, ell, code)
-        n = len(component)
-        for member in component:
-            sizes[member] = n
+        sizes.update(dict.fromkeys(component, len(component)))
     return sizes
 
 
@@ -178,8 +194,9 @@ def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
         raise ValueError("diagonal orbit prediction needs a diagonal group")
     ell = Gp.modulus.ell
     n = ell - 1
-    im1 = {g.a for g in Gp.elements}
-    im2 = {g.d for g in Gp.elements}
+    l3 = ell * ell * ell
+    im1 = {code // l3 for code in Gp.codes}
+    im2 = {code % ell for code in Gp.codes}
     mixed = orbit(Gp, Vector2(1, 1, Gp.modulus)).size
     if (n * n) % mixed != 0:
         raise RuntimeError("mixed orbit size does not divide (l - 1)^2")
@@ -255,7 +272,7 @@ class TransferVerdict:
 
 
 def _first_violation(
-    sizes: dict[int, int], multiplier: int, divisor: int, modulus: PrimeModulus
+    sizes: Mapping[int, int], multiplier: int, divisor: int, modulus: PrimeModulus
 ) -> Vector2 | None:
     bad = [code for code, s in sizes.items() if (multiplier * s) % divisor != 0]
     if not bad:
@@ -305,7 +322,7 @@ def uniform_divisibility_transfer(
     )
 
 
-def minimal_uniform_constant(sizes: dict[int, int], M: int) -> int:
+def minimal_uniform_constant(sizes: Mapping[int, int], M: int) -> int:
     """Smallest c with M dividing c * s for every orbit size s."""
     c = 1
     for s in set(sizes.values()):

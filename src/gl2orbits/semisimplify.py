@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .gl2 import Mat2, MatrixGroup, _close, _make_group
+from .gl2 import Mat2, MatrixGroup, _close, _encode_all, _make_group, _mul_t
 from .modarith import FpUnit
 
 
@@ -89,7 +89,9 @@ def semisimplification(G: MatrixGroup) -> MatrixGroup:
     _require_upper_triangular(G)
     gens = [g.diagonal_part().as_tuple() for g in G.generators]
     closed = _close(gens, G.modulus.ell)
-    result = _make_group(G.modulus, closed, dict.fromkeys(gens))
+    result = _make_group(
+        G.modulus, _encode_all(closed, G.modulus.ell), dict.fromkeys(gens)
+    )
     if G.order % result.order != 0:
         raise RuntimeError("semisimplification order does not divide group order")
     return result
@@ -106,21 +108,28 @@ def _shear_containment(G: MatrixGroup) -> bool:
     with n = -b * a^-1, valid once G contains all unit shears.
     """
     ell = G.modulus.ell
-    for m in G.elements:
-        n = (-m.b * pow(m.a, -1, ell)) % ell
-        sheared = m * _unit_shear(G, n)
-        if not sheared.is_diagonal or sheared not in G:
+    l3 = ell * ell * ell
+    inverse = [0] + [pow(x, -1, ell) for x in range(1, ell)]
+    codes = G.codes
+    for m in G.element_tuples():
+        n = (-m[1] * inverse[m[0]]) % ell
+        a, b, c, d = _mul_t(m, (1, n, 0, 1), ell)
+        if b != 0 or c != 0 or a * l3 + d not in codes:
             return False
     return True
 
 
 def _case_flags(G: MatrixGroup) -> tuple[Mat2 | None, bool, bool]:
     """(smallest repeated-eigenvalue non-diagonal element, non-abelian, diagonalizable)."""
-    candidate: Mat2 | None = None
-    for m in G.elements:
-        if m.b != 0 and m.a == m.d:
-            if candidate is None or m.encode() < candidate.encode():
-                candidate = m
+    ell = G.modulus.ell
+    l2, l3 = ell * ell, ell * ell * ell
+    # b != 0 and a == d, read off the code.
+    repeated = [
+        code
+        for code in G.codes
+        if code // l2 % ell != 0 and code // l3 == code % ell
+    ]
+    candidate = G.decode(min(repeated)) if repeated else None
     nonabelian = not G.is_abelian
     diagonalizable = candidate is None and not nonabelian
     return candidate, nonabelian, diagonalizable
@@ -158,13 +167,11 @@ def _diagonalizer_witness(G: MatrixGroup) -> DiagonalizerWitness:
     second coordinate 1. A fully diagonal group gets P = I.
     """
     ell = G.modulus.ell
-    chosen: Mat2 | None = None
-    for m in G.elements:
-        if m.b != 0:
-            if chosen is None or m.encode() < chosen.encode():
-                chosen = m
-    if chosen is None:
+    l2 = ell * ell
+    sheared = [code for code in G.codes if code // l2 % ell != 0]
+    if not sheared:
         return DiagonalizerWitness(Mat2.identity(G.modulus))
+    chosen = G.decode(min(sheared))
     x = (chosen.b * pow(chosen.d - chosen.a, -1, ell)) % ell
     return DiagonalizerWitness(Mat2(1, x, 0, 1, G.modulus))
 
@@ -259,5 +266,11 @@ def _verify_diagonalizer(G: MatrixGroup, w: DiagonalizerWitness) -> bool:
     P = w.basis_change
     if P.modulus != G.modulus:
         return False
-    p_inv = P.inverse()
-    return all((p_inv * g * P).is_diagonal for g in G.elements)
+    ell = G.modulus.ell
+    p = P.as_tuple()
+    p_inv = P.inverse().as_tuple()
+    for t in G.element_tuples():
+        _, b, c, _ = _mul_t(_mul_t(p_inv, t, ell), p, ell)
+        if b != 0 or c != 0:
+            return False
+    return True

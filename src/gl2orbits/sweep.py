@@ -30,6 +30,7 @@ from .divchain import (
     Case1Scenario,
     Case2Scenario,
     DegreeParameter,
+    _det_image_order,
     admissible_rho_orders,
     inert_bound_check,
     nonsplit_orbit_check,
@@ -274,7 +275,8 @@ def enumerate_upper_triangular_subgroups(m: PrimeModulus) -> Iterator[MatrixGrou
         groups.append(_adjoin_unipotent(D))
         shears = [0] if D.is_scalar else range(ell)
         groups.extend(conjugate(D, Mat2(1, t, 0, 1, m)) for t in shears)
-    groups.sort(key=lambda G: (G.order, sorted(g.as_tuple() for g in G.elements)))
+    # Ascending codes are ascending element tuples.
+    groups.sort(key=lambda G: (G.order, sorted(G.codes)))
     yield from groups
 
 
@@ -305,16 +307,34 @@ def _random_triangular_tuple(rng: Random, ell: int) -> MatTuple:
     return (rng.randrange(1, ell), rng.randrange(ell), 0, rng.randrange(1, ell))
 
 
+def _triangular_closure_order(gens: list[Mat2], m: PrimeModulus) -> int:
+    """Order of the subgroup H of the Borel that upper-triangular gens generate.
+
+    H maps onto the group D of its diagonal parts with kernel H ∩ U, and
+    |U| = l is prime, so |H| is |D| or |D| * l. H contains U when two
+    generators fail to commute (their commutator is a nontrivial shear) or
+    when a generator has a = d and b != 0 (its (l-1)-th power is one).
+    Otherwise H is abelian and generated by diagonalizable elements, so it
+    is diagonalizable and meets U trivially.
+    """
+    D = closure([g.diagonal_part() for g in gens], m)
+    repeated = any(g.a == g.d and g.b != 0 for g in gens)
+    commuting = all(g * h == h * g for g in gens for h in gens)
+    return D.order * m.ell if repeated or not commuting else D.order
+
+
 def _sample_triangular_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
-    """A random subgroup of the Borel from one to three random generators."""
+    """A random subgroup of the Borel from one to three random generators.
+
+    Generators whose group would exceed the closure budget (at very large
+    primes) are replaced by the first of them alone, before any closure.
+    """
     ell = m.ell
     k = rng.choice([1, 2, 3])
     gens = [Mat2(*_random_triangular_tuple(rng, ell), m) for _ in range(k)]
-    try:
-        return closure(gens, m, budget=SAMPLED_CLOSURE_BUDGET)
-    except ClosureBudgetError:
-        # Over budget at very large primes: fall back to a single generator.
-        return closure(gens[:1], m, budget=SAMPLED_CLOSURE_BUDGET)
+    if _triangular_closure_order(gens, m) > SAMPLED_CLOSURE_BUDGET:
+        gens = gens[:1]
+    return closure(gens, m, budget=SAMPLED_CLOSURE_BUDGET)
 
 
 def _primitive_root_powers(m: PrimeModulus) -> list[int]:
@@ -332,8 +352,9 @@ def _diagonal_group_from_hnf(
 ) -> MatrixGroup:
     """The diagonal group whose exponent lattice has Hermite form [[d1, c], [0, d2]]."""
     n = m.ell - 1
+    l3 = m.ell**3
     elems = [
-        (pow_g[(x * d1 + y * c) % n], 0, 0, pow_g[(y * d2) % n])
+        pow_g[(x * d1 + y * c) % n] * l3 + pow_g[(y * d2) % n]
         for x in range(n // d1)
         for y in range(n // d2)
     ]
@@ -353,9 +374,12 @@ def _sample_diagonal_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
 
 
 def _adjoin_unipotent(Gss: MatrixGroup) -> MatrixGroup:
-    """The product of a diagonal group with all unit shears, built directly."""
+    """The product D·U of a diagonal group D with all unit shears, built directly."""
+    if not Gss.is_diagonal:
+        raise ValueError("only a diagonal group is adjoined to the unit shears")
     ell = Gss.modulus.ell
-    elems = [(e.a, b, 0, e.d) for e in Gss.elements for b in range(ell)]
+    shifts = range(0, ell**3, ell * ell)  # b * l^2 for b < l
+    elems = [code + shift for code in Gss.codes for shift in shifts]
     gens = [g.as_tuple() for g in Gss.generators] + [(1, 1, 0, 1)]
     return _make_group(Gss.modulus, elems, dict.fromkeys(gens))
 
@@ -417,8 +441,7 @@ def _sample_case2(
                 v = (u + zstep * rng.randrange(sixth_torsion)) % n
                 gens.append(Mat2(pow(g, u, ell), 0, 0, pow(g, v, ell), m))
         gss = closure(gens, m)
-        n_chi = len({e.det for e in gss.elements})
-        index = n // n_chi
+        index = n // _det_image_order(gss)
         compatible = [d for d in degrees if d % index == 0]
         if not compatible:
             continue
@@ -568,7 +591,7 @@ def _sample_nested_pair(
             G = closure(gens, m, budget=30_000)
         except ClosureBudgetError:
             G = _sample_diagonal_group(rng, m)
-    codes = sorted(g.encode() for g in G.elements)
+    codes = sorted(G.codes)
     k = rng.choice([0, 1, 2])
     picked = rng.sample(codes, min(k, len(codes)))
     h_gens = [Mat2(*decode_tuple(code, m.ell), m) for code in picked]

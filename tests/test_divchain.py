@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl2orbits import orbits
 from gl2orbits.divchain import (
     Case1Scenario,
     Case2Scenario,
@@ -272,6 +273,27 @@ def test_replay_detects_tampered_orbit_sizes():
 
     bad = replace(cert, orbit_sizes=tampered)
     assert not replay_certificate(bad, s)
+
+
+def test_replay_ignores_a_corrupted_orbit_cache():
+    from types import MappingProxyType
+
+    # Above 20,000 elements replay skips its elementwise sample, so only
+    # its own recomputation of the orbit map can see the corruption.
+    m = PrimeModulus(31)
+    G = borel(m)
+    assert G.order > 20_000
+    s = Case1Scenario(G, split_cartan(m), DegreeParameter(1))
+    corrupted = dict(orbit_size_map(G))
+    corrupted[1] += 1
+    orbits._ORBIT_SIZE_MAPS[G] = MappingProxyType(corrupted)
+    try:
+        cert = verify_case1_chain(s)
+        assert dict(cert.orbit_sizes) == corrupted
+        assert not replay_certificate(cert, s)
+    finally:
+        del orbits._ORBIT_SIZE_MAPS[G]
+    assert replay_certificate(verify_case1_chain(s), s)
 
 
 @settings(max_examples=20, deadline=None)

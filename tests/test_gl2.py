@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from gl2orbits.gl2 import (
     ClosureBudgetError,
     Mat2,
+    _make_group,
     borel,
     closure,
     conjugate,
@@ -17,6 +18,7 @@ from gl2orbits.gl2 import (
     unipotent,
 )
 from gl2orbits.modarith import PrimeModulus, is_prime
+from gl2orbits.sweep import _adjoin_unipotent, enumerate_upper_triangular_subgroups
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 M5 = PrimeModulus(5)
@@ -275,3 +277,57 @@ def test_lagrange_in_gl2():
         gl2_order = (p * p - 1) * (p * p - p)
         for G in (borel(m), split_cartan(m), nonsplit_cartan(m), unipotent(m)):
             assert gl2_order % G.order == 0
+
+
+def test_make_group_rejects_singular_and_unreduced_input():
+    def code(a, b, c, d):
+        return ((a * 5 + b) * 5 + c) * 5 + d
+
+    identity = code(1, 0, 0, 1)
+    cartan = split_cartan(M5)
+    with pytest.raises(ValueError, match="singular"):
+        _make_group(M5, [identity, code(1, 2, 2, 4)], [])
+    with pytest.raises(ValueError, match="singular"):
+        _make_group(M5, cartan.codes, [(1, 2, 2, 4)])
+    with pytest.raises(ValueError, match="not reduced"):
+        _make_group(M5, cartan.codes, [(6, 0, 0, 1)])
+    with pytest.raises(ValueError, match="not reduced"):
+        _make_group(M5, cartan.codes, [(1, 0, 0, -1)])
+    with pytest.raises(ValueError, match="range"):
+        _make_group(M5, [identity, 5**4 + identity], [])
+    with pytest.raises(ValueError, match="identity"):
+        _make_group(M5, [code(4, 0, 0, 4)], [])
+    with pytest.raises(ValueError, match="generator"):
+        _make_group(M5, scalars(M5).codes, [(1, 1, 0, 1)])
+    seven = [code(a, 0, 0, d) for a in (1, 2) for d in (1, 2, 3, 4)][:7]
+    with pytest.raises(ValueError, match="Lagrange"):
+        _make_group(M5, seven, [])
+    assert _make_group(M5, cartan.codes, [(2, 0, 0, 1), (1, 0, 0, 2)]) == cartan
+
+
+def test_borel_constructions_agree():
+    for p in (2, 3, 5, 7, 13):
+        m = PrimeModulus(p)
+        B = borel(m)
+        from_cartan = _adjoin_unipotent(split_cartan(m))
+        closed = closure(B.generators, m)
+        assert B == from_cartan == closed
+        assert hash(B) == hash(from_cartan) == hash(closed)
+
+
+def test_codes_are_the_encodings_of_elements():
+    m = PrimeModulus(7)
+    swap = Mat2(0, 1, 1, 0, m)
+    groups = list(enumerate_upper_triangular_subgroups(PrimeModulus(5)))
+    groups += [nonsplit_cartan(m), conjugate(borel(m), swap)]
+    for G in groups:
+        elems = G.elements
+        assert frozenset(G) == elems
+        assert {g.encode() for g in elems} == G.codes
+        assert G.sorted_elements() == sorted(elems, key=Mat2.encode)
+        assert all(g in G for g in elems)
+        # The code-arithmetic predicates against the matrices themselves.
+        assert G.is_upper_triangular == all(g.is_upper_triangular for g in elems)
+        assert G.is_diagonal == all(g.is_diagonal for g in elems)
+        assert G.is_scalar == all(g.is_scalar for g in elems)
+    assert Mat2(1, 0, 0, 1, PrimeModulus(7)) not in trivial_group(M5)

@@ -1,11 +1,15 @@
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl2orbits import orbits
 from gl2orbits.gl2 import (
     Mat2,
     borel,
     closure,
+    conjugate,
     nonsplit_cartan,
     scalars,
     split_cartan,
@@ -275,3 +279,39 @@ def test_orbit_size_map_agrees_with_decomposition():
         for o in dec.orbits:
             for v in o.members:
                 assert sizes[v.encode()] == o.size
+
+
+def test_orbit_size_map_cached_per_equal_group(monkeypatch):
+    calls = []
+    uncached = orbits._orbit_sizes
+
+    def counting(G):
+        calls.append(G.order)
+        return uncached(G)
+
+    monkeypatch.setattr(orbits, "_orbit_sizes", counting)
+    m = PrimeModulus(11)
+    gens = [Mat2(2, 3, 0, 7, m), Mat2(10, 0, 0, 10, m)]
+    first = closure(gens, m)
+    second = conjugate(conjugate(first, Mat2(1, 4, 0, 1, m)), Mat2(1, 7, 0, 1, m))
+    assert first == second and first is not second
+    orbits._ORBIT_SIZE_MAPS.pop(first, None)
+    sizes = orbit_size_map(first)
+    assert orbit_size_map(second) is sizes
+    assert len(calls) == 1
+    assert dict(sizes) == uncached(first)
+
+    # The entry goes with the group it was stored under.
+    del first, second, sizes
+    gc.collect()
+    assert orbit_size_map(closure(gens, m)) == uncached(closure(gens, m))
+    assert len(calls) == 2
+
+
+def test_orbit_size_map_is_read_only():
+    sizes = orbit_size_map(scalars(M13))
+    with pytest.raises(TypeError):
+        sizes[1] = 1
+    with pytest.raises(TypeError):
+        del sizes[1]
+    assert set(sizes.values()) == {12}

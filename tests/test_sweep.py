@@ -1,11 +1,14 @@
+import hashlib
 import itertools
 import json
 import subprocess
 import sys
 from collections import deque
+from random import Random
 
 import pytest
 
+from gl2orbits import gl2
 from gl2orbits.gl2 import (
     Mat2,
     MatrixGroup,
@@ -19,8 +22,14 @@ from gl2orbits.gl2 import (
 )
 from gl2orbits.modarith import PrimeModulus, divisors
 from gl2orbits.sweep import (
+    SAMPLED_CLOSURE_BUDGET,
+    SUITE_NAMES,
     ConfigError,
     SweepConfig,
+    _random_triangular_tuple,
+    _sample_triangular_group,
+    _subseed,
+    _triangular_closure_order,
     enumerate_diagonal_subgroups,
     enumerate_upper_triangular_subgroups,
     run,
@@ -347,3 +356,89 @@ def test_cli_byte_identical_reports(tmp_path):
         )
         assert result.returncode == 0, result.stderr
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_triangular_closure_order_matches_closure(p):
+    m = PrimeModulus(p)
+    rng = Random(p)
+    draws = [
+        [Mat2(*_random_triangular_tuple(rng, p), m) for _ in range(k)]
+        for k in rng.choices([1, 2, 3], k=150)
+    ]
+    # Commuting diagonalizable pairs and repeated-eigenvalue shears, which
+    # random draws rarely hit at the larger primes.
+    for a in range(1, p):
+        draws.append([Mat2(a, 0, 0, 1, m), Mat2(1, 0, 0, a, m)])
+        draws.append([Mat2(a, 1, 0, a, m)])
+        draws.append([Mat2(a, a, 0, 1, m), Mat2(a, 0, 0, a, m)])
+    for gens in draws:
+        assert _triangular_closure_order(gens, m) == closure(gens, m).order
+
+
+def test_over_budget_draw_falls_back_without_closing_it(monkeypatch):
+    # Under sweep seed 2024, the lemma31 draw at l = 151 has three generators
+    # whose group has 151 * 7500 = 1,132,500 elements, over the budget.
+    m = PrimeModulus(151)
+    rng = Random(_subseed(2024, "lemma31", 151, 0))
+    gens = [
+        Mat2(*_random_triangular_tuple(rng, 151), m)
+        for _ in range(rng.choice([1, 2, 3]))
+    ]
+    assert len(gens) == 3
+    assert _triangular_closure_order(gens, m) == 1_132_500 > SAMPLED_CLOSURE_BUDGET
+
+    sizes = []
+    original = gl2._close
+
+    def recording_close(*args, **kwargs):
+        sizes.append(None)  # stays None if the closure overruns its budget
+        closed = original(*args, **kwargs)
+        sizes[-1] = len(closed)
+        return closed
+
+    monkeypatch.setattr(gl2, "_close", recording_close)
+    G = _sample_triangular_group(Random(_subseed(2024, "lemma31", 151, 0)), m)
+    assert G == closure(gens[:1], m)
+    assert sizes and None not in sizes and max(sizes) <= 150 * 150
+
+
+def test_sweeps_never_build_matrix_sets(monkeypatch):
+    def refuse(self, *args):
+        raise AssertionError("a sweep built Mat2 elements")
+
+    monkeypatch.setattr(MatrixGroup, "elements", property(refuse))
+    monkeypatch.setattr(MatrixGroup, "__iter__", refuse)
+    monkeypatch.setattr(MatrixGroup, "sorted_elements", refuse)
+    sampled = run(
+        SweepConfig(
+            primes=(5, 7, 13), sample_count=18, degrees=(1, 2, 3, 6, 12),
+            suites=SUITE_NAMES, seed=31,
+        )
+    )
+    exhaustive = run(
+        SweepConfig(primes=(2, 3, 5, 7), mode="exhaustive", suites=("lemma31",))
+    )
+    assert sampled.total_failures == exhaustive.total_failures == 0
+    assert all(entry["total"] > 0 for entry in sampled.suites)
+
+
+def test_report_bytes_pinned():
+    # Any change that moves a byte of a report must update these digests
+    # on purpose.
+    report = run(
+        SweepConfig(
+            primes=(5, 7, 13),
+            suites=("case1", "case2", "lemma31", "lemma33", "nonsplit"),
+            seed=864,
+            degrees=(1, 2, 3, 6, 12),
+        )
+    )
+    json_digest = hashlib.sha256(report.json_text().encode()).hexdigest()
+    csv_digest = hashlib.sha256(report.csv_text().encode()).hexdigest()
+    assert json_digest == (
+        "725b86b7054db7796dffdf85c7c6730ad30f03cedc0ad4bd747ba25d0c49b2d5"
+    )
+    assert csv_digest == (
+        "595cf991f75928c3a23caa14bc08ba4e1fce0e43b43510c7d60515bf95d28f79"
+    )
