@@ -36,7 +36,9 @@ from .gl2 import (
 from .modarith import PrimeModulus, divisors, power_image_order
 from .orbits import (
     Vector2,
+    _first_violation,
     _orbit_sizes,
+    acts_freely,
     orbit_size_map,
     uniform_divisibility_transfer,
 )
@@ -143,10 +145,9 @@ def _divisibility_check(
     divisor: int,
     modulus: PrimeModulus,
 ) -> tuple[CheckRecord, dict | None]:
-    bad = [code for code, s in sizes.items() if (multiplier * s) % divisor != 0]
-    if not bad:
+    code = _first_violation(sizes, multiplier, divisor)
+    if code is None:
         return CheckRecord(name, True), None
-    code = min(bad)
     v = Vector2.decode(code, modulus)
     detail = f"{divisor} does not divide {multiplier} * {sizes[code]} at {v!r}"
     counterexample = {
@@ -503,8 +504,12 @@ def nonsplit_orbit_check(ell: PrimeModulus) -> bool:
     """Transitivity facts for the nonsplit Cartan and all of its subgroups.
 
     True when the nonsplit Cartan acts with a single orbit of size
-    l^2 - 1 and every subgroup (one per divisor of l^2 - 1, the group
-    being cyclic) has all orbits of size exactly its own order.
+    l^2 - 1 and every subgroup (one per divisor d of l^2 - 1, the group
+    being cyclic) has order d and all orbits of size exactly d. By
+    orbit-stabilizer an orbit has size |S| exactly when its stabilizer is
+    trivial, so the subgroup fact is checked without walking an orbit: no
+    g != I in the subgroup fixes a nonzero vector, that is,
+    det(g - I) is nonzero mod l for every such g (``acts_freely``).
     """
     ell.require_odd("nonsplit_orbit_check")
     cns = nonsplit_cartan(ell)
@@ -517,7 +522,7 @@ def nonsplit_orbit_check(ell: PrimeModulus) -> bool:
         sub = closure([gen ** (n // d)], ell)
         if sub.order != d:
             return False
-        if set(orbit_size_map(sub).values()) != {d}:
+        if not acts_freely(sub):
             return False
     return True
 

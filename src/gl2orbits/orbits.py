@@ -1,9 +1,14 @@
 """Orbits of matrix groups acting on the nonzero vectors of (Z/lZ)^2.
 
-The action is left multiplication on column vectors. Orbit traversal is
-breadth-first over integer-encoded vectors using only the group's
-generators, which suffices in a finite group. The punctured plane V* has
-l^2 - 1 points.
+The action is left multiplication on column vectors; a vector (x, y) is
+encoded as y*l + x, and the punctured plane V* has the l^2 - 1 codes
+1 .. l^2 - 1. A group's orbits come from one labeling pass over the codes,
+using only its generators, which suffices in a finite group: each
+generator's action is built once as an image list indexed by code, a
+single generator is followed around its cycles, and several generators are
+walked breadth-first over their lists. The resulting ``OrbitPartition`` is
+cached once per group, and ``orbit``, ``orbit_decomposition``,
+``orbit_size_map`` and ``coset_orbit_refinement`` all read it.
 """
 
 from __future__ import annotations
@@ -95,50 +100,100 @@ class DiagonalOrbitPrediction:
             raise ValueError("mixed orbit counts do not multiply to (l - 1)^2")
 
 
-def _orbit_codes(gens: list[MatTuple], ell: int, start: int) -> set[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        code = stack.pop()
-        x, y = code % ell, code // ell
-        for a, b, c, d in gens:
-            nxt = ((c * x + d * y) % ell) * ell + (a * x + b * y) % ell
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen
+@dataclass(frozen=True, slots=True)
+class OrbitPartition:
+    """A group's orbits on the punctured plane, on vector codes.
+
+    orbits holds each orbit's codes in ascending order, the orbits ordered
+    by smallest member; label[code] is the index in orbits of the orbit
+    holding code (-1 for the zero vector); sizes is the read-only orbit
+    size map, keyed by nonzero code.
+    """
+
+    orbits: tuple[tuple[int, ...], ...]
+    label: tuple[int, ...]
+    sizes: Mapping[int, int]
 
 
-# Orbit size maps by group. Equal groups share one entry, and an entry is
+def _image_list(g: MatTuple, ell: int) -> list[int]:
+    """The code of g * v at index code(v), for every vector v."""
+    a, b, c, d = g
+    return [
+        ((c * x + d * y) % ell) * ell + (a * x + b * y) % ell
+        for y in range(ell)
+        for x in range(ell)
+    ]
+
+
+def _orbit_partition(G: MatrixGroup) -> OrbitPartition:
+    """The uncached partition, from one labeling pass over the codes."""
+    ell = G.modulus.ell
+    n = ell * ell
+    gens = dict.fromkeys(G.generator_tuples())
+    gens.pop((1, 0, 0, 1), None)
+    images = [_image_list(g, ell) for g in gens]
+    label = [-1] * n
+    orbits: list[tuple[int, ...]] = []
+    for start in range(1, n):
+        if label[start] >= 0:
+            continue
+        index = len(orbits)
+        label[start] = index
+        members = [start]
+        if len(images) == 1:
+            # One generator: its orbits are the cycles of its permutation.
+            image = images[0]
+            code = image[start]
+            while code != start:
+                label[code] = index
+                members.append(code)
+                code = image[code]
+        else:
+            # The list grows while it is read, as a breadth-first queue.
+            for code in members:
+                for image in images:
+                    nxt = image[code]
+                    if label[nxt] < 0:
+                        label[nxt] = index
+                        members.append(nxt)
+        members.sort()
+        orbits.append(tuple(members))
+    sizes: dict[int, int] = {}
+    for members in orbits:
+        sizes.update(dict.fromkeys(members, len(members)))
+    return OrbitPartition(tuple(orbits), tuple(label), MappingProxyType(sizes))
+
+
+# Orbit partitions by group. Equal groups share one entry, and an entry is
 # dropped when the group object it was stored under is freed.
-_ORBIT_SIZE_MAPS: WeakKeyDictionary[MatrixGroup, Mapping[int, int]] = (
-    WeakKeyDictionary()
-)
+_PARTITIONS: WeakKeyDictionary[MatrixGroup, OrbitPartition] = WeakKeyDictionary()
+
+
+def orbit_partition(G: MatrixGroup) -> OrbitPartition:
+    """G's orbit partition, computed once per group and cached."""
+    partition = _PARTITIONS.get(G)
+    if partition is None:
+        partition = _orbit_partition(G)
+        _PARTITIONS[G] = partition
+    return partition
 
 
 def orbit_size_map(G: MatrixGroup) -> Mapping[int, int]:
     """Orbit size for every nonzero vector, keyed by vector encoding.
 
-    Computed once per group and cached; the returned mapping is read-only.
+    Read from the cached partition; the returned mapping is read-only.
     """
-    sizes = _ORBIT_SIZE_MAPS.get(G)
-    if sizes is None:
-        sizes = MappingProxyType(_orbit_sizes(G))
-        _ORBIT_SIZE_MAPS[G] = sizes
-    return sizes
+    return orbit_partition(G).sizes
 
 
 def _orbit_sizes(G: MatrixGroup) -> dict[int, int]:
-    """The uncached orbit size map, walked from G's generators."""
-    ell = G.modulus.ell
-    gens = G.generator_tuples()
-    sizes: dict[int, int] = {}
-    for code in range(1, ell * ell):
-        if code in sizes:
-            continue
-        component = _orbit_codes(gens, ell, code)
-        sizes.update(dict.fromkeys(component, len(component)))
-    return sizes
+    """The uncached orbit size map, from a fresh partition."""
+    return dict(_orbit_partition(G).sizes)
+
+
+def _orbit_from_codes(codes: tuple[int, ...], modulus: PrimeModulus) -> Orbit:
+    members = frozenset(Vector2.decode(c, modulus) for c in codes)
+    return Orbit(Vector2.decode(codes[0], modulus), members, len(codes))
 
 
 def orbit(G: MatrixGroup, v: Vector2) -> Orbit:
@@ -147,32 +202,23 @@ def orbit(G: MatrixGroup, v: Vector2) -> Orbit:
         raise ValueError("orbit of the zero vector is excluded")
     if v.modulus != G.modulus:
         raise ValueError("mixed moduli")
-    codes = _orbit_codes(G.generator_tuples(), G.modulus.ell, v.encode())
-    members = frozenset(Vector2.decode(c, G.modulus) for c in codes)
-    rep = Vector2.decode(min(codes), G.modulus)
-    size = len(codes)
-    if G.order % size != 0:
+    partition = orbit_partition(G)
+    codes = partition.orbits[partition.label[v.encode()]]
+    if G.order % len(codes) != 0:
         raise RuntimeError("orbit size does not divide group order")
-    return Orbit(rep, members, size)
+    return _orbit_from_codes(codes, G.modulus)
 
 
 def orbit_decomposition(G: MatrixGroup) -> OrbitDecomposition:
     """All orbits on the punctured plane, ordered by smallest representative."""
     ell = G.modulus.ell
-    gens = G.generator_tuples()
-    seen: set[int] = set()
-    orbits = []
-    for code in range(1, ell * ell):
-        if code in seen:
-            continue
-        codes = _orbit_codes(gens, ell, code)
-        seen |= codes
-        members = frozenset(Vector2.decode(c, G.modulus) for c in codes)
-        orbits.append(Orbit(Vector2.decode(code, G.modulus), members, len(codes)))
+    orbits = tuple(
+        _orbit_from_codes(codes, G.modulus) for codes in orbit_partition(G).orbits
+    )
     total = sum(o.size for o in orbits)
     if total != ell * ell - 1:
         raise RuntimeError("orbits do not partition the punctured plane")
-    return OrbitDecomposition(G, tuple(orbits))
+    return OrbitDecomposition(G, orbits)
 
 
 def stabilizer_order(G: MatrixGroup, v: Vector2) -> int:
@@ -182,6 +228,26 @@ def stabilizer_order(G: MatrixGroup, v: Vector2) -> int:
     if v.modulus != G.modulus:
         raise ValueError("mixed moduli")
     return sum(1 for g in G.elements if g.apply(v.x, v.y) == (v.x, v.y))
+
+
+def acts_freely(G: MatrixGroup) -> bool:
+    """Whether every orbit on the punctured plane has size exactly |G|.
+
+    By orbit-stabilizer this holds exactly when no g != I in G fixes a
+    nonzero vector, that is, when det(g - I) = (a - 1)(d - 1) - b*c is
+    nonzero mod l for every such g. Decided on the element codes; no orbit
+    is walked.
+    """
+    ell = G.modulus.ell
+    l2, l3 = ell * ell, ell * ell * ell
+    identity = l3 + 1
+    for code in G.codes:
+        if code == identity:
+            continue
+        a, b, c, d = code // l3, code // l2 % ell, code // ell % ell, code % ell
+        if ((a - 1) * (d - 1) - b * c) % ell == 0:
+            return False
+    return True
 
 
 def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
@@ -211,6 +277,32 @@ def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     )
 
 
+def refine_orbit_codes(
+    g: OrbitPartition, index: int, h: OrbitPartition
+) -> list[tuple[int, ...]]:
+    """The H-orbits partitioning G's orbit number index, as code tuples.
+
+    g and h are the partitions of G and of a subgroup H. The G-orbit's
+    codes are scanned in ascending order and each H-orbit is taken from h
+    when first met, so the parts come ordered by smallest member.
+    """
+    g_codes = g.orbits[index]
+    met: set[int] = set()
+    parts = []
+    for code in g_codes:
+        k = h.label[code]
+        if k in met:
+            continue
+        met.add(k)
+        part = h.orbits[k]
+        if set(map(g.label.__getitem__, part)) != {index}:
+            raise RuntimeError("H-orbit escapes the G-orbit")
+        parts.append(part)
+    if sum(map(len, parts)) != len(g_codes):
+        raise RuntimeError("H-orbits do not partition the G-orbit")
+    return parts
+
+
 def coset_orbit_refinement(
     G: MatrixGroup, H: MatrixGroup, v: Vector2
 ) -> tuple[Orbit, ...]:
@@ -224,22 +316,11 @@ def coset_orbit_refinement(
         raise ValueError("H is not a subgroup of G")
     if v.is_zero:
         raise ValueError("orbit of the zero vector is excluded")
-    ell = G.modulus.ell
-    g_codes = _orbit_codes(G.generator_tuples(), ell, v.encode())
-    h_gens = H.generator_tuples()
-    remaining = set(g_codes)
-    parts = []
-    while remaining:
-        start = min(remaining)
-        codes = _orbit_codes(h_gens, ell, start)
-        if not codes <= g_codes:
-            raise RuntimeError("H-orbit escapes the G-orbit")
-        remaining -= codes
-        members = frozenset(Vector2.decode(c, G.modulus) for c in codes)
-        parts.append(Orbit(Vector2.decode(start, G.modulus), members, len(codes)))
-    if sum(p.size for p in parts) != len(g_codes):
-        raise RuntimeError("H-orbits do not partition the G-orbit")
-    return tuple(parts)
+    if v.modulus != G.modulus:
+        raise ValueError("mixed moduli")
+    g = orbit_partition(G)
+    parts = refine_orbit_codes(g, g.label[v.encode()], orbit_partition(H))
+    return tuple(_orbit_from_codes(part, G.modulus) for part in parts)
 
 
 TransferDirection = Literal["up", "down"]
@@ -272,12 +353,13 @@ class TransferVerdict:
 
 
 def _first_violation(
-    sizes: Mapping[int, int], multiplier: int, divisor: int, modulus: PrimeModulus
-) -> Vector2 | None:
-    bad = [code for code, s in sizes.items() if (multiplier * s) % divisor != 0]
+    sizes: Mapping[int, int], multiplier: int, divisor: int
+) -> int | None:
+    """Smallest code whose orbit size s fails divisor | multiplier * s, if any."""
+    bad = {s for s in set(sizes.values()) if (multiplier * s) % divisor != 0}
     if not bad:
         return None
-    return Vector2.decode(min(bad), modulus)
+    return min(code for code, s in sizes.items() if s in bad)
 
 
 def uniform_divisibility_transfer(
@@ -305,11 +387,13 @@ def uniform_divisibility_transfer(
     h_sizes = orbit_size_map(H)
     g_sizes = orbit_size_map(G)
     if direction == "up":
-        hyp_bad = _first_violation(h_sizes, c, M, G.modulus)
-        ccl_bad = _first_violation(g_sizes, c, M, G.modulus)
+        hyp = _first_violation(h_sizes, c, M)
+        ccl = _first_violation(g_sizes, c, M)
     else:
-        hyp_bad = _first_violation(g_sizes, c, M, G.modulus)
-        ccl_bad = _first_violation(h_sizes, c * index, M, G.modulus)
+        hyp = _first_violation(g_sizes, c, M)
+        ccl = _first_violation(h_sizes, c * index, M)
+    hyp_bad = None if hyp is None else Vector2.decode(hyp, G.modulus)
+    ccl_bad = None if ccl is None else Vector2.decode(ccl, G.modulus)
     return TransferVerdict(
         direction=direction,
         divisor=M,

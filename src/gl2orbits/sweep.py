@@ -53,11 +53,12 @@ from .gl2 import (
 )
 from .modarith import PrimeModulus, divisors, is_prime, least_primitive_root
 from .orbits import (
-    coset_orbit_refinement,
     minimal_uniform_constant,
     orbit_decomposition,
+    orbit_partition,
     orbit_size_map,
     predict_diagonal_orbits,
+    refine_orbit_codes,
     uniform_divisibility_transfer,
 )
 from .semisimplify import (
@@ -626,12 +627,13 @@ def _lemma33_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
         expected = None
         value = None
         M = ell - 1
+        if not H.is_subgroup_of(G):
+            raise ValueError("H is not a subgroup of G")
+        g_partition = orbit_partition(G)
+        h_partition = orbit_partition(H)
         try:
-            for orb in orbit_decomposition(G).orbits:
-                parts = coset_orbit_refinement(G, H, orb.representative)
-                if sum(p.size for p in parts) != orb.size:
-                    ok, note = False, "refinement does not partition"
-                    break
+            for index in range(len(g_partition.orbits)):
+                refine_orbit_codes(g_partition, index, h_partition)
         except RuntimeError as exc:
             ok, note = False, f"refinement violated: {exc}"
         if ok:

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2orbits import orbits
+from gl2orbits import divchain, orbits
 from gl2orbits.divchain import (
     Case1Scenario,
     Case2Scenario,
@@ -29,7 +29,7 @@ from gl2orbits.gl2 import (
     trivial_group,
 )
 from gl2orbits.modarith import PrimeModulus, divisors, is_prime, power_image_order
-from gl2orbits.orbits import orbit_size_map
+from gl2orbits.orbits import acts_freely, orbit_size_map
 from gl2orbits.semisimplify import semisimplification
 
 M5 = PrimeModulus(5)
@@ -251,6 +251,57 @@ def test_nonsplit_subgroup_orbits_match_order():
     assert set(orbit_size_map(sub).values()) == {6}
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_acts_freely_agrees_with_orbit_sizes(p):
+    m = PrimeModulus(p)
+    n = p * p - 1
+    gen = nonsplit_cartan(m).generators[0]
+    for d in divisors(n):
+        sub = closure([gen ** (n // d)], m)
+        assert set(orbit_size_map(sub).values()) == {sub.order}
+        assert acts_freely(sub)
+    cyclic = {closure([g], m) for g in borel(m).elements}
+    free_count = 0
+    for H in cyclic:
+        sizes = set(orbit_size_map(H).values())
+        assert acts_freely(H) == (sizes == {H.order})
+        assert (not acts_freely(H)) == (min(sizes) < H.order)
+        free_count += acts_freely(H)
+    # Both answers occur: scalars act freely, diag(a, 1) fixes (0, 1).
+    assert 0 < free_count < len(cyclic)
+
+
+def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
+    # Each control breaks one gate and leaves the other two passing.
+    assert nonsplit_orbit_check(M7)
+
+    # A single Cartan orbit: an orbit map that puts (1, 0) in an orbit of its own.
+    def split_off_e1(G):
+        return {**orbits.orbit_size_map(G), 1: 1}
+
+    monkeypatch.setattr(divchain, "orbit_size_map", split_off_e1)
+    assert not nonsplit_orbit_check(M7)
+    monkeypatch.undo()
+
+    # Subgroup orders: squaring the generator halves the even orders.
+    def squared(gens, m):
+        return closure([g * g for g in gens], m)
+
+    monkeypatch.setattr(divchain, "closure", squared)
+    assert not nonsplit_orbit_check(M7)
+    monkeypatch.undo()
+
+    # Fixed-point freeness: diag(-1, 1) has order 2 but fixes (0, 1).
+    def reflection_for_order_two(gens, m):
+        sub = closure(gens, m)
+        if sub.order == 2:
+            return closure([Mat2(m.ell - 1, 0, 0, 1, m)], m)
+        return sub
+
+    monkeypatch.setattr(divchain, "closure", reflection_for_order_two)
+    assert not nonsplit_orbit_check(M7)
+
+
 def test_certificate_checks_cover_intermediate_step():
     s = Case1Scenario(borel(M13), split_cartan(M13), DegreeParameter(3))
     cert = verify_case1_chain(s)
@@ -276,6 +327,7 @@ def test_replay_detects_tampered_orbit_sizes():
 
 
 def test_replay_ignores_a_corrupted_orbit_cache():
+    from dataclasses import replace
     from types import MappingProxyType
 
     # Above 20,000 elements replay skips its elementwise sample, so only
@@ -284,15 +336,16 @@ def test_replay_ignores_a_corrupted_orbit_cache():
     G = borel(m)
     assert G.order > 20_000
     s = Case1Scenario(G, split_cartan(m), DegreeParameter(1))
-    corrupted = dict(orbit_size_map(G))
+    partition = orbits.orbit_partition(G)
+    corrupted = dict(partition.sizes)
     corrupted[1] += 1
-    orbits._ORBIT_SIZE_MAPS[G] = MappingProxyType(corrupted)
+    orbits._PARTITIONS[G] = replace(partition, sizes=MappingProxyType(corrupted))
     try:
         cert = verify_case1_chain(s)
         assert dict(cert.orbit_sizes) == corrupted
         assert not replay_certificate(cert, s)
     finally:
-        del orbits._ORBIT_SIZE_MAPS[G]
+        del orbits._PARTITIONS[G]
     assert replay_certificate(verify_case1_chain(s), s)
 
 

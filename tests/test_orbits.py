@@ -195,6 +195,8 @@ def test_coset_refinement_examples():
 def test_coset_refinement_requires_subgroup():
     with pytest.raises(ValueError):
         coset_orbit_refinement(scalars(M5), split_cartan(M5), e1(M5))
+    with pytest.raises(ValueError):
+        coset_orbit_refinement(split_cartan(M5), scalars(M5), e1(M13))
 
 
 def test_coset_refinement_can_have_fewer_parts_than_index():
@@ -283,28 +285,31 @@ def test_orbit_size_map_agrees_with_decomposition():
 
 def test_orbit_size_map_cached_per_equal_group(monkeypatch):
     calls = []
-    uncached = orbits._orbit_sizes
+    uncached = orbits._orbit_partition
 
     def counting(G):
         calls.append(G.order)
         return uncached(G)
 
-    monkeypatch.setattr(orbits, "_orbit_sizes", counting)
+    monkeypatch.setattr(orbits, "_orbit_partition", counting)
     m = PrimeModulus(11)
     gens = [Mat2(2, 3, 0, 7, m), Mat2(10, 0, 0, 10, m)]
     first = closure(gens, m)
     second = conjugate(conjugate(first, Mat2(1, 4, 0, 1, m)), Mat2(1, 7, 0, 1, m))
     assert first == second and first is not second
-    orbits._ORBIT_SIZE_MAPS.pop(first, None)
+    orbits._PARTITIONS.pop(first, None)
     sizes = orbit_size_map(first)
     assert orbit_size_map(second) is sizes
+    assert orbits.orbit_partition(second) is orbits._PARTITIONS[first]
+    orbit_decomposition(second)
+    coset_orbit_refinement(first, second, e1(m))
     assert len(calls) == 1
-    assert dict(sizes) == uncached(first)
+    assert dict(sizes) == dict(uncached(first).sizes)
 
     # The entry goes with the group it was stored under.
     del first, second, sizes
     gc.collect()
-    assert orbit_size_map(closure(gens, m)) == uncached(closure(gens, m))
+    assert orbit_size_map(closure(gens, m)) == uncached(closure(gens, m)).sizes
     assert len(calls) == 2
 
 
@@ -315,3 +320,50 @@ def test_orbit_size_map_is_read_only():
     with pytest.raises(TypeError):
         del sizes[1]
     assert set(sizes.values()) == {12}
+
+
+def test_corrupted_h_partition_fails_the_refinement(monkeypatch):
+    from types import MappingProxyType
+
+    from gl2orbits import sweep
+
+    G, H = split_cartan(M5), scalars(M5)
+    true = orbits.orbit_partition(H)
+    # Merge H's orbits on the two axes, (1, 0) and (0, 1): the merged
+    # orbit meets two G-orbits.
+    assert true.orbits[0] == (1, 2, 3, 4) and true.orbits[1] == (5, 10, 15, 20)
+    bad_orbits = (true.orbits[0] + true.orbits[1],) + true.orbits[2:]
+    label = [-1] * 25
+    sizes = {}
+    for index, codes in enumerate(bad_orbits):
+        for code in codes:
+            label[code] = index
+            sizes[code] = len(codes)
+    orbits._PARTITIONS[H] = orbits.OrbitPartition(
+        bad_orbits, tuple(label), MappingProxyType(sizes)
+    )
+    try:
+        with pytest.raises(RuntimeError, match="H-orbit escapes the G-orbit"):
+            coset_orbit_refinement(G, H, e1(M5))
+        monkeypatch.setattr(sweep, "_sample_nested_pair", lambda rng, m: (G, H))
+        report = sweep.run(
+            sweep.SweepConfig(primes=(5,), sample_count=1, suites=("lemma33",))
+        )
+    finally:
+        del orbits._PARTITIONS[H]
+    (row,) = report.rows
+    assert row.status == "fail"
+    assert row.failure["scenario"]["note"] == (
+        "refinement violated: H-orbit escapes the G-orbit"
+    )
+
+    # An H-orbit that lost a member still lies in the G-orbit, but the
+    # parts no longer cover it.
+    orbits._PARTITIONS[H] = orbits.OrbitPartition(
+        ((1, 2, 3),) + true.orbits[1:], true.label, true.sizes
+    )
+    try:
+        with pytest.raises(RuntimeError, match="do not partition the G-orbit"):
+            coset_orbit_refinement(G, H, e1(M5))
+    finally:
+        del orbits._PARTITIONS[H]

@@ -1,9 +1,11 @@
 import hashlib
 import itertools
 import json
+import os
 import subprocess
 import sys
 from collections import deque
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -293,6 +295,14 @@ def test_exhaustive_mode_falls_back_to_sampling_above_cap():
     assert entry["fail"] == 0
 
 
+def _cli_env() -> dict[str, str]:
+    """The environment with this checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_cli_end_to_end(tmp_path):
     out = tmp_path / "report.json"
     result = subprocess.run(
@@ -317,6 +327,7 @@ def test_cli_end_to_end(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=_cli_env(),
     )
     assert result.returncode == 0, result.stderr
     payload = json.loads(out.read_text())
@@ -330,6 +341,7 @@ def test_cli_reports_config_errors(tmp_path):
         [sys.executable, "-m", "gl2orbits.cli", "--primes", "14..16"],
         capture_output=True,
         text=True,
+        env=_cli_env(),
     )
     assert result.returncode == 2
     assert "configuration error" in result.stderr
@@ -352,7 +364,10 @@ def test_cli_byte_identical_reports(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path, extra in zip(paths, ([], ["--parallelism", "2"])):
         result = subprocess.run(
-            args + ["--out", str(path)] + extra, capture_output=True, text=True
+            args + ["--out", str(path)] + extra,
+            capture_output=True,
+            text=True,
+            env=_cli_env(),
         )
         assert result.returncode == 0, result.stderr
     assert paths[0].read_bytes() == paths[1].read_bytes()
@@ -425,20 +440,31 @@ def test_sweeps_never_build_matrix_sets(monkeypatch):
 
 def test_report_bytes_pinned():
     # Any change that moves a byte of a report must update these digests
-    # on purpose.
-    report = run(
-        SweepConfig(
-            primes=(5, 7, 13),
-            suites=("case1", "case2", "lemma31", "lemma33", "nonsplit"),
-            seed=864,
-            degrees=(1, 2, 3, 6, 12),
-        )
-    )
-    json_digest = hashlib.sha256(report.json_text().encode()).hexdigest()
-    csv_digest = hashlib.sha256(report.csv_text().encode()).hexdigest()
-    assert json_digest == (
-        "725b86b7054db7796dffdf85c7c6730ad30f03cedc0ad4bd747ba25d0c49b2d5"
-    )
-    assert csv_digest == (
-        "595cf991f75928c3a23caa14bc08ba4e1fce0e43b43510c7d60515bf95d28f79"
-    )
+    # on purpose. The second config reaches lemma33's coset refinement and
+    # the nonsplit subgroup check above l = 13.
+    pinned = [
+        (
+            SweepConfig(
+                primes=(5, 7, 13),
+                suites=("case1", "case2", "lemma31", "lemma33", "nonsplit"),
+                seed=864,
+                degrees=(1, 2, 3, 6, 12),
+            ),
+            "725b86b7054db7796dffdf85c7c6730ad30f03cedc0ad4bd747ba25d0c49b2d5",
+            "595cf991f75928c3a23caa14bc08ba4e1fce0e43b43510c7d60515bf95d28f79",
+        ),
+        (
+            SweepConfig(
+                primes=(61, 97),
+                suites=("lemma33", "nonsplit"),
+                seed=864,
+                sample_count=6,
+            ),
+            "24d35b53ee74f6b84b020ce05194be9edc088824ed0e3077361a5431fc0d2eba",
+            "4ab91c718e243f55df967e62925a79b2957a70387d60c60fa9633b7181ad7151",
+        ),
+    ]
+    for cfg, json_pin, csv_pin in pinned:
+        report = run(cfg)
+        assert hashlib.sha256(report.json_text().encode()).hexdigest() == json_pin
+        assert hashlib.sha256(report.csv_text().encode()).hexdigest() == csv_pin
