@@ -37,7 +37,7 @@ from .modarith import PrimeModulus, divisors, power_image_order
 from .orbits import (
     Vector2,
     _first_violation,
-    _orbit_sizes,
+    _orbit_partition,
     acts_freely,
     orbit_size_map,
     uniform_divisibility_transfer,
@@ -532,15 +532,15 @@ def replay_certificate(
 ) -> bool:
     """Independently replay a certificate against its scenario.
 
-    Recomputes every orbit size from scratch, bypassing the orbit-map
-    cache, compares with the stored sizes, and re-evaluates the final
-    divisibility; for small groups the orbit of a sample of vectors is
-    additionally recomputed elementwise, without the generator walk.
+    Recomputes every orbit size from a fresh partition, bypassing the
+    partition cache, compares with the stored sizes, and re-evaluates the
+    final divisibility; for small groups the orbit of a sample of vectors
+    is additionally recomputed elementwise, without the generator walk.
     Returns True when the stored verdict is reproduced exactly.
     """
     G = scenario.G
     ell = G.modulus.ell
-    fresh = _orbit_sizes(G)
+    fresh = _orbit_partition(G).sizes
     if dict(cert.orbit_sizes) != fresh:
         return False
     n = ell - 1

@@ -4,11 +4,11 @@ The action is left multiplication on column vectors; a vector (x, y) is
 encoded as y*l + x, and the punctured plane V* has the l^2 - 1 codes
 1 .. l^2 - 1. A group's orbits come from one labeling pass over the codes,
 using only its generators, which suffices in a finite group: each
-generator's action is built once as an image list indexed by code, a
-single generator is followed around its cycles, and several generators are
-walked breadth-first over their lists. The resulting ``OrbitPartition`` is
-cached once per group, and ``orbit``, ``orbit_decomposition``,
-``orbit_size_map`` and ``coset_orbit_refinement`` all read it.
+generator's action is built once as an image list indexed by code, and
+each orbit is walked breadth-first over those lists. The resulting
+``OrbitPartition`` is cached once per group, and ``orbit``,
+``orbit_decomposition``, ``orbit_size_map`` and ``coset_orbit_refinement``
+all read it.
 """
 
 from __future__ import annotations
@@ -140,22 +140,13 @@ def _orbit_partition(G: MatrixGroup) -> OrbitPartition:
         index = len(orbits)
         label[start] = index
         members = [start]
-        if len(images) == 1:
-            # One generator: its orbits are the cycles of its permutation.
-            image = images[0]
-            code = image[start]
-            while code != start:
-                label[code] = index
-                members.append(code)
-                code = image[code]
-        else:
-            # The list grows while it is read, as a breadth-first queue.
-            for code in members:
-                for image in images:
-                    nxt = image[code]
-                    if label[nxt] < 0:
-                        label[nxt] = index
-                        members.append(nxt)
+        # The list grows while it is read, as a breadth-first queue.
+        for code in members:
+            for image in images:
+                nxt = image[code]
+                if label[nxt] < 0:
+                    label[nxt] = index
+                    members.append(nxt)
         members.sort()
         orbits.append(tuple(members))
     sizes: dict[int, int] = {}
@@ -184,11 +175,6 @@ def orbit_size_map(G: MatrixGroup) -> Mapping[int, int]:
     Read from the cached partition; the returned mapping is read-only.
     """
     return orbit_partition(G).sizes
-
-
-def _orbit_sizes(G: MatrixGroup) -> dict[int, int]:
-    """The uncached orbit size map, from a fresh partition."""
-    return dict(_orbit_partition(G).sizes)
 
 
 def _orbit_from_codes(codes: tuple[int, ...], modulus: PrimeModulus) -> Orbit:
