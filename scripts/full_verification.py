@@ -5,13 +5,24 @@ Exhaustive lattice suites run at their guarded caps; the certificate suites
 sample 500 scenarios each over the odd primes up to 97; the inert and
 nonsplit suites cover every prime up to 199. Exits nonzero on any genuine
 verification failure.
+
+After each stage, its wall time and the peak resident set sizes so far go
+to stderr, for this process and for its finished worker processes; stdout
+carries only the per-suite lines and the total.
 """
 
+import resource
 import sys
 import time
 
 from gl2orbits.modarith import is_prime
 from gl2orbits.sweep import SweepConfig, run
+
+
+def _peak_rss_mb(who: int) -> float:
+    """Peak RSS in MB from getrusage; ru_maxrss is in KiB, on macOS in bytes."""
+    peak = resource.getrusage(who).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 def main() -> int:
@@ -58,8 +69,17 @@ def main() -> int:
         ),
     ]
     failures = 0
-    for cfg in stages:
+    for number, cfg in enumerate(stages, 1):
+        stage_started = time.monotonic()
         report = run(cfg)
+        print(
+            f"stage {number}/{len(stages)} {','.join(cfg.suites)}: "
+            f"{time.monotonic() - stage_started:.2f}s, peak RSS "
+            f"{_peak_rss_mb(resource.RUSAGE_SELF):.1f} MB, workers "
+            f"{_peak_rss_mb(resource.RUSAGE_CHILDREN):.1f} MB",
+            file=sys.stderr,
+            flush=True,
+        )
         for entry in report.suites:
             if entry["total"] == 0:
                 continue

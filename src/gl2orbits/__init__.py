@@ -41,14 +41,11 @@ from .gl2 import (
     unipotent,
 )
 from .modarith import (
-    CyclicImage,
     FpUnit,
     PrimeModulus,
-    fp_pow,
     gcd_character_identity_holds,
     least_primitive_root,
     power_image_order,
-    unit_group_index,
 )
 from .orbits import (
     DiagonalOrbitPrediction,

@@ -28,7 +28,9 @@ from typing import Mapping
 
 from .gl2 import (
     MatrixGroup,
-    closure,
+    MatTuple,
+    _encode_all,
+    _mul_t,
     kth_power_subgroup,
     nonsplit_cartan,
     split_cartan,
@@ -38,7 +40,6 @@ from .orbits import (
     Vector2,
     _first_violation,
     _orbit_partition,
-    acts_freely,
     orbit_size_map,
     uniform_divisibility_transfer,
 )
@@ -500,16 +501,30 @@ def inert_bound_check(
     return conclusion
 
 
+def _power_codes(g: MatTuple, n: int, ell: int) -> list[int]:
+    """Codes of g^0, g^1, ..., g^(n-1): n - 1 products, encoded once."""
+    powers = [(1, 0, 0, 1)]
+    for _ in range(n - 1):
+        powers.append(_mul_t(powers[-1], g, ell))
+    return _encode_all(powers, ell)
+
+
 def nonsplit_orbit_check(ell: PrimeModulus) -> bool:
     """Transitivity facts for the nonsplit Cartan and all of its subgroups.
 
     True when the nonsplit Cartan acts with a single orbit of size
-    l^2 - 1 and every subgroup (one per divisor d of l^2 - 1, the group
-    being cyclic) has order d and all orbits of size exactly d. By
-    orbit-stabilizer an orbit has size |S| exactly when its stabilizer is
-    trivial, so the subgroup fact is checked without walking an orbit: no
-    g != I in the subgroup fixes a nonzero vector, that is,
-    det(g - I) is nonzero mod l for every such g (``acts_freely``).
+    n = l^2 - 1 and every subgroup (one per divisor d of n, the group being
+    cyclic) has order d and all orbits of size exactly d.
+
+    One power table of the Cartan generator g serves every divisor: the
+    subgroup of order d is generated by g^(n/d), so it is every (n/d)-th
+    entry of the table. Each slice must hold d distinct elements of the
+    Cartan; at d = n this makes the table the whole Cartan, so g has order
+    n and each slice is the cyclic group of order d. No orbit of a
+    subgroup is walked: an orbit of size n = |Cartan| means, by
+    orbit-stabilizer, that the Cartan's stabilizers are trivial, and a
+    subgroup inherits trivial stabilizers, so every orbit of the subgroup
+    of order d has size d.
     """
     ell.require_odd("nonsplit_orbit_check")
     cns = nonsplit_cartan(ell)
@@ -517,12 +532,10 @@ def nonsplit_orbit_check(ell: PrimeModulus) -> bool:
     sizes = orbit_size_map(cns)
     if set(sizes.values()) != {n}:
         return False
-    gen = cns.generators[0]
+    codes = _power_codes(cns.generators[0].as_tuple(), n, ell.ell)
     for d in divisors(n):
-        sub = closure([gen ** (n // d)], ell)
-        if sub.order != d:
-            return False
-        if not acts_freely(sub):
+        sub = frozenset(codes[:: n // d])
+        if len(sub) != d or not sub <= cns.codes:
             return False
     return True
 

@@ -106,25 +106,6 @@ class FpUnit:
         return f"{self.value} (mod {self.modulus.ell})"
 
 
-@dataclass(frozen=True)
-class CyclicImage:
-    """The image of a character into the units mod l, known only by its order."""
-
-    modulus: PrimeModulus
-    order: int
-
-    def __post_init__(self) -> None:
-        if self.order < 1 or (self.modulus.ell - 1) % self.order != 0:
-            raise ValueError(
-                f"order {self.order} does not divide {self.modulus.ell - 1}"
-            )
-
-
-def fp_pow(x: FpUnit, k: int) -> FpUnit:
-    """x**k in the unit group; negative k means powers of the inverse."""
-    return FpUnit(pow(x.value, k, x.modulus.ell), x.modulus)
-
-
 def multiplicative_order(x: FpUnit) -> int:
     n = x.modulus.ell - 1
     order = n
@@ -160,8 +141,3 @@ def gcd_character_identity_holds(n_r: int, n_psi: int) -> bool:
     if n_r < 1 or n_psi < 1:
         raise ValueError("orders must be positive")
     return math.gcd(12, n_psi) * n_r == math.gcd(12, n_r) * n_psi
-
-
-def unit_group_index(img: CyclicImage) -> int:
-    """Index of the image inside the full unit group mod l."""
-    return (img.modulus.ell - 1) // img.order

@@ -7,8 +7,8 @@ using only its generators, which suffices in a finite group: each
 generator's action is built once as an image list indexed by code, and
 each orbit is walked breadth-first over those lists. The resulting
 ``OrbitPartition`` is cached once per group, and ``orbit``,
-``orbit_decomposition``, ``orbit_size_map`` and ``coset_orbit_refinement``
-all read it.
+``orbit_decomposition``, ``orbit_size_map``, ``coset_orbit_refinement``
+and ``predict_diagonal_orbits`` all read it.
 """
 
 from __future__ import annotations
@@ -216,31 +216,12 @@ def stabilizer_order(G: MatrixGroup, v: Vector2) -> int:
     return sum(1 for g in G.elements if g.apply(v.x, v.y) == (v.x, v.y))
 
 
-def acts_freely(G: MatrixGroup) -> bool:
-    """Whether every orbit on the punctured plane has size exactly |G|.
-
-    By orbit-stabilizer this holds exactly when no g != I in G fixes a
-    nonzero vector, that is, when det(g - I) = (a - 1)(d - 1) - b*c is
-    nonzero mod l for every such g. Decided on the element codes; no orbit
-    is walked.
-    """
-    ell = G.modulus.ell
-    l2, l3 = ell * ell, ell * ell * ell
-    identity = l3 + 1
-    for code in G.codes:
-        if code == identity:
-            continue
-        a, b, c, d = code // l3, code // l2 % ell, code // ell % ell, code % ell
-        if ((a - 1) * (d - 1) - b * c) % ell == 0:
-            return False
-    return True
-
-
 def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     """Orbit structure of a diagonal group from its diagonal characters.
 
     The image of each diagonal character determines the axis orbits; the
-    single off-axis orbit through (1, 1) determines all the others.
+    single off-axis orbit through (1, 1), read from the cached size map at
+    code l + 1, determines all the others.
     """
     if not Gp.is_diagonal:
         raise ValueError("diagonal orbit prediction needs a diagonal group")
@@ -249,7 +230,9 @@ def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     l3 = ell * ell * ell
     im1 = {code // l3 for code in Gp.codes}
     im2 = {code % ell for code in Gp.codes}
-    mixed = orbit(Gp, Vector2(1, 1, Gp.modulus)).size
+    mixed = orbit_size_map(Gp)[ell + 1]
+    if Gp.order % mixed != 0:
+        raise RuntimeError("orbit size does not divide group order")
     if (n * n) % mixed != 0:
         raise RuntimeError("mixed orbit size does not divide (l - 1)^2")
     return DiagonalOrbitPrediction(

@@ -54,7 +54,6 @@ from .gl2 import (
 from .modarith import PrimeModulus, divisors, is_prime, least_primitive_root
 from .orbits import (
     minimal_uniform_constant,
-    orbit_decomposition,
     orbit_partition,
     orbit_size_map,
     predict_diagonal_orbits,
@@ -541,20 +540,24 @@ def _lemma31_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
 
 def _check_diagonal_prediction(Gp: MatrixGroup) -> tuple[bool, str]:
     pred = predict_diagonal_orbits(Gp)
-    dec = orbit_decomposition(Gp)
-    axis1 = [o for o in dec.orbits if o.representative.y == 0]
-    axis2 = [o for o in dec.orbits if o.representative.x == 0]
-    mixed = [
-        o for o in dec.orbits if o.representative.x != 0 and o.representative.y != 0
-    ]
-    if len(axis1) != pred.index1 or any(o.size != pred.axis1_size for o in axis1):
-        return False, f"axis-1 orbits {[o.size for o in axis1]} vs {pred}"
-    if len(axis2) != pred.index2 or any(o.size != pred.axis2_size for o in axis2):
-        return False, f"axis-2 orbits {[o.size for o in axis2]} vs {pred}"
-    if len(mixed) != pred.mixed_count or any(
-        o.size != pred.mixed_orbit_size for o in mixed
-    ):
-        return False, f"mixed orbits {[o.size for o in mixed]} vs {pred}"
+    ell = Gp.modulus.ell
+    parts = orbit_partition(Gp).orbits
+    if sum(map(len, parts)) != ell * ell - 1:
+        raise RuntimeError("orbits do not partition the punctured plane")
+    # Each orbit is classified by its smallest code c = y*l + x: on axis 1
+    # (y = 0) when c < l, on axis 2 (x = 0) when l divides c, else mixed.
+    axis1: list[int] = []
+    axis2: list[int] = []
+    mixed: list[int] = []
+    for codes in parts:
+        c = codes[0]
+        (axis1 if c < ell else axis2 if c % ell == 0 else mixed).append(len(codes))
+    if len(axis1) != pred.index1 or any(s != pred.axis1_size for s in axis1):
+        return False, f"axis-1 orbits {axis1} vs {pred}"
+    if len(axis2) != pred.index2 or any(s != pred.axis2_size for s in axis2):
+        return False, f"axis-2 orbits {axis2} vs {pred}"
+    if len(mixed) != pred.mixed_count or any(s != pred.mixed_orbit_size for s in mixed):
+        return False, f"mixed orbits {mixed} vs {pred}"
     return True, ""
 
 

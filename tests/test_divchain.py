@@ -20,6 +20,7 @@ from gl2orbits.divchain import (
 )
 from gl2orbits.gl2 import (
     Mat2,
+    _mul_t,
     borel,
     closure,
     kth_power_subgroup,
@@ -29,7 +30,7 @@ from gl2orbits.gl2 import (
     trivial_group,
 )
 from gl2orbits.modarith import PrimeModulus, divisors, is_prime, power_image_order
-from gl2orbits.orbits import acts_freely, orbit_size_map
+from gl2orbits.orbits import orbit_size_map
 from gl2orbits.semisimplify import semisimplification
 
 M5 = PrimeModulus(5)
@@ -251,29 +252,11 @@ def test_nonsplit_subgroup_orbits_match_order():
     assert set(orbit_size_map(sub).values()) == {6}
 
 
-@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
-def test_acts_freely_agrees_with_orbit_sizes(p):
-    m = PrimeModulus(p)
-    n = p * p - 1
-    gen = nonsplit_cartan(m).generators[0]
-    for d in divisors(n):
-        sub = closure([gen ** (n // d)], m)
-        assert set(orbit_size_map(sub).values()) == {sub.order}
-        assert acts_freely(sub)
-    cyclic = {closure([g], m) for g in borel(m).elements}
-    free_count = 0
-    for H in cyclic:
-        sizes = set(orbit_size_map(H).values())
-        assert acts_freely(H) == (sizes == {H.order})
-        assert (not acts_freely(H)) == (min(sizes) < H.order)
-        free_count += acts_freely(H)
-    # Both answers occur: scalars act freely, diag(a, 1) fixes (0, 1).
-    assert 0 < free_count < len(cyclic)
-
-
 def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
     # Each control breaks one gate and leaves the other two passing.
     assert nonsplit_orbit_check(M7)
+    n = 7 * 7 - 1
+    power_codes = divchain._power_codes
 
     # A single Cartan orbit: an orbit map that puts (1, 0) in an orbit of its own.
     def split_off_e1(G):
@@ -283,23 +266,46 @@ def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
     assert not nonsplit_orbit_check(M7)
     monkeypatch.undo()
 
-    # Subgroup orders: squaring the generator halves the even orders.
-    def squared(gens, m):
-        return closure([g * g for g in gens], m)
+    # Subgroup orders: a table of the squared generator repeats itself
+    # after n/2 steps, so every even-order slice has too few elements,
+    # while all of them stay inside the Cartan.
+    def squared(g, n, ell):
+        codes = power_codes(_mul_t(g, g, ell), n, ell)
+        assert set(codes) <= nonsplit_cartan(M7).codes
+        return codes
 
-    monkeypatch.setattr(divchain, "closure", squared)
+    monkeypatch.setattr(divchain, "_power_codes", squared)
     assert not nonsplit_orbit_check(M7)
     monkeypatch.undo()
 
-    # Fixed-point freeness: diag(-1, 1) has order 2 but fixes (0, 1).
-    def reflection_for_order_two(gens, m):
-        sub = closure(gens, m)
-        if sub.order == 2:
-            return closure([Mat2(m.ell - 1, 0, 0, 1, m)], m)
-        return sub
+    # Containment: diag(-1, 1) in place of -I = g^(n/2) keeps every slice at
+    # its full size; it fixes (0, 1) and lies outside the Cartan, and only
+    # the containment gate can see that.
+    def reflection_for_order_two(g, n, ell):
+        codes = power_codes(g, n, ell)
+        assert codes[n // 2] == Mat2(ell - 1, 0, 0, ell - 1, M7).encode()
+        codes[n // 2] = Mat2(ell - 1, 0, 0, 1, M7).encode()
+        assert len(set(codes)) == n
+        return codes
 
-    monkeypatch.setattr(divchain, "closure", reflection_for_order_two)
+    monkeypatch.setattr(divchain, "_power_codes", reflection_for_order_two)
     assert not nonsplit_orbit_check(M7)
+
+
+def test_nonsplit_power_table_slices_are_the_cyclic_subgroups():
+    # Each slice of the table equals the closure of its generator, and that
+    # subgroup's orbits all have its order.
+    for p in (3, 5, 7, 11):
+        m = PrimeModulus(p)
+        n = p * p - 1
+        cns = nonsplit_cartan(m)
+        gen = cns.generators[0]
+        codes = divchain._power_codes(gen.as_tuple(), n, p)
+        assert frozenset(codes) == cns.codes
+        for d in divisors(n):
+            sub = closure([gen ** (n // d)], m)
+            assert sub.codes == frozenset(codes[:: n // d])
+            assert set(orbit_size_map(sub).values()) == {d}
 
 
 def test_certificate_checks_cover_intermediate_step():

@@ -3,18 +3,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from gl2orbits.modarith import (
-    CyclicImage,
     FpUnit,
     PrimeModulus,
     divisors,
-    fp_pow,
     gcd_character_identity_holds,
     is_prime,
     least_primitive_root,
     multiplicative_order,
     power_image_order,
     prime_factors,
-    unit_group_index,
 )
 
 PRIMES_TO_200 = [p for p in range(2, 201) if is_prime(p)]
@@ -55,23 +52,6 @@ def test_fp_unit_normalizes_and_rejects_zero():
         FpUnit(0, m)
     with pytest.raises(ValueError):
         FpUnit(14, m)
-
-
-def test_fp_pow_examples():
-    assert fp_pow(FpUnit(2, PrimeModulus(5)), 0).value == 1
-    assert fp_pow(FpUnit(2, PrimeModulus(5)), -1).value == 3
-    assert fp_pow(FpUnit(2, PrimeModulus(13)), 12).value == 1
-
-
-@given(st.sampled_from([p for p in PRIMES_TO_200 if p > 2]), st.integers(-40, 40))
-def test_fp_pow_matches_repeated_multiplication(p, k):
-    m = PrimeModulus(p)
-    x = FpUnit(2, m) if p > 2 else FpUnit(1, m)
-    expected = 1
-    base = x.value if k >= 0 else pow(x.value, -1, p)
-    for _ in range(abs(k)):
-        expected = (expected * base) % p
-    assert fp_pow(x, k).value == expected
 
 
 def test_least_primitive_root_examples():
@@ -126,20 +106,6 @@ def test_gcd_character_identity_iff_equal_twelfth_power_orders(n, m):
     size_n = len({(x * 12) % n for x in range(n)})
     size_m = len({(x * 12) % m for x in range(m)})
     assert rhs == (size_n == size_m)
-
-
-def test_unit_group_index_examples():
-    m13 = PrimeModulus(13)
-    assert unit_group_index(CyclicImage(m13, 12)) == 1
-    assert unit_group_index(CyclicImage(m13, 4)) == 3
-    assert unit_group_index(CyclicImage(PrimeModulus(31), 6)) == 5
-
-
-def test_cyclic_image_order_must_divide():
-    with pytest.raises(ValueError):
-        CyclicImage(PrimeModulus(13), 5)
-    with pytest.raises(ValueError):
-        CyclicImage(PrimeModulus(13), 0)
 
 
 def test_divisors_and_prime_factors():

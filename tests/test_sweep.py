@@ -7,10 +7,11 @@ import sys
 from collections import deque
 from pathlib import Path
 from random import Random
+from types import MappingProxyType
 
 import pytest
 
-from gl2orbits import gl2
+from gl2orbits import gl2, orbits
 from gl2orbits.gl2 import (
     Mat2,
     MatrixGroup,
@@ -22,7 +23,8 @@ from gl2orbits.gl2 import (
     split_cartan,
     unipotent,
 )
-from gl2orbits.modarith import PrimeModulus, divisors
+from gl2orbits.modarith import PrimeModulus, divisors, is_prime
+from gl2orbits.orbits import OrbitPartition, predict_diagonal_orbits
 from gl2orbits.sweep import (
     SAMPLED_CLOSURE_BUDGET,
     SUITE_NAMES,
@@ -438,10 +440,90 @@ def test_sweeps_never_build_matrix_sets(monkeypatch):
     assert all(entry["total"] > 0 for entry in sampled.suites)
 
 
+def _lemma32_config(ell):
+    return SweepConfig(primes=(ell,), mode="exhaustive", suites=("lemma32",))
+
+
+def _lemma32_notes_with_orbits(monkeypatch, G, parts):
+    """Notes of the failing exhaustive lemma32 rows at G's prime, with the
+    orbits of G's cached partition replaced by parts."""
+    cached = orbits.orbit_partition(G)
+    tampered = OrbitPartition(parts, cached.label, cached.sizes)
+    monkeypatch.setitem(orbits._PARTITIONS, G, tampered)
+    (entry,) = run(_lemma32_config(G.modulus.ell)).suites
+    monkeypatch.undo()
+    return [f["scenario"]["note"] for f in entry["failures"]]
+
+
+def _recut(G, *new):
+    """G's orbits with the ones the codes of new meet replaced by new."""
+    touched = set().union(*new)
+    parts = orbits.orbit_partition(G).orbits
+    kept = [p for p in parts if touched.isdisjoint(p)]
+    assert sum(map(len, kept)) + len(touched) == len(set().union(*parts))
+    return tuple(sorted(kept + [tuple(sorted(p)) for p in new]))
+
+
+def test_lemma32_gates_can_fail(monkeypatch):
+    # Each tampered partition of a diagonal group at l = 7 breaks one gate
+    # and makes exactly that group's row fail with the matching note.
+    m = PrimeModulus(7)
+    assert run(_lemma32_config(7)).total_failures == 0
+    C = split_cartan(m)  # orbits: axis 1, axis 2, one mixed
+    S = scalars(m)  # orbits: axis 1, axis 2, six mixed, all of size 6
+    Q = closure([Mat2(2, 0, 0, 2, m)])  # two orbits per axis, twelve mixed
+    s_parts = orbits.orbit_partition(S).orbits
+    assert s_parts[2] == (8, 16, 24, 32, 40, 48)
+    mixed_merged = tuple(sorted(s_parts[2] + s_parts[3]))
+    cases = [
+        # An axis orbit split in two.
+        (C, [(1, 2, 3), (4, 5, 6)], "axis-1 orbits [3, 3]"),
+        (C, [(7, 14, 21), (28, 35, 42)], "axis-2 orbits [3, 3]"),
+        # Two orbits of the right size on one axis: the axis orbit trades
+        # half its codes with the orbit of (1, 1).
+        (S, [(1, 2, 3, 8, 16, 24), (4, 5, 6, 32, 40, 48)], "axis-1 orbits [6, 6]"),
+        (
+            S,
+            [(7, 8, 14, 16, 21, 24), (28, 32, 35, 40, 42, 48)],
+            "axis-2 orbits [6, 6]",
+        ),
+        # The right number of axis orbits with the wrong sizes.
+        (Q, [(1, 2), (3, 4, 5, 6)], "axis-1 orbits [2, 4]"),
+        (Q, [(7, 14), (21, 28, 35, 42)], "axis-2 orbits [2, 4]"),
+        # Two mixed orbits merged, and re-cut with the wrong sizes.
+        (S, [mixed_merged], "mixed orbits [12, 6, 6, 6, 6]"),
+        (
+            S,
+            [mixed_merged[:4], mixed_merged[4:]],
+            "mixed orbits [4, 6, 6, 6, 6, 8]",
+        ),
+    ]
+    for G, new, prefix in cases:
+        notes = _lemma32_notes_with_orbits(monkeypatch, G, _recut(G, *new))
+        assert len(notes) == 1 and notes[0].startswith(prefix + " vs ")
+        assert "DiagonalOrbitPrediction(" in notes[0]
+
+    # A code dropped: the sizes no longer sum to l^2 - 1.
+    *head, mixed = orbits.orbit_partition(C).orbits
+    with pytest.raises(RuntimeError, match="do not partition the punctured plane"):
+        _lemma32_notes_with_orbits(monkeypatch, C, (*head, mixed[:-1]))
+
+    # A wrong size for the orbit of (1, 1), code l + 1.
+    cached = orbits.orbit_partition(C)
+    wrong = OrbitPartition(
+        cached.orbits, cached.label, MappingProxyType({**cached.sizes, 8: 5})
+    )
+    monkeypatch.setitem(orbits._PARTITIONS, C, wrong)
+    with pytest.raises(RuntimeError, match="does not divide group order"):
+        predict_diagonal_orbits(C)
+
+
 def test_report_bytes_pinned():
     # Any change that moves a byte of a report must update these digests
     # on purpose. The second config reaches lemma33's coset refinement and
-    # the nonsplit subgroup check above l = 13.
+    # the nonsplit subgroup check above l = 13. The last two are stages 1
+    # and 2 of scripts/full_verification.py: the exhaustive lemma31 and
+    # lemma32 lattices.
     pinned = [
         (
             SweepConfig(
@@ -462,6 +544,28 @@ def test_report_bytes_pinned():
             ),
             "24d35b53ee74f6b84b020ce05194be9edc088824ed0e3077361a5431fc0d2eba",
             "4ab91c718e243f55df967e62925a79b2957a70387d60c60fa9633b7181ad7151",
+        ),
+        (
+            SweepConfig(
+                primes=(3, 5, 7),
+                mode="exhaustive",
+                sample_count=1,
+                suites=("lemma31",),
+                seed=0,
+            ),
+            "be72657a48dd4c311f0dcf099417414c70fea27d0d05d77a6fdeb2c59362f4bf",
+            "97a847204bb6b75b784cd70b92a82650fd8d7c02d1f26faeaca6e556dc69a545",
+        ),
+        (
+            SweepConfig(
+                primes=tuple(p for p in range(3, 32) if is_prime(p)),
+                mode="exhaustive",
+                sample_count=1,
+                suites=("lemma32",),
+                seed=0,
+            ),
+            "7931cce00027296512265d2672f22140d5c0703dcb02775889778d6103e0e1cb",
+            "89f4e3f070baa2cb632878ee183e80ba0cc9aed54902b732db68753fd2fde378",
         ),
     ]
     for cfg, json_pin, csv_pin in pinned:
