@@ -36,7 +36,6 @@ from .gl2 import (
     nonsplit_cartan,
     scalars,
     split_cartan,
-    subgroup_index,
     trivial_group,
     unipotent,
 )

@@ -40,6 +40,7 @@ from .orbits import (
     Vector2,
     _first_violation,
     _orbit_partition,
+    orbit_partition,
     orbit_size_map,
     uniform_divisibility_transfer,
 )
@@ -49,7 +50,15 @@ FINAL_CONSTANT = 864
 
 
 class InvalidScenarioError(ValueError):
-    """Raised when a chain is run on a scenario that fails validation."""
+    """Raised when a chain meets an invalid scenario; ``report`` is its report."""
+
+    def __init__(self, kind: str, report: ValidationReport) -> None:
+        # Both arguments stay in args, so the error survives pickling.
+        super().__init__(kind, report)
+        self.report = report
+
+    def __str__(self) -> str:
+        return f"invalid {self.args[0]} scenario: {', '.join(self.report.failed_names)}"
 
 
 @dataclass(frozen=True)
@@ -89,7 +98,15 @@ class CheckRecord:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """A scenario's validity checks and the groups they derived.
+
+    gss is G's diagonal-parts group and, in case 1, twelfth is Gp^12;
+    each is None where its check was not evaluated.
+    """
+
     checks: tuple[CheckRecord, ...]
+    gss: MatrixGroup | None = None
+    twelfth: MatrixGroup | None = None
 
     @property
     def valid(self) -> bool:
@@ -131,14 +148,6 @@ def _det_image_order(G: MatrixGroup) -> int:
     return len({(a * d - b * c) % ell for a, b, c, d in G.element_tuples()})
 
 
-def _orbit_size_multiset(sizes: Mapping[int, int]) -> list[int]:
-    """Sorted list of orbit sizes, one entry per orbit, from a size map."""
-    counter: dict[int, int] = {}
-    for s in sizes.values():
-        counter[s] = counter.get(s, 0) + 1
-    return sorted(s for s, total in counter.items() for _ in range(total // s))
-
-
 def _divisibility_check(
     name: str,
     sizes: Mapping[int, int],
@@ -162,6 +171,7 @@ def _divisibility_check(
 def validate_case1(s: Case1Scenario) -> ValidationReport:
     """Check each validity condition of a split-image scenario independently."""
     checks = []
+    gss = twelfth = None
     same_modulus = s.G.modulus == s.Gp.modulus
     checks.append(
         CheckRecord("modulus_match", same_modulus, "G and Gp share one modulus")
@@ -174,7 +184,6 @@ def validate_case1(s: Case1Scenario) -> ValidationReport:
             CheckRecord("semisimplification_contained", gss.is_subgroup_of(s.G))
         )
     else:
-        gss = None
         checks.append(
             CheckRecord(
                 "semisimplification_contained", False, "not evaluated: G not triangular"
@@ -183,7 +192,8 @@ def validate_case1(s: Case1Scenario) -> ValidationReport:
     diag = s.Gp.is_diagonal
     checks.append(CheckRecord("comparison_group_diagonal", diag))
     if diag and gss is not None and same_modulus:
-        match = kth_power_subgroup(s.Gp, 12) == kth_power_subgroup(gss, 12)
+        twelfth = kth_power_subgroup(s.Gp, 12)
+        match = twelfth == kth_power_subgroup(gss, 12)
         checks.append(CheckRecord("twelfth_power_match", match))
     else:
         checks.append(
@@ -204,12 +214,13 @@ def validate_case1(s: Case1Scenario) -> ValidationReport:
         checks.append(
             CheckRecord("cartan_index_divides", False, "not evaluated: Gp not diagonal")
         )
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks), gss, twelfth)
 
 
 def validate_case2(s: Case2Scenario) -> ValidationReport:
     """Check each validity condition of a scalar-sixth-power scenario."""
     checks = []
+    gss = None
     ell = s.G.modulus.ell
     ut = s.G.is_upper_triangular
     checks.append(CheckRecord("upper_triangular", ut))
@@ -238,7 +249,7 @@ def validate_case2(s: Case2Scenario) -> ValidationReport:
             "determinant_index_divides",
         ):
             checks.append(CheckRecord(name, False, "not evaluated: G not triangular"))
-    return ValidationReport(tuple(checks))
+    return ValidationReport(tuple(checks), gss)
 
 
 def verify_case1_chain(s: Case1Scenario) -> DivisibilityCertificate:
@@ -249,25 +260,25 @@ def verify_case1_chain(s: Case1Scenario) -> DivisibilityCertificate:
     12th-power subgroup, then up into G through the containment chain;
     check the intermediate constant 144 * [Cartan : Gp]; and finish with
     the direct check that l - 1 divides 864 * d * (every G-orbit size).
+
+    The one validate_case1 report supplies G^ss and Gp^12; an invalid
+    scenario raises InvalidScenarioError carrying that report.
     """
     report = validate_case1(s)
     if not report.valid:
-        raise InvalidScenarioError(
-            f"invalid case-1 scenario: {', '.join(report.failed_names)}"
-        )
+        raise InvalidScenarioError("case-1", report)
     m = s.G.modulus
     ell = m.ell
     n = ell - 1
     deg = s.degree.d
     cartan = _cached_cartan(m)
-    gss = semisimplification(s.G)
-    g12 = kth_power_subgroup(s.Gp, 12)
+    gss = report.gss
+    g12 = report.twelfth
     index_cartan = (n * n) // s.Gp.order
     index_twelfth = s.Gp.order // g12.order
 
     checks = []
-    cartan_sizes = orbit_size_map(cartan)
-    orbit_multiset = _orbit_size_multiset(cartan_sizes)
+    orbit_multiset = sorted(map(len, orbit_partition(cartan).orbits))
     three_orbits = orbit_multiset == sorted([n, n, n * n])
     checks.append(
         CheckRecord(
@@ -361,17 +372,18 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
     scalar; run the cyclic order arithmetic (det image order divides
     36 * the sixth-power image order); check l - 1 divides 36 * d * that
     order; and finish with the direct 864 * d check over all G-orbits.
+
+    The one validate_case2 report supplies G^ss; an invalid scenario
+    raises InvalidScenarioError carrying that report.
     """
     report = validate_case2(s)
     if not report.valid:
-        raise InvalidScenarioError(
-            f"invalid case-2 scenario: {', '.join(report.failed_names)}"
-        )
+        raise InvalidScenarioError("case-2", report)
     m = s.G.modulus
     ell = m.ell
     n = ell - 1
     deg = s.degree.d
-    gss = semisimplification(s.G)
+    gss = report.gss
     sixth = kth_power_subgroup(gss, 6)
 
     checks = []

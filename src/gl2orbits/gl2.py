@@ -159,18 +159,15 @@ def _pow_t(x: MatTuple, k: int, ell: int) -> MatTuple:
 def _close(
     gen_tuples: Iterable[MatTuple],
     ell: int,
-    seed: Iterable[MatTuple] = (),
     budget: int = CLOSURE_BUDGET,
 ) -> set[MatTuple]:
     """Breadth-first closure under right multiplication by the generators.
 
-    A seed set speeds up joins of already-closed subgroups; correctness does
-    not depend on it. Generators alone suffice because the ambient group is
-    finite, so inverses are positive powers.
+    Generators alone suffice because the ambient group is finite, so
+    inverses are positive powers.
     """
     gens = list(dict.fromkeys(gen_tuples))
     seen: set[MatTuple] = {(1, 0, 0, 1)}
-    seen.update(seed)
     queue = deque(seen)
     while queue:
         x = queue.popleft()
@@ -467,10 +464,3 @@ def conjugate(G: MatrixGroup, P: Mat2) -> MatrixGroup:
     )
     gens = [_mul_t(_mul_t(p_inv, g.as_tuple(), ell), p, ell) for g in G.generators]
     return _make_group(G.modulus, elems, gens)
-
-
-def subgroup_index(G: MatrixGroup, H: MatrixGroup) -> int:
-    """[G : H] for H a subgroup of G, verified by element containment."""
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not a subgroup of G")
-    return G.order // H.order

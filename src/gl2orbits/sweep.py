@@ -21,6 +21,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd
 from random import Random
 from typing import Callable, Iterable, Iterator
@@ -30,12 +31,11 @@ from .divchain import (
     Case1Scenario,
     Case2Scenario,
     DegreeParameter,
+    InvalidScenarioError,
     _det_image_order,
     admissible_rho_orders,
     inert_bound_check,
     nonsplit_orbit_check,
-    validate_case1,
-    validate_case2,
     verify_case1_chain,
     verify_case2_chain,
 )
@@ -677,7 +677,8 @@ def _lemma33_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
     return rows
 
 
-def _certificate_rows(cfg: SweepConfig, kind: str, ell: int) -> list[ScenarioRow]:
+def _certificate_rows(cfg: SweepConfig, ell: int, kind: str) -> list[ScenarioRow]:
+    chain = verify_case1_chain if kind == "case1" else verify_case2_chain
     allocation = _allocate(cfg.sample_count, cfg.primes)
     rows = []
     for i in range(allocation[ell]):
@@ -704,21 +705,13 @@ def _certificate_rows(cfg: SweepConfig, kind: str, ell: int) -> list[ScenarioRow
                 )
             )
             continue
-        report = (
-            validate_case1(scenario)
-            if kind == "case1"
-            else validate_case2(scenario)
-        )
-        if not report.valid:
+        try:
+            cert = chain(scenario)
+        except InvalidScenarioError as exc:
             detail = _describe_scenario(scenario)
-            detail["failed_checks"] = list(report.failed_names)
+            detail["failed_checks"] = list(exc.report.failed_names)
             rows.append(ScenarioRow(kind, ell, sid, "invalid", _failure(detail)))
             continue
-        cert = (
-            verify_case1_chain(scenario)
-            if kind == "case1"
-            else verify_case2_chain(scenario)
-        )
         failure = None
         if not cert.verdict:
             detail = _describe_scenario(scenario)
@@ -799,6 +792,8 @@ _SUITE_RUNNERS = {
     "lemma31": _lemma31_rows,
     "lemma32": _lemma32_rows,
     "lemma33": _lemma33_rows,
+    "case1": partial(_certificate_rows, kind="case1"),
+    "case2": partial(_certificate_rows, kind="case2"),
     "inert": _inert_rows,
     "nonsplit": _nonsplit_rows,
 }
@@ -806,8 +801,6 @@ _SUITE_RUNNERS = {
 
 def _run_task(task: tuple[SweepConfig, str, int]) -> list[ScenarioRow]:
     cfg, suite, ell = task
-    if suite in ("case1", "case2"):
-        return _certificate_rows(cfg, suite, ell)
     return _SUITE_RUNNERS[suite](cfg, ell)
 
 

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -30,7 +32,7 @@ from gl2orbits.gl2 import (
     trivial_group,
 )
 from gl2orbits.modarith import PrimeModulus, divisors, is_prime, power_image_order
-from gl2orbits.orbits import orbit_size_map
+from gl2orbits.orbits import orbit_partition, orbit_size_map
 from gl2orbits.semisimplify import semisimplification
 
 M5 = PrimeModulus(5)
@@ -90,9 +92,7 @@ def test_case1_chain_cartan_as_own_image():
     s = Case1Scenario(split_cartan(M5), split_cartan(M5), DegreeParameter(1))
     cert = verify_case1_chain(s)
     assert cert.verdict
-    from gl2orbits.divchain import _orbit_size_multiset
-
-    assert _orbit_size_multiset(cert.orbit_sizes) == [4, 4, 16]
+    assert sorted(map(len, orbit_partition(s.G).orbits)) == [4, 4, 16]
 
 
 def test_case1_chain_monotone_in_degree():
@@ -105,6 +105,76 @@ def test_case1_chain_rejects_invalid():
     s = Case1Scenario(borel(M5), trivial_group(M5), DegreeParameter(1))
     with pytest.raises(InvalidScenarioError):
         verify_case1_chain(s)
+
+
+@pytest.mark.parametrize(
+    "chain, validate, s",
+    [
+        (
+            verify_case1_chain,
+            validate_case1,
+            Case1Scenario(borel(M5), trivial_group(M5), DegreeParameter(1)),
+        ),
+        (
+            verify_case2_chain,
+            validate_case2,
+            Case2Scenario(scalars(M13), DegreeParameter(1)),
+        ),
+    ],
+)
+def test_invalid_scenario_error_carries_report(chain, validate, s):
+    with pytest.raises(InvalidScenarioError, match="invalid case-") as info:
+        chain(s)
+    assert info.value.report.failed_names == validate(s).failed_names
+    assert info.value.report.failed_names
+    assert ", ".join(info.value.report.failed_names) in str(info.value)
+    unpickled = pickle.loads(pickle.dumps(info.value))
+    assert (str(unpickled), unpickled.report) == (str(info.value), info.value.report)
+
+
+@pytest.mark.parametrize(
+    "chain, s, power_calls",
+    [
+        (
+            verify_case1_chain,
+            Case1Scenario(borel(M13), split_cartan(M13), DegreeParameter(1)),
+            2,
+        ),
+        (verify_case2_chain, Case2Scenario(scalars(M13), DegreeParameter(2)), 1),
+    ],
+)
+def test_chain_derives_each_group_once(monkeypatch, chain, s, power_calls):
+    # The chain reads G^ss (and, in case 1, Gp^12) from its validation
+    # report instead of deriving them a second time.
+    calls = {"gss": 0, "power": 0}
+
+    def counting(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        divchain, "semisimplification", counting(semisimplification, "gss")
+    )
+    monkeypatch.setattr(
+        divchain, "kth_power_subgroup", counting(kth_power_subgroup, "power")
+    )
+    assert chain(s).verdict
+    assert calls == {"gss": 1, "power": power_calls}
+
+
+def test_validation_report_carries_derived_groups():
+    s = Case1Scenario(borel(M13), split_cartan(M13), DegreeParameter(1))
+    report = validate_case1(s)
+    assert report.gss == semisimplification(s.G)
+    assert report.twelfth == kth_power_subgroup(s.Gp, 12)
+    # Groups whose checks were not evaluated are absent.
+    s = Case1Scenario(nonsplit_cartan(M5), split_cartan(M5), DegreeParameter(1))
+    assert (validate_case1(s).gss, validate_case1(s).twelfth) == (None, None)
+    s2 = Case2Scenario(scalars(M13), DegreeParameter(2))
+    assert validate_case2(s2).gss == semisimplification(s2.G)
 
 
 def test_validate_case2_scalars_degrees():

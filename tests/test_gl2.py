@@ -13,7 +13,6 @@ from gl2orbits.gl2 import (
     nonsplit_cartan,
     scalars,
     split_cartan,
-    subgroup_index,
     trivial_group,
     unipotent,
 )
@@ -211,22 +210,6 @@ def test_conjugation_round_trip(p, gen_data, p_data):
     P = Mat2(1 + a % (p - 1), b % p, 0, 1 + d % (p - 1), m)
     assert conjugate(conjugate(G, P), P.inverse()) == G
     assert conjugate(G, P).order == G.order
-
-
-def test_subgroup_index_examples():
-    m13 = PrimeModulus(13)
-    assert subgroup_index(split_cartan(m13), split_cartan(m13)) == 1
-    assert subgroup_index(split_cartan(m13), scalars(m13)) == 12
-    assert subgroup_index(borel(M5), unipotent(M5)) == 16
-    with pytest.raises(ValueError):
-        subgroup_index(scalars(m13), split_cartan(m13))
-
-
-def test_subgroup_index_times_order():
-    m = PrimeModulus(7)
-    B = borel(m)
-    for H in (unipotent(m), scalars(m), split_cartan(m), trivial_group(m)):
-        assert subgroup_index(B, H) * H.order == B.order
 
 
 def test_structural_predicates():

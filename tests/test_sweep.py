@@ -11,7 +11,8 @@ from types import MappingProxyType
 
 import pytest
 
-from gl2orbits import gl2, orbits
+from gl2orbits import gl2, orbits, sweep
+from gl2orbits.divchain import Case1Scenario, Case2Scenario, DegreeParameter
 from gl2orbits.gl2 import (
     Mat2,
     MatrixGroup,
@@ -21,6 +22,7 @@ from gl2orbits.gl2 import (
     closure,
     scalars,
     split_cartan,
+    trivial_group,
     unipotent,
 )
 from gl2orbits.modarith import PrimeModulus, divisors, is_prime
@@ -87,7 +89,7 @@ def borel_join_fixpoint(m):
             if c_elems <= elems:
                 continue
             joined_gens = tuple(dict.fromkeys(gens + c_gens))
-            joined = frozenset(_close(joined_gens, ell, seed=elems | c_elems))
+            joined = frozenset(_close(joined_gens, ell))
             if joined not in subgroups:
                 subgroups[joined] = joined_gens
                 worklist.append((joined, joined_gens))
@@ -200,6 +202,54 @@ def test_sample_scenarios_case2_sixth_power_condition():
     for s in sample_scenarios(cfg, "case2"):
         gss = semisimplification(s.G)
         assert all(pow(g.a, 6, 13) == pow(g.d, 6, 13) for g in gss.elements)
+
+
+@pytest.mark.parametrize(
+    "kind, ell, scenario, failure",
+    [
+        (
+            "case1",
+            5,
+            Case1Scenario(borel(M5), trivial_group(M5), DegreeParameter(1)),
+            {
+                "scenario": {
+                    "G": {
+                        "ell": 5,
+                        "generators": [[1, 0, 0, 2], [1, 1, 0, 1], [2, 0, 0, 1]],
+                        "order": 80,
+                    },
+                    "d": 1,
+                    "Gp": {"ell": 5, "generators": [], "order": 1},
+                    "failed_checks": ["cartan_index_divides"],
+                },
+                "vector": None,
+                "expected_divisor": None,
+                "value": None,
+            },
+        ),
+        (
+            "case2",
+            13,
+            Case2Scenario(scalars(PrimeModulus(13)), DegreeParameter(1)),
+            {
+                "scenario": {
+                    "G": {"ell": 13, "generators": [[2, 0, 0, 2]], "order": 12},
+                    "d": 1,
+                    "failed_checks": ["determinant_index_divides"],
+                },
+                "vector": None,
+                "expected_divisor": None,
+                "value": None,
+            },
+        ),
+    ],
+)
+def test_invalid_certificate_scenario_row(monkeypatch, kind, ell, scenario, failure):
+    # The samplers only build valid scenarios, so a rejected one is planted:
+    # the chain's InvalidScenarioError report names the failed checks.
+    monkeypatch.setattr(sweep, "_build_scenario", lambda *args: scenario)
+    report = run(SweepConfig(primes=(ell,), suites=(kind,), sample_count=1))
+    assert [(r.status, r.failure) for r in report.rows] == [("invalid", failure)]
 
 
 def test_config_normalization_and_errors():
@@ -521,8 +571,9 @@ def test_lemma32_gates_can_fail(monkeypatch):
 def test_report_bytes_pinned():
     # Any change that moves a byte of a report must update these digests
     # on purpose. The second config reaches lemma33's coset refinement and
-    # the nonsplit subgroup check above l = 13. The last two are stages 1
-    # and 2 of scripts/full_verification.py: the exhaustive lemma31 and
+    # the nonsplit subgroup check above l = 13. The third is the benchmark's
+    # certificates round: both chains at l = 37..67. The last two are stages
+    # 1 and 2 of scripts/full_verification.py: the exhaustive lemma31 and
     # lemma32 lattices.
     pinned = [
         (
@@ -544,6 +595,17 @@ def test_report_bytes_pinned():
             ),
             "24d35b53ee74f6b84b020ce05194be9edc088824ed0e3077361a5431fc0d2eba",
             "4ab91c718e243f55df967e62925a79b2957a70387d60c60fa9633b7181ad7151",
+        ),
+        (
+            SweepConfig(
+                primes=tuple(p for p in range(37, 68) if is_prime(p)),
+                sample_count=16,
+                suites=("case1", "case2"),
+                seed=864,
+                degrees=(1, 2, 3, 6, 12),
+            ),
+            "e25bfac612c64f5ba72c40072b13249c8822175d05b7e0861c4a90552cb7f11a",
+            "8ae30a185d8f4a716ade428928654c9e8441c6ba087a39a15be1ed044b21cdce",
         ),
         (
             SweepConfig(
