@@ -100,13 +100,15 @@ class CheckRecord:
 class ValidationReport:
     """A scenario's validity checks and the groups they derived.
 
-    gss is G's diagonal-parts group and, in case 1, twelfth is Gp^12;
-    each is None where its check was not evaluated.
+    gss is G's diagonal-parts group, twelfth is Gp^12 (case 1) and
+    det_image_order is the order of det(G^ss) (case 2); each is None where
+    its check was not evaluated.
     """
 
     checks: tuple[CheckRecord, ...]
     gss: MatrixGroup | None = None
     twelfth: MatrixGroup | None = None
+    det_image_order: int | None = None
 
     @property
     def valid(self) -> bool:
@@ -220,7 +222,7 @@ def validate_case1(s: Case1Scenario) -> ValidationReport:
 def validate_case2(s: Case2Scenario) -> ValidationReport:
     """Check each validity condition of a scalar-sixth-power scenario."""
     checks = []
-    gss = None
+    gss = n_chi = None
     ell = s.G.modulus.ell
     ut = s.G.is_upper_triangular
     checks.append(CheckRecord("upper_triangular", ut))
@@ -249,7 +251,7 @@ def validate_case2(s: Case2Scenario) -> ValidationReport:
             "determinant_index_divides",
         ):
             checks.append(CheckRecord(name, False, "not evaluated: G not triangular"))
-    return ValidationReport(tuple(checks), gss)
+    return ValidationReport(tuple(checks), gss, det_image_order=n_chi)
 
 
 def verify_case1_chain(s: Case1Scenario) -> DivisibilityCertificate:
@@ -373,8 +375,9 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
     36 * the sixth-power image order); check l - 1 divides 36 * d * that
     order; and finish with the direct 864 * d check over all G-orbits.
 
-    The one validate_case2 report supplies G^ss; an invalid scenario
-    raises InvalidScenarioError carrying that report.
+    The one validate_case2 report supplies G^ss and its determinant image
+    order; an invalid scenario raises InvalidScenarioError carrying that
+    report.
     """
     report = validate_case2(s)
     if not report.valid:
@@ -391,7 +394,7 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
         CheckRecord("sixth_power_scalar", sixth.is_scalar, f"order {sixth.order}")
     )
     n_r = len({a for a, _, _, _ in gss.element_tuples()})
-    n_chi = _det_image_order(gss)
+    n_chi = report.det_image_order
     r6 = power_image_order(n_r, 6)
     checks.append(
         CheckRecord(

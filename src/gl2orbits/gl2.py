@@ -6,13 +6,21 @@ generators and witnesses). Constructions are exhaustive by design and write
 codes directly; a prime cap keeps the largest standard group (the Borel,
 order l(l-1)^2) near a million elements. Closure runs breadth-first over
 plain integer 4-tuples and encodes the result once at the end.
+
+The constructor checks every code for nonsingularity. An upper-triangular
+set is checked at C speed from its low halves code % l^2 = c*l + d: when
+they all lie in 1..l-1, c = 0 gives det = a*d, and the smallest code being
+at least l^3 gives a != 0. Other sets are scanned code by code. The same
+test records ``is_upper_triangular`` at construction.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
+from operator import mod
 from typing import Iterable, Iterator
 
 from .modarith import PrimeModulus, least_primitive_root, prime_factors
@@ -207,24 +215,47 @@ class MatrixGroup:
     access. Equality is element-set equality; generators are a
     non-canonical convenience kept for fast orbit computations. Instances
     are immutable and safe for concurrent reads.
+
+    Construction rejects a code outside the entry range, a singular code,
+    a missing identity, a generator outside the set and an order that does
+    not divide |GL2(l)|. Every code is checked for nonsingularity: when all
+    low halves code % l^2 = c*l + d lie in 1..l-1, c = 0 gives det = a*d
+    and the range check's minimum settles a != 0; otherwise each
+    determinant is computed. ``is_upper_triangular`` is recorded from the
+    same low-half test.
     """
 
     modulus: PrimeModulus
     codes: frozenset[int]
     generators: tuple[Mat2, ...]
+    is_upper_triangular: bool = field(init=False)
 
     def __post_init__(self) -> None:
         ell = self.modulus.ell
         codes = self.codes
-        if codes and (min(codes) < 0 or max(codes) >= ell**4):
-            raise ValueError("element code outside the reduced entry range")
         l2, l3 = ell * ell, ell * ell * ell
-        for code in codes:
-            # a * d - b * c, read off the code.
-            det = code // l3 * (code % ell) - code // l2 % ell * (code // ell % ell)
-            if det % ell == 0:
-                a, b, c, d = decode_tuple(code, ell)
-                raise ValueError(f"singular matrix [[{a},{b}],[{c},{d}]] mod {ell}")
+        lowest = min(codes, default=0)
+        if lowest < 0 or max(codes, default=0) >= ell**4:
+            raise ValueError("element code outside the reduced entry range")
+        # A group is upper triangular exactly when its generators are, so a
+        # non-triangular generator (checked below to lie in the set) skips
+        # the low-half pass.
+        triangular = all(g.c == 0 for g in self.generators)
+        if triangular:
+            # code % l^2 = c*l + d lies in 1..l-1 exactly when c = 0, d != 0.
+            low = set(map(mod, codes, repeat(l2)))
+            triangular = 0 not in low and max(low, default=0) < ell
+        # With c = 0, det = a*d and a != 0 means code >= l^3.
+        if not (triangular and lowest >= l3):
+            for code in codes:
+                # a * d - b * c, read off the code.
+                det = code // l3 * (code % ell) - code // l2 % ell * (code // ell % ell)
+                if det % ell == 0:
+                    a, b, c, d = decode_tuple(code, ell)
+                    raise ValueError(
+                        f"singular matrix [[{a},{b}],[{c},{d}]] mod {ell}"
+                    )
+        object.__setattr__(self, "is_upper_triangular", triangular)
         if l3 + 1 not in codes:
             raise ValueError("group must contain the identity")
         for g in self.generators:
@@ -277,15 +308,9 @@ class MatrixGroup:
     def is_subgroup_of(self, other: MatrixGroup) -> bool:
         return self.modulus == other.modulus and self.codes <= other.codes
 
-    # The predicates below read the codes: c = 0 exactly when the code is
-    # below l modulo l^2, b = c = 0 exactly when it is below l modulo l^3,
-    # and diag(a, a) is a * (l^3 + 1).
-
-    @cached_property
-    def is_upper_triangular(self) -> bool:
-        ell = self.modulus.ell
-        l2 = ell * ell
-        return all(code % l2 < ell for code in self.codes)
+    # The predicates below read the codes: b = c = 0 exactly when the code
+    # is below l modulo l^3, and diag(a, a) is a * (l^3 + 1).
+    # is_upper_triangular (c = 0 everywhere) is recorded at construction.
 
     @cached_property
     def is_diagonal(self) -> bool:
@@ -317,7 +342,10 @@ def _make_group(
     codes: Iterable[int],
     generator_tuples: Iterable[MatTuple],
 ) -> MatrixGroup:
-    """The one constructor of groups: element codes plus reduced generator tuples."""
+    """The one constructor of groups: element codes plus reduced generator tuples.
+
+    A frozenset of codes is kept as it is; any other iterable is read once.
+    """
     gens = []
     for t in generator_tuples:
         g = Mat2(*t, modulus)

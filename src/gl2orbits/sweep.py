@@ -19,10 +19,11 @@ import hashlib
 import io
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import repeat
 from math import gcd
+from operator import add
 from random import Random
 from typing import Callable, Iterable, Iterator
 
@@ -379,7 +380,9 @@ def _adjoin_unipotent(Gss: MatrixGroup) -> MatrixGroup:
         raise ValueError("only a diagonal group is adjoined to the unit shears")
     ell = Gss.modulus.ell
     shifts = range(0, ell**3, ell * ell)  # b * l^2 for b < l
-    elems = [code + shift for code in Gss.codes for shift in shifts]
+    elems = frozenset().union(
+        *[map(add, Gss.codes, repeat(shift)) for shift in shifts]
+    )
     gens = [g.as_tuple() for g in Gss.generators] + [(1, 1, 0, 1)]
     return _make_group(Gss.modulus, elems, dict.fromkeys(gens))
 
@@ -809,6 +812,9 @@ def run(cfg: SweepConfig) -> SweepReport:
     started = time.monotonic()
     tasks = [(cfg, suite, ell) for suite in cfg.suites for ell in cfg.primes]
     if cfg.parallelism > 1:
+        # Imported here so that serial runs skip loading multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             chunks = list(pool.map(_run_task, tasks))
     else:

@@ -141,12 +141,14 @@ def test_invalid_scenario_error_carries_report(chain, validate, s):
             2,
         ),
         (verify_case2_chain, Case2Scenario(scalars(M13), DegreeParameter(2)), 1),
+        (verify_case2_chain, Case2Scenario(borel(M7), DegreeParameter(1)), 1),
     ],
 )
 def test_chain_derives_each_group_once(monkeypatch, chain, s, power_calls):
-    # The chain reads G^ss (and, in case 1, Gp^12) from its validation
-    # report instead of deriving them a second time.
-    calls = {"gss": 0, "power": 0}
+    # The chain reads G^ss (in case 1 also Gp^12, in case 2 the order of
+    # det(G^ss)) from its validation report instead of deriving it again.
+    det_calls = 1 if chain is verify_case2_chain else 0
+    calls = {"gss": 0, "power": 0, "det": 0}
 
     def counting(fn, key):
         def wrapper(*args, **kwargs):
@@ -161,8 +163,11 @@ def test_chain_derives_each_group_once(monkeypatch, chain, s, power_calls):
     monkeypatch.setattr(
         divchain, "kth_power_subgroup", counting(kth_power_subgroup, "power")
     )
+    monkeypatch.setattr(
+        divchain, "_det_image_order", counting(divchain._det_image_order, "det")
+    )
     assert chain(s).verdict
-    assert calls == {"gss": 1, "power": power_calls}
+    assert calls == {"gss": 1, "power": power_calls, "det": det_calls}
 
 
 def test_validation_report_carries_derived_groups():
@@ -175,6 +180,11 @@ def test_validation_report_carries_derived_groups():
     assert (validate_case1(s).gss, validate_case1(s).twelfth) == (None, None)
     s2 = Case2Scenario(scalars(M13), DegreeParameter(2))
     assert validate_case2(s2).gss == semisimplification(s2.G)
+    # det(a * I) = a^2 takes the (l - 1) / 2 squares mod 13.
+    assert validate_case2(s2).det_image_order == 6
+    assert validate_case1(s).det_image_order is None
+    s2 = Case2Scenario(nonsplit_cartan(M5), DegreeParameter(1))
+    assert validate_case2(s2).det_image_order is None
 
 
 def test_validate_case2_scalars_degrees():

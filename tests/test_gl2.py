@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from gl2orbits.gl2 import (
     ClosureBudgetError,
     Mat2,
+    MatrixGroup,
     _make_group,
     borel,
     closure,
@@ -17,7 +18,13 @@ from gl2orbits.gl2 import (
     unipotent,
 )
 from gl2orbits.modarith import PrimeModulus, is_prime
-from gl2orbits.sweep import _adjoin_unipotent, enumerate_upper_triangular_subgroups
+from gl2orbits.semisimplify import semisimplification
+from gl2orbits.sweep import (
+    SweepConfig,
+    _adjoin_unipotent,
+    enumerate_upper_triangular_subgroups,
+    sample_scenarios,
+)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 M5 = PrimeModulus(5)
@@ -262,14 +269,15 @@ def test_lagrange_in_gl2():
             assert gl2_order % G.order == 0
 
 
-def test_make_group_rejects_singular_and_unreduced_input():
-    def code(a, b, c, d):
-        return ((a * 5 + b) * 5 + c) * 5 + d
+def code5(a, b, c, d):
+    return ((a * 5 + b) * 5 + c) * 5 + d
 
-    identity = code(1, 0, 0, 1)
+
+def test_make_group_rejects_singular_and_unreduced_input():
+    identity = code5(1, 0, 0, 1)
     cartan = split_cartan(M5)
     with pytest.raises(ValueError, match="singular"):
-        _make_group(M5, [identity, code(1, 2, 2, 4)], [])
+        _make_group(M5, [identity, code5(1, 2, 2, 4)], [])
     with pytest.raises(ValueError, match="singular"):
         _make_group(M5, cartan.codes, [(1, 2, 2, 4)])
     with pytest.raises(ValueError, match="not reduced"):
@@ -279,13 +287,37 @@ def test_make_group_rejects_singular_and_unreduced_input():
     with pytest.raises(ValueError, match="range"):
         _make_group(M5, [identity, 5**4 + identity], [])
     with pytest.raises(ValueError, match="identity"):
-        _make_group(M5, [code(4, 0, 0, 4)], [])
+        _make_group(M5, [code5(4, 0, 0, 4)], [])
     with pytest.raises(ValueError, match="generator"):
         _make_group(M5, scalars(M5).codes, [(1, 1, 0, 1)])
-    seven = [code(a, 0, 0, d) for a in (1, 2) for d in (1, 2, 3, 4)][:7]
+    seven = [code5(a, 0, 0, d) for a in (1, 2) for d in (1, 2, 3, 4)][:7]
     with pytest.raises(ValueError, match="Lagrange"):
         _make_group(M5, seven, [])
     assert _make_group(M5, cartan.codes, [(2, 0, 0, 1), (1, 0, 0, 2)]) == cartan
+
+
+@pytest.mark.parametrize(
+    "codes",
+    [
+        # Triangular sets: a = 0, then d = 0.
+        [code5(1, 0, 0, 1), code5(0, 1, 0, 1)],
+        [code5(1, 0, 0, 1), code5(1, 1, 0, 0)],
+        # Triangular codes and one singular non-triangular code.
+        sorted(split_cartan(M5).codes) + [code5(1, 2, 2, 4)],
+    ],
+)
+@pytest.mark.parametrize(
+    "generators",
+    # Triangular generators send the set through the low-half test first;
+    # a non-triangular one sends it straight to the per-code scan.
+    [[], [(2, 0, 0, 1)], [(0, 1, 1, 0)]],
+)
+def test_every_code_is_checked_for_singularity(codes, generators):
+    gens = tuple(Mat2(*t, M5) for t in generators)
+    with pytest.raises(ValueError, match="singular"):
+        MatrixGroup(M5, frozenset(codes), gens)
+    with pytest.raises(ValueError, match="singular"):
+        _make_group(M5, codes, generators)
 
 
 def test_borel_constructions_agree():
@@ -302,7 +334,9 @@ def test_codes_are_the_encodings_of_elements():
     m = PrimeModulus(7)
     swap = Mat2(0, 1, 1, 0, m)
     groups = list(enumerate_upper_triangular_subgroups(PrimeModulus(5)))
-    groups += [nonsplit_cartan(m), conjugate(borel(m), swap)]
+    cns = nonsplit_cartan(m)
+    # Without generators the nonsplit Cartan's set meets the low-half test.
+    groups += [cns, MatrixGroup(m, cns.codes, ()), conjugate(borel(m), swap)]
     for G in groups:
         elems = G.elements
         assert frozenset(G) == elems
@@ -314,3 +348,23 @@ def test_codes_are_the_encodings_of_elements():
         assert G.is_diagonal == all(g.is_diagonal for g in elems)
         assert G.is_scalar == all(g.is_scalar for g in elems)
     assert Mat2(1, 0, 0, 1, PrimeModulus(7)) not in trivial_group(M5)
+
+
+def test_recorded_triangularity_on_certificate_scenarios():
+    # The certificate scenarios of the benchmark's smallest prime.
+    cfg = SweepConfig(
+        primes=(37,),
+        sample_count=2,
+        degrees=(1, 2, 3, 6, 12),
+        suites=("case1", "case2"),
+        seed=864,
+    )
+    groups = [s.Gp for s in sample_scenarios(cfg, "case1")]
+    for kind in ("case1", "case2"):
+        groups += [s.G for s in sample_scenarios(cfg, kind)]
+    groups += [semisimplification(G) for G in groups]
+    # Some scenario is D·U, built by _adjoin_unipotent.
+    assert any(G.order % 37 == 0 for G in groups)
+    for G in groups:
+        assert G.is_upper_triangular
+        assert all(g.is_upper_triangular for g in G)

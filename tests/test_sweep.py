@@ -317,6 +317,19 @@ def test_run_byte_identical_across_parallelism():
     assert serial.csv_text() == parallel.csv_text()
 
 
+def test_serial_run_does_not_load_multiprocessing():
+    code = (
+        "import sys\n"
+        "from gl2orbits.sweep import SweepConfig, run\n"
+        "run(SweepConfig(primes=(5,), sample_count=1, suites=('case1',)))\n"
+        "assert 'multiprocessing' not in sys.modules, 'multiprocessing loaded'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=_cli_env()
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_run_same_seed_byte_identical_and_seed_sensitivity():
     kwargs = dict(primes=(5,), sample_count=5, suites=("case1",), degrees=(1,))
     a = run(SweepConfig(seed=11, **kwargs))
