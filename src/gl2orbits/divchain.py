@@ -37,6 +37,7 @@ from .gl2 import (
 )
 from .modarith import PrimeModulus, divisors, power_image_order
 from .orbits import (
+    OrbitPartition,
     Vector2,
     _first_violation,
     _orbit_partition,
@@ -152,20 +153,21 @@ def _det_image_order(G: MatrixGroup) -> int:
 
 def _divisibility_check(
     name: str,
-    sizes: Mapping[int, int],
+    partition: OrbitPartition,
     multiplier: int,
     divisor: int,
     modulus: PrimeModulus,
 ) -> tuple[CheckRecord, dict | None]:
-    code = _first_violation(sizes, multiplier, divisor)
-    if code is None:
+    codes = _first_violation(partition.orbits, multiplier, divisor)
+    if codes is None:
         return CheckRecord(name, True), None
-    v = Vector2.decode(code, modulus)
-    detail = f"{divisor} does not divide {multiplier} * {sizes[code]} at {v!r}"
+    v = Vector2.decode(codes[0], modulus)
+    size = len(codes)
+    detail = f"{divisor} does not divide {multiplier} * {size} at {v!r}"
     counterexample = {
         "vector": [v.x, v.y],
         "expected_divisor": divisor,
-        "value": multiplier * sizes[code],
+        "value": multiplier * size,
     }
     return CheckRecord(name, False, detail), counterexample
 
@@ -331,9 +333,9 @@ def verify_case1_chain(s: Case1Scenario) -> DivisibilityCertificate:
         )
     )
 
-    g_sizes = orbit_size_map(s.G)
+    g_partition = orbit_partition(s.G)
     intermediate, _ = _divisibility_check(
-        "intermediate_144_times_index", g_sizes, 144 * 1 * index_cartan, n, m
+        "intermediate_144_times_index", g_partition, 144 * 1 * index_cartan, n, m
     )
     checks.append(intermediate)
     checks.append(
@@ -344,7 +346,7 @@ def verify_case1_chain(s: Case1Scenario) -> DivisibilityCertificate:
         )
     )
     final, counterexample = _divisibility_check(
-        "final_direct", g_sizes, FINAL_CONSTANT * deg, n, m
+        "final_direct", g_partition, FINAL_CONSTANT * deg, n, m
     )
     checks.append(final)
 
@@ -352,7 +354,7 @@ def verify_case1_chain(s: Case1Scenario) -> DivisibilityCertificate:
         kind="case1",
         ell=ell,
         degree=deg,
-        orbit_sizes=g_sizes,
+        orbit_sizes=orbit_size_map(s.G),
         factors=(
             ("base_constant", 1),
             ("cartan_over_comparison", index_cartan),
@@ -414,11 +416,11 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
             f"{n} into 36 * {deg} * {r6}",
         )
     )
-    sixth_sizes = orbit_size_map(sixth)
+    sixth_lengths = set(map(len, orbit_partition(sixth).orbits))
     checks.append(
         CheckRecord(
             "sixth_power_orbit_sizes",
-            set(sixth_sizes.values()) == {r6},
+            sixth_lengths == {r6},
             f"all orbits of the scalar subgroup have size {r6}",
         )
     )
@@ -437,9 +439,8 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
         checks.append(
             CheckRecord("transfer_up_to_image", False, "not evaluated: chain broken")
         )
-    g_sizes = orbit_size_map(s.G)
     final, counterexample = _divisibility_check(
-        "final_direct", g_sizes, FINAL_CONSTANT * deg, n, m
+        "final_direct", orbit_partition(s.G), FINAL_CONSTANT * deg, n, m
     )
     checks.append(final)
 
@@ -447,7 +448,7 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
         kind="case2",
         ell=ell,
         degree=deg,
-        orbit_sizes=g_sizes,
+        orbit_sizes=orbit_size_map(s.G),
         factors=(
             ("scalar_bound", 36),
             ("sixth_power_order", r6),
@@ -544,8 +545,7 @@ def nonsplit_orbit_check(ell: PrimeModulus) -> bool:
     ell.require_odd("nonsplit_orbit_check")
     cns = nonsplit_cartan(ell)
     n = ell.ell * ell.ell - 1
-    sizes = orbit_size_map(cns)
-    if set(sizes.values()) != {n}:
+    if len(orbit_partition(cns).orbits) != 1:
         return False
     codes = _power_codes(cns.generators[0].as_tuple(), n, ell.ell)
     for d in divisors(n):

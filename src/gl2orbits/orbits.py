@@ -4,19 +4,25 @@ The action is left multiplication on column vectors; a vector (x, y) is
 encoded as y*l + x, and the punctured plane V* has the l^2 - 1 codes
 1 .. l^2 - 1. A group's orbits come from one labeling pass over the codes,
 using only its generators, which suffices in a finite group: each
-generator's action is built once as an image list indexed by code, and
-each orbit is walked breadth-first over those lists. The resulting
-``OrbitPartition`` is cached once per group, and ``orbit``,
-``orbit_decomposition``, ``orbit_size_map``, ``coset_orbit_refinement``
-and ``predict_diagonal_orbits`` all read it.
+generator's action is built once as an image list indexed by code, row by
+row from two doubled l-entry tables (one row of l codes per y), and each
+orbit is walked breadth-first over those lists. The resulting
+``OrbitPartition`` holds only the orbits and the label of every code, and
+is cached once per group; ``orbit``, ``orbit_decomposition``,
+``coset_orbit_refinement``, ``predict_diagonal_orbits`` and the
+divisibility checks read orbit lengths from it. The per-code size map that
+``orbit_size_map`` returns is derived from the orbits on first read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import repeat
 from math import gcd
+from operator import add
 from types import MappingProxyType
-from typing import Literal, Mapping
+from typing import Iterable, Literal, Mapping
 from weakref import WeakKeyDictionary
 
 from .gl2 import MatrixGroup, MatTuple
@@ -100,29 +106,57 @@ class DiagonalOrbitPrediction:
             raise ValueError("mixed orbit counts do not multiply to (l - 1)^2")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class OrbitPartition:
     """A group's orbits on the punctured plane, on vector codes.
 
     orbits holds each orbit's codes in ascending order, the orbits ordered
     by smallest member; label[code] is the index in orbits of the orbit
-    holding code (-1 for the zero vector); sizes is the read-only orbit
-    size map, keyed by nonzero code.
+    holding code (-1 for the zero vector). These are the only data:
+    sizes, the read-only orbit size map keyed by nonzero code, is derived
+    from the orbits on first read and kept.
     """
 
     orbits: tuple[tuple[int, ...], ...]
     label: tuple[int, ...]
-    sizes: Mapping[int, int]
+
+    @cached_property
+    def sizes(self) -> Mapping[int, int]:
+        sizes: dict[int, int] = {}
+        for members in self.orbits:
+            sizes.update(dict.fromkeys(members, len(members)))
+        return MappingProxyType(sizes)
 
 
 def _image_list(g: MatTuple, ell: int) -> list[int]:
-    """The code of g * v at index code(v), for every vector v."""
+    """The code of g * v at index code(v), for every vector v.
+
+    Built one row y at a time. With the doubled table A[x] = a*x mod l,
+    x' = a*x + b*y = A[x + s] for the offset s = b*y/a, so the row's x'
+    values are the slice A[s : s + l]; likewise l*y' = l*(c*x + d*y) is a
+    slice of the doubled table l*(c*x mod l) at offset d*y/c. A zero a or
+    c makes that part constant along the row.
+    """
     a, b, c, d = g
-    return [
-        ((c * x + d * y) % ell) * ell + (a * x + b * y) % ell
-        for y in range(ell)
-        for x in range(ell)
-    ]
+    xs = range(2 * ell)
+    a_table = [a * x % ell for x in xs]
+    c_table = [c * x % ell * ell for x in xs]
+    a_inv = pow(a, -1, ell) if a else 0
+    c_inv = pow(c, -1, ell) if c else 0
+    image: list[int] = []
+    for y in range(ell):
+        if a:
+            s = b * y * a_inv % ell
+            low = a_table[s : s + ell]
+        else:
+            low = repeat(b * y % ell)
+        if c:
+            t = d * y * c_inv % ell
+            high = c_table[t : t + ell]
+        else:
+            high = repeat(d * y % ell * ell)
+        image += map(add, low, high)
+    return image
 
 
 def _orbit_partition(G: MatrixGroup) -> OrbitPartition:
@@ -134,9 +168,14 @@ def _orbit_partition(G: MatrixGroup) -> OrbitPartition:
     images = [_image_list(g, ell) for g in gens]
     label = [-1] * n
     orbits: list[tuple[int, ...]] = []
-    for start in range(1, n):
-        if label[start] >= 0:
-            continue
+    find = label.index
+    start = 0
+    while True:
+        # The next unlabeled nonzero code starts the next orbit.
+        try:
+            start = find(-1, start + 1)
+        except ValueError:
+            break
         index = len(orbits)
         label[start] = index
         members = [start]
@@ -147,12 +186,10 @@ def _orbit_partition(G: MatrixGroup) -> OrbitPartition:
                 if label[nxt] < 0:
                     label[nxt] = index
                     members.append(nxt)
-        members.sort()
+        if len(members) > 1:
+            members.sort()
         orbits.append(tuple(members))
-    sizes: dict[int, int] = {}
-    for members in orbits:
-        sizes.update(dict.fromkeys(members, len(members)))
-    return OrbitPartition(tuple(orbits), tuple(label), MappingProxyType(sizes))
+    return OrbitPartition(tuple(orbits), tuple(label))
 
 
 # Orbit partitions by group. Equal groups share one entry, and an entry is
@@ -172,7 +209,8 @@ def orbit_partition(G: MatrixGroup) -> OrbitPartition:
 def orbit_size_map(G: MatrixGroup) -> Mapping[int, int]:
     """Orbit size for every nonzero vector, keyed by vector encoding.
 
-    Read from the cached partition; the returned mapping is read-only.
+    Derived from the cached partition's orbits on the first call for a
+    group and kept with the partition; the returned mapping is read-only.
     """
     return orbit_partition(G).sizes
 
@@ -220,7 +258,7 @@ def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     """Orbit structure of a diagonal group from its diagonal characters.
 
     The image of each diagonal character determines the axis orbits; the
-    single off-axis orbit through (1, 1), read from the cached size map at
+    single off-axis orbit through (1, 1), read from the cached partition at
     code l + 1, determines all the others.
     """
     if not Gp.is_diagonal:
@@ -230,7 +268,8 @@ def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     l3 = ell * ell * ell
     im1 = {code // l3 for code in Gp.codes}
     im2 = {code % ell for code in Gp.codes}
-    mixed = orbit_size_map(Gp)[ell + 1]
+    partition = orbit_partition(Gp)
+    mixed = len(partition.orbits[partition.label[ell + 1]])
     if Gp.order % mixed != 0:
         raise RuntimeError("orbit size does not divide group order")
     if (n * n) % mixed != 0:
@@ -322,13 +361,19 @@ class TransferVerdict:
 
 
 def _first_violation(
-    sizes: Mapping[int, int], multiplier: int, divisor: int
-) -> int | None:
-    """Smallest code whose orbit size s fails divisor | multiplier * s, if any."""
-    bad = {s for s in set(sizes.values()) if (multiplier * s) % divisor != 0}
+    orbits: tuple[tuple[int, ...], ...], multiplier: int, divisor: int
+) -> tuple[int, ...] | None:
+    """The orbit holding the smallest code whose orbit size s fails
+    divisor | multiplier * s, if any.
+
+    orbits are ordered by smallest member, so that orbit is the first
+    failing one, and the code is its first member.
+    """
+    lengths = set(map(len, orbits))
+    bad = {s for s in lengths if (multiplier * s) % divisor != 0}
     if not bad:
         return None
-    return min(code for code, s in sizes.items() if s in bad)
+    return next(codes for codes in orbits if len(codes) in bad)
 
 
 def uniform_divisibility_transfer(
@@ -353,16 +398,16 @@ def uniform_divisibility_transfer(
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     index = G.order // H.order
-    h_sizes = orbit_size_map(H)
-    g_sizes = orbit_size_map(G)
+    h_orbits = orbit_partition(H).orbits
+    g_orbits = orbit_partition(G).orbits
     if direction == "up":
-        hyp = _first_violation(h_sizes, c, M)
-        ccl = _first_violation(g_sizes, c, M)
+        hyp = _first_violation(h_orbits, c, M)
+        ccl = _first_violation(g_orbits, c, M)
     else:
-        hyp = _first_violation(g_sizes, c, M)
-        ccl = _first_violation(h_sizes, c * index, M)
-    hyp_bad = None if hyp is None else Vector2.decode(hyp, G.modulus)
-    ccl_bad = None if ccl is None else Vector2.decode(ccl, G.modulus)
+        hyp = _first_violation(g_orbits, c, M)
+        ccl = _first_violation(h_orbits, c * index, M)
+    hyp_bad = None if hyp is None else Vector2.decode(hyp[0], G.modulus)
+    ccl_bad = None if ccl is None else Vector2.decode(ccl[0], G.modulus)
     return TransferVerdict(
         direction=direction,
         divisor=M,
@@ -375,10 +420,10 @@ def uniform_divisibility_transfer(
     )
 
 
-def minimal_uniform_constant(sizes: Mapping[int, int], M: int) -> int:
-    """Smallest c with M dividing c * s for every orbit size s."""
+def minimal_uniform_constant(sizes: Iterable[int], M: int) -> int:
+    """Smallest c with M dividing c * s for every orbit size s in sizes."""
     c = 1
-    for s in set(sizes.values()):
+    for s in set(sizes):
         need = M // gcd(M, s)
         c = c * need // gcd(c, need)
     return c

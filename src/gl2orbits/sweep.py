@@ -56,7 +56,6 @@ from .modarith import PrimeModulus, divisors, is_prime, least_primitive_root
 from .orbits import (
     minimal_uniform_constant,
     orbit_partition,
-    orbit_size_map,
     predict_diagonal_orbits,
     refine_orbit_codes,
     uniform_divisibility_transfer,
@@ -542,11 +541,11 @@ def _lemma31_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
 
 
 def _check_diagonal_prediction(Gp: MatrixGroup) -> tuple[bool, str]:
-    pred = predict_diagonal_orbits(Gp)
     ell = Gp.modulus.ell
     parts = orbit_partition(Gp).orbits
     if sum(map(len, parts)) != ell * ell - 1:
         raise RuntimeError("orbits do not partition the punctured plane")
+    pred = predict_diagonal_orbits(Gp)
     # Each orbit is classified by its smallest code c = y*l + x: on axis 1
     # (y = 0) when c < l, on axis 2 (x = 0) when l divides c, else mixed.
     axis1: list[int] = []
@@ -643,11 +642,9 @@ def _lemma33_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
         except RuntimeError as exc:
             ok, note = False, f"refinement violated: {exc}"
         if ok:
-            h_sizes = orbit_size_map(H)
-            g_sizes = orbit_size_map(G)
-            c_up = minimal_uniform_constant(h_sizes, M)
+            c_up = minimal_uniform_constant(map(len, h_partition.orbits), M)
             up = uniform_divisibility_transfer(M, c_up, G, H, "up")
-            c_down = minimal_uniform_constant(g_sizes, M)
+            c_down = minimal_uniform_constant(map(len, g_partition.orbits), M)
             down = uniform_divisibility_transfer(M, c_down, G, H, "down")
             for verdict in (up, down):
                 if not verdict.hypothesis_holds:
@@ -660,8 +657,11 @@ def _lemma33_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
                     if bad is not None:
                         failure_vector = [bad.x, bad.y]
                         expected = M
-                        sizes = h_sizes if verdict.direction == "down" else g_sizes
-                        value = verdict.conclusion_constant * sizes[bad.encode()]
+                        part = (
+                            h_partition if verdict.direction == "down" else g_partition
+                        )
+                        size = len(part.orbits[part.label[bad.encode()]])
+                        value = verdict.conclusion_constant * size
                     break
         failure = None
         if not ok:

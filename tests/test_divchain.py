@@ -32,12 +32,21 @@ from gl2orbits.gl2 import (
     trivial_group,
 )
 from gl2orbits.modarith import PrimeModulus, divisors, is_prime, power_image_order
-from gl2orbits.orbits import orbit_partition, orbit_size_map
+from gl2orbits.orbits import OrbitPartition, orbit_partition, orbit_size_map
 from gl2orbits.semisimplify import semisimplification
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
 M13 = PrimeModulus(13)
+
+
+def _partition_of(parts, ell):
+    """An OrbitPartition holding parts, with the label they imply."""
+    label = [-1] * (ell * ell)
+    for index, codes in enumerate(parts):
+        for code in codes:
+            label[code] = index
+    return OrbitPartition(tuple(parts), tuple(label))
 
 
 def checks_by_name(report_or_cert):
@@ -338,11 +347,12 @@ def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
     n = 7 * 7 - 1
     power_codes = divchain._power_codes
 
-    # A single Cartan orbit: an orbit map that puts (1, 0) in an orbit of its own.
-    def split_off_e1(G):
-        return {**orbits.orbit_size_map(G), 1: 1}
-
-    monkeypatch.setattr(divchain, "orbit_size_map", split_off_e1)
+    # A single Cartan orbit: a cached Cartan partition that puts (1, 0) in an
+    # orbit of its own.
+    cns = nonsplit_cartan(M7)
+    (whole,) = orbits.orbit_partition(cns).orbits
+    assert whole[0] == 1
+    monkeypatch.setitem(orbits._PARTITIONS, cns, _partition_of(((1,), whole[1:]), 7))
     assert not nonsplit_orbit_check(M7)
     monkeypatch.undo()
 
@@ -413,22 +423,21 @@ def test_replay_detects_tampered_orbit_sizes():
 
 
 def test_replay_ignores_a_corrupted_orbit_cache():
-    from dataclasses import replace
-    from types import MappingProxyType
-
     # Above 20,000 elements replay skips its elementwise sample, so only
     # its own recomputation of the orbit map can see the corruption.
     m = PrimeModulus(31)
     G = borel(m)
     assert G.order > 20_000
     s = Case1Scenario(G, split_cartan(m), DegreeParameter(1))
-    partition = orbits.orbit_partition(G)
-    corrupted = dict(partition.sizes)
-    corrupted[1] += 1
-    orbits._PARTITIONS[G] = replace(partition, sizes=MappingProxyType(corrupted))
+    # Code 1 split off the axis orbit: its cached orbit size becomes 1.
+    axis, *rest = orbits.orbit_partition(G).orbits
+    assert axis[0] == 1 and len(axis) > 1
+    corrupted = _partition_of(((1,), axis[1:], *rest), 31)
+    assert corrupted.sizes[1] == 1
+    orbits._PARTITIONS[G] = corrupted
     try:
         cert = verify_case1_chain(s)
-        assert dict(cert.orbit_sizes) == corrupted
+        assert dict(cert.orbit_sizes) == dict(corrupted.sizes)
         assert not replay_certificate(cert, s)
     finally:
         del orbits._PARTITIONS[G]

@@ -1,4 +1,5 @@
 import gc
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +75,51 @@ def test_orbit_matches_elementwise_action():
             assert {(w.x, w.y) for w in got.members} == expected
             assert got.size == len(expected)
             assert got.representative == min(got.members, key=Vector2.encode)
+
+    # Non-triangular groups from one and two generators, some with a = 0:
+    # the partition holds the elementwise orbit of every vector.
+    for p in (3, 5, 7):
+        m = PrimeModulus(p)
+        swap = Mat2(0, 1, 1, 0, m)
+        rotation = Mat2(0, p - 1, 1, 1, m)  # order 6, a = 0
+        generator_sets = [
+            [swap],
+            [rotation],
+            [Mat2(1, 1, 1, 2, m)],
+            [Mat2(2, 1, 1, 1, m), swap],
+            [Mat2(1, 1, 0, 1, m), Mat2(0, 1, p - 1, 0, m)],
+            [Mat2(1, 0, 1, 1, m), rotation],
+        ]
+        for gens in generator_sets:
+            G = closure(gens, m)
+            assert not G.is_upper_triangular
+            partition = orbits.orbit_partition(G)
+            assert partition.label[0] == -1
+            for code in range(1, p * p):
+                v = Vector2.decode(code, m)
+                members = partition.orbits[partition.label[code]]
+                assert list(members) == sorted(members)
+                assert {(c % p, c // p) for c in members} == brute_orbit(G, v)
+
+
+def test_image_list_matches_apply():
+    # Every matrix of GL2(l), l in {2, 3, 5}: the a = 0, c = 0, c != 0 and
+    # shear rows of the row builder all occur.
+    for p, count in ((2, 6), (3, 48), (5, 480)):
+        m = PrimeModulus(p)
+        seen = 0
+        for a, b, c, d in itertools.product(range(p), repeat=4):
+            if (a * d - b * c) % p == 0:
+                continue
+            g = Mat2(a, b, c, d, m)
+            image = orbits._image_list(g.as_tuple(), p)
+            assert len(image) == p * p
+            for y in range(p):
+                for x in range(p):
+                    gx, gy = g.apply(x, y)
+                    assert image[y * p + x] == gy * p + gx
+            seen += 1
+        assert seen == count
 
 
 def test_orbit_decomposition_examples():
@@ -267,11 +313,12 @@ def test_transfer_rejects_bad_input():
 
 
 def test_minimal_uniform_constant():
-    sizes = orbit_size_map(scalars(M5))
-    assert set(sizes.values()) == {4}
-    assert minimal_uniform_constant(sizes, 4) == 1
-    assert minimal_uniform_constant(sizes, 8) == 2
-    assert minimal_uniform_constant(sizes, 3) == 3
+    lengths = list(map(len, orbits.orbit_partition(scalars(M5)).orbits))
+    assert set(lengths) == {4}
+    assert minimal_uniform_constant(lengths, 4) == 1
+    assert minimal_uniform_constant(lengths, 8) == 2
+    assert minimal_uniform_constant(lengths, 3) == 3
+    assert minimal_uniform_constant(orbit_size_map(split_cartan(M5)).values(), 8) == 2
 
 
 def test_orbit_size_map_agrees_with_decomposition():
@@ -322,9 +369,35 @@ def test_orbit_size_map_is_read_only():
     assert set(sizes.values()) == {12}
 
 
-def test_corrupted_h_partition_fails_the_refinement(monkeypatch):
-    from types import MappingProxyType
+def test_orbit_readers_leave_the_size_map_unbuilt():
+    from gl2orbits import divchain, sweep
 
+    def cached(G):
+        orbits._PARTITIONS.pop(G, None)
+        orbits.orbit_partition(G)
+        return orbits._PARTITIONS[G]
+
+    m7 = PrimeModulus(7)
+    Gp = closure([Mat2(2, 0, 0, 3, m7)], m7)
+    G, H = borel(M13), split_cartan(M13)
+    cns = nonsplit_cartan(m7)
+    partitions = [cached(X) for X in (Gp, G, H, cns)]
+    assert sweep._check_diagonal_prediction(Gp) == (True, "")
+    assert uniform_divisibility_transfer(12, 1, G, H, "up").transfer_upheld
+    assert uniform_divisibility_transfer(12, 1, G, H, "down").transfer_upheld
+    assert divchain.nonsplit_orbit_check(m7)
+    for X, partition in zip((Gp, G, H, cns), partitions):
+        assert orbits._PARTITIONS[X] is partition
+    assert not any("sizes" in vars(p) for p in partitions)
+
+    # The first read derives the map once; later reads return it.
+    sizes = orbit_size_map(G)
+    assert "sizes" in vars(partitions[1])
+    assert orbit_size_map(G) is sizes
+    assert dict(sizes) == {c: len(o) for o in partitions[1].orbits for c in o}
+
+
+def test_corrupted_h_partition_fails_the_refinement(monkeypatch):
     from gl2orbits import sweep
 
     G, H = split_cartan(M5), scalars(M5)
@@ -334,14 +407,10 @@ def test_corrupted_h_partition_fails_the_refinement(monkeypatch):
     assert true.orbits[0] == (1, 2, 3, 4) and true.orbits[1] == (5, 10, 15, 20)
     bad_orbits = (true.orbits[0] + true.orbits[1],) + true.orbits[2:]
     label = [-1] * 25
-    sizes = {}
     for index, codes in enumerate(bad_orbits):
         for code in codes:
             label[code] = index
-            sizes[code] = len(codes)
-    orbits._PARTITIONS[H] = orbits.OrbitPartition(
-        bad_orbits, tuple(label), MappingProxyType(sizes)
-    )
+    orbits._PARTITIONS[H] = orbits.OrbitPartition(bad_orbits, tuple(label))
     try:
         with pytest.raises(RuntimeError, match="H-orbit escapes the G-orbit"):
             coset_orbit_refinement(G, H, e1(M5))
@@ -360,7 +429,7 @@ def test_corrupted_h_partition_fails_the_refinement(monkeypatch):
     # An H-orbit that lost a member still lies in the G-orbit, but the
     # parts no longer cover it.
     orbits._PARTITIONS[H] = orbits.OrbitPartition(
-        ((1, 2, 3),) + true.orbits[1:], true.label, true.sizes
+        ((1, 2, 3),) + true.orbits[1:], true.label
     )
     try:
         with pytest.raises(RuntimeError, match="do not partition the G-orbit"):

@@ -7,7 +7,6 @@ import sys
 from collections import deque
 from pathlib import Path
 from random import Random
-from types import MappingProxyType
 
 import pytest
 
@@ -507,11 +506,19 @@ def _lemma32_config(ell):
     return SweepConfig(primes=(ell,), mode="exhaustive", suites=("lemma32",))
 
 
+def _partition_of(parts, ell):
+    """An OrbitPartition holding parts, with the label they imply."""
+    label = [-1] * (ell * ell)
+    for index, codes in enumerate(parts):
+        for code in codes:
+            label[code] = index
+    return OrbitPartition(tuple(parts), tuple(label))
+
+
 def _lemma32_notes_with_orbits(monkeypatch, G, parts):
-    """Notes of the failing exhaustive lemma32 rows at G's prime, with the
-    orbits of G's cached partition replaced by parts."""
-    cached = orbits.orbit_partition(G)
-    tampered = OrbitPartition(parts, cached.label, cached.sizes)
+    """Notes of the failing exhaustive lemma32 rows at G's prime, with G's
+    cached partition replaced by parts."""
+    tampered = _partition_of(parts, G.modulus.ell)
     monkeypatch.setitem(orbits._PARTITIONS, G, tampered)
     (entry,) = run(_lemma32_config(G.modulus.ell)).suites
     monkeypatch.undo()
@@ -537,7 +544,9 @@ def test_lemma32_gates_can_fail(monkeypatch):
     Q = closure([Mat2(2, 0, 0, 2, m)])  # two orbits per axis, twelve mixed
     s_parts = orbits.orbit_partition(S).orbits
     assert s_parts[2] == (8, 16, 24, 32, 40, 48)
-    mixed_merged = tuple(sorted(s_parts[2] + s_parts[3]))
+    # The mixed orbits tampered with leave the orbit of (1, 1), code l + 1,
+    # whole: predict_diagonal_orbits reads the mixed size there.
+    mixed_merged = tuple(sorted(s_parts[3] + s_parts[4]))
     cases = [
         # An axis orbit split in two.
         (C, [(1, 2, 3), (4, 5, 6)], "axis-1 orbits [3, 3]"),
@@ -554,11 +563,11 @@ def test_lemma32_gates_can_fail(monkeypatch):
         (Q, [(1, 2), (3, 4, 5, 6)], "axis-1 orbits [2, 4]"),
         (Q, [(7, 14), (21, 28, 35, 42)], "axis-2 orbits [2, 4]"),
         # Two mixed orbits merged, and re-cut with the wrong sizes.
-        (S, [mixed_merged], "mixed orbits [12, 6, 6, 6, 6]"),
+        (S, [mixed_merged], "mixed orbits [6, 12, 6, 6, 6]"),
         (
             S,
             [mixed_merged[:4], mixed_merged[4:]],
-            "mixed orbits [4, 6, 6, 6, 6, 8]",
+            "mixed orbits [6, 4, 6, 6, 6, 8]",
         ),
     ]
     for G, new, prefix in cases:
@@ -571,11 +580,11 @@ def test_lemma32_gates_can_fail(monkeypatch):
     with pytest.raises(RuntimeError, match="do not partition the punctured plane"):
         _lemma32_notes_with_orbits(monkeypatch, C, (*head, mixed[:-1]))
 
-    # A wrong size for the orbit of (1, 1), code l + 1.
-    cached = orbits.orbit_partition(C)
-    wrong = OrbitPartition(
-        cached.orbits, cached.label, MappingProxyType({**cached.sizes, 8: 5})
-    )
+    monkeypatch.undo()
+
+    # The orbit of (1, 1), code l + 1, cut to 5 codes: 5 does not divide 36.
+    assert mixed[0] == 8
+    wrong = _partition_of(_recut(C, mixed[:5], mixed[5:]), 7)
     monkeypatch.setitem(orbits._PARTITIONS, C, wrong)
     with pytest.raises(RuntimeError, match="does not divide group order"):
         predict_diagonal_orbits(C)
