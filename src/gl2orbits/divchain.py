@@ -534,11 +534,12 @@ def nonsplit_orbit_check(ell: PrimeModulus) -> bool:
 
     One power table of the Cartan generator g serves every divisor: the
     subgroup of order d is generated by g^(n/d), so it is every (n/d)-th
-    entry of the table. Each slice must hold d distinct elements of the
-    Cartan; at d = n this makes the table the whole Cartan, so g has order
-    n and each slice is the cyclic group of order d. No orbit of a
-    subgroup is walked: an orbit of size n = |Cartan| means, by
-    orbit-stabilizer, that the Cartan's stabilizers are trivial, and a
+    entry of the table. One check covers them all: the n entries must be
+    the n codes of the Cartan. Then g has order n, and every slice
+    codes[::n/d] holds d distinct Cartan codes, so it is the cyclic
+    subgroup of order d; a check per slice could never decide otherwise.
+    No orbit of a subgroup is walked: an orbit of size n = |Cartan| means,
+    by orbit-stabilizer, that the Cartan's stabilizers are trivial, and a
     subgroup inherits trivial stabilizers, so every orbit of the subgroup
     of order d has size d.
     """
@@ -548,11 +549,7 @@ def nonsplit_orbit_check(ell: PrimeModulus) -> bool:
     if len(orbit_partition(cns).orbits) != 1:
         return False
     codes = _power_codes(cns.generators[0].as_tuple(), n, ell.ell)
-    for d in divisors(n):
-        sub = frozenset(codes[:: n // d])
-        if len(sub) != d or not sub <= cns.codes:
-            return False
-    return True
+    return frozenset(codes) == cns.codes
 
 
 def replay_certificate(

@@ -4,8 +4,16 @@ Groups carry their full element set as integer codes a*l^3 + b*l^2 + c*l + d;
 ``Mat2`` objects are built only at the API edge (``elements``, iteration,
 generators and witnesses). Constructions are exhaustive by design and write
 codes directly; a prime cap keeps the largest standard group (the Borel,
-order l(l-1)^2) near a million elements. Closure runs breadth-first over
-plain integer 4-tuples and encodes the result once at the end.
+order l(l-1)^2) near a million elements.
+
+A set of diagonal generators is closed from its exponent lattice. With g
+the least primitive root, diag(g^u, g^w) has exponents (u, w), and the
+group generated by such matrices is a lattice L with (l-1)Z^2 <= L <= Z^2.
+L has one Hermite form [[d1, c], [0, d2]], columns (d1, 0) and (c, d2),
+with d1 and d2 dividing l - 1 and 0 <= c < d1; the group has order
+(l-1)^2 / (d1 * d2) and is built from the form. Every other generator set
+is closed breadth-first over plain integer 4-tuples, encoded once at the
+end.
 
 The constructor checks every code for nonsingularity. An upper-triangular
 set is checked at C speed from its low halves code % l^2 = c*l + d: when
@@ -18,9 +26,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
-from operator import mod
+from math import gcd
+from operator import add, mod
 from typing import Iterable, Iterator
 
 from .modarith import PrimeModulus, least_primitive_root, prime_factors
@@ -266,6 +275,10 @@ class MatrixGroup:
             raise ValueError("element count violates Lagrange in GL2(l)")
 
     def __eq__(self, other: object) -> bool:
+        # frozenset equality does not check identity: without this, a
+        # partition-cache hit on the group itself would compare every code.
+        if self is other:
+            return True
         if not isinstance(other, MatrixGroup):
             return NotImplemented
         return self.modulus == other.modulus and self.codes == other.codes
@@ -355,6 +368,108 @@ def _make_group(
     return MatrixGroup(modulus, frozenset(codes), tuple(gens))
 
 
+# ---------------------------------------------------------------------------
+# Diagonal groups from exponent lattices
+
+
+@lru_cache(maxsize=None)
+def _primitive_root_powers(m: PrimeModulus) -> tuple[int, ...]:
+    """(g^0, ..., g^(l-2)) mod l for the least primitive root g (g = 1 at l = 2)."""
+    ell = m.ell
+    g = least_primitive_root(m).value if ell > 2 else 1
+    pow_g = [1] * (ell - 1)
+    for i in range(1, ell - 1):
+        pow_g[i] = (pow_g[i - 1] * g) % ell
+    return tuple(pow_g)
+
+
+@lru_cache(maxsize=None)
+def _discrete_logs(m: PrimeModulus) -> tuple[int, ...]:
+    """log[x] with g^log[x] = x for 1 <= x < l; log[0] is unused."""
+    log = [0] * m.ell
+    for k, x in enumerate(_primitive_root_powers(m)):
+        log[x] = k
+    return tuple(log)
+
+
+def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a > 0 and b >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        s0, s1 = s1, s0 - q * s1
+        t0, t1 = t1, t0 - q * t1
+    return a, s0, t0
+
+
+def _diagonal_hnf(
+    gen_tuples: Iterable[MatTuple], m: PrimeModulus
+) -> tuple[int, int, int]:
+    """Hermite form (d1, d2, c) of the exponent lattice of diagonal generators.
+
+    The lattice starts as (l-1)Z^2, columns (n, 0) and (0, n), and each
+    generator's exponents (u, w) are merged into the column (c, d2): with
+    e = gcd(d2, w) = s*d2 + t*w, the unimodular combinations of the two
+    are (s*c + t*u, e) and ((d2/e)*u - (w/e)*c, 0), and the second joins
+    (d1, 0) as d1 = gcd(d1, ...). Since (d1, 0) lies in the lattice, c is
+    kept reduced mod d1.
+    """
+    n = m.ell - 1
+    log = _discrete_logs(m)
+    d1, d2, c = n, n, 0
+    for a, _, _, d in gen_tuples:
+        u, w = log[a], log[d]
+        e, s, t = _extended_gcd(d2, w)
+        d1 = gcd(d1, d2 // e * u - w // e * c)
+        c, d2 = (s * c + t * u) % d1, e
+    return d1, d2, c
+
+
+def _diagonal_codes(m: PrimeModulus, d1: int, d2: int, c: int) -> list[int]:
+    """Codes of the diagonal group with exponent Hermite form [[d1, c], [0, d2]].
+
+    Its elements are diag(g^(x*d1 + y*c), g^(y*d2)) for x < n/d1 and
+    y < n/d2. Each y gives one row: the stride-d1 slice at offset y*c of
+    the doubled table g^k * l^3, plus the code g^(y*d2) of the lower entry.
+    """
+    n = m.ell - 1
+    pow_g = _primitive_root_powers(m)
+    l3 = m.ell**3
+    high = [p * l3 for p in pow_g] * 2
+    codes: list[int] = []
+    for y in range(n // d2):
+        s = y * c % n
+        codes += map(add, high[s : s + n : d1], repeat(pow_g[y * d2 % n]))
+    return codes
+
+
+def _diagonal_group_from_hnf(m: PrimeModulus, d1: int, d2: int, c: int) -> MatrixGroup:
+    """The diagonal group whose exponent lattice has Hermite form [[d1, c], [0, d2]]."""
+    n = m.ell - 1
+    pow_g = _primitive_root_powers(m)
+    gens = [(pow_g[d1 % n], 0, 0, 1), (pow_g[c], 0, 0, pow_g[d2 % n])]
+    return _make_group(m, _diagonal_codes(m, d1, d2, c), dict.fromkeys(gens))
+
+
+def _diagonal_closure(
+    modulus: PrimeModulus,
+    gen_tuples: list[MatTuple],
+    budget: int = CLOSURE_BUDGET,
+) -> MatrixGroup:
+    """The group that diagonal generators generate, built from its Hermite form.
+
+    Raises ClosureBudgetError where ``_close`` would, when the order
+    (l-1)^2 / (d1 * d2) exceeds the budget (the identity alone never
+    does), before any element is built. The generators are kept as given.
+    """
+    d1, d2, c = _diagonal_hnf(gen_tuples, modulus)
+    n = modulus.ell - 1
+    if n * n // (d1 * d2) > max(budget, 1):
+        raise ClosureBudgetError(f"closure exceeded element budget {budget}")
+    return _make_group(modulus, _diagonal_codes(modulus, d1, d2, c), gen_tuples)
+
+
 def closure(
     generators: Iterable[Mat2],
     modulus: PrimeModulus | None = None,
@@ -363,7 +478,8 @@ def closure(
     """Subgroup generated by the given invertible matrices.
 
     An empty generator list needs an explicit modulus and yields the
-    trivial group.
+    trivial group. A set of diagonal generators is closed from its exponent
+    lattice (``_diagonal_closure``); any other set breadth-first.
     """
     gens = tuple(generators)
     if modulus is None:
@@ -374,6 +490,8 @@ def closure(
         if g.modulus != modulus:
             raise ValueError("mixed moduli in generator list")
     tuples = [g.as_tuple() for g in gens]
+    if all(g.is_diagonal for g in gens):
+        return _diagonal_closure(modulus, tuples, budget)
     closed = _close(tuples, modulus.ell, budget=budget)
     return _make_group(modulus, _encode_all(closed, modulus.ell), tuples)
 

@@ -160,11 +160,18 @@ def _image_list(g: MatTuple, ell: int) -> list[int]:
 
 
 def _orbit_partition(G: MatrixGroup) -> OrbitPartition:
-    """The uncached partition, from one labeling pass over the codes."""
+    """The uncached partition, from one labeling pass over the codes.
+
+    A group with no non-identity generator needs no pass: every nonzero
+    code is its own orbit.
+    """
     ell = G.modulus.ell
     n = ell * ell
     gens = dict.fromkeys(G.generator_tuples())
     gens.pop((1, 0, 0, 1), None)
+    if not gens:
+        # Code k is orbit k - 1; the zero code keeps label -1.
+        return OrbitPartition(tuple(zip(range(1, n))), tuple(range(-1, n - 1)))
     images = [_image_list(g, ell) for g in gens]
     label = [-1] * n
     orbits: list[tuple[int, ...]] = []

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .gl2 import Mat2, MatrixGroup, _close, _encode_all, _make_group, _mul_t
+from .gl2 import Mat2, MatrixGroup, _diagonal_closure, _mul_t
 from .modarith import FpUnit
 
 
@@ -82,16 +82,14 @@ def _require_upper_triangular(G: MatrixGroup) -> None:
 def semisimplification(G: MatrixGroup) -> MatrixGroup:
     """Diagonal-parts group {diag(a, d) : [[a, b], [0, d]] in G}.
 
-    Computed as the closure of the projected generators; projection onto
-    diagonal parts is a homomorphism on upper-triangular matrices, so this
-    equals the elementwise projection of G.
+    Computed as the group the projected generators generate, built from
+    the Hermite form of their exponent lattice; projection onto diagonal
+    parts is a homomorphism on upper-triangular matrices, so this equals
+    the elementwise projection of G.
     """
     _require_upper_triangular(G)
-    gens = [g.diagonal_part().as_tuple() for g in G.generators]
-    closed = _close(gens, G.modulus.ell)
-    result = _make_group(
-        G.modulus, _encode_all(closed, G.modulus.ell), dict.fromkeys(gens)
-    )
+    gens = dict.fromkeys(g.diagonal_part().as_tuple() for g in G.generators)
+    result = _diagonal_closure(G.modulus, list(gens))
     if G.order % result.order != 0:
         raise RuntimeError("semisimplification order does not divide group order")
     return result

@@ -45,6 +45,8 @@ from .gl2 import (
     Mat2,
     MatrixGroup,
     MatTuple,
+    _diagonal_group_from_hnf,
+    _diagonal_hnf,
     _make_group,
     closure,
     conjugate,
@@ -291,12 +293,11 @@ def enumerate_diagonal_subgroups(m: PrimeModulus) -> Iterator[MatrixGroup]:
     if n == 1:
         yield trivial_group(m)
         return
-    pow_g = _primitive_root_powers(m)
     for d1 in divisors(n):
         for d2 in divisors(n):
             step = d1 // gcd(d1, n // d2)
             for c in range(0, d1, step):
-                yield _diagonal_group_from_hnf(m, pow_g, d1, d2, c)
+                yield _diagonal_group_from_hnf(m, d1, d2, c)
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +316,15 @@ def _triangular_closure_order(gens: list[Mat2], m: PrimeModulus) -> int:
     generators fail to commute (their commutator is a nontrivial shear) or
     when a generator has a = d and b != 0 (its (l-1)-th power is one).
     Otherwise H is abelian and generated by diagonalizable elements, so it
-    is diagonalizable and meets U trivially.
+    is diagonalizable and meets U trivially. |D| is read off the Hermite
+    form of D's exponent lattice, without building D.
     """
-    D = closure([g.diagonal_part() for g in gens], m)
+    n = m.ell - 1
+    d1, d2, _ = _diagonal_hnf([(g.a, 0, 0, g.d) for g in gens], m)
+    order = n * n // (d1 * d2)
     repeated = any(g.a == g.d and g.b != 0 for g in gens)
     commuting = all(g * h == h * g for g in gens for h in gens)
-    return D.order * m.ell if repeated or not commuting else D.order
+    return order * m.ell if repeated or not commuting else order
 
 
 def _sample_triangular_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
@@ -337,31 +341,6 @@ def _sample_triangular_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
     return closure(gens, m, budget=SAMPLED_CLOSURE_BUDGET)
 
 
-def _primitive_root_powers(m: PrimeModulus) -> list[int]:
-    """[g^0, ..., g^(l-2)] mod l for the least primitive root g."""
-    ell = m.ell
-    g = least_primitive_root(m).value
-    pow_g = [1] * (ell - 1)
-    for i in range(1, ell - 1):
-        pow_g[i] = (pow_g[i - 1] * g) % ell
-    return pow_g
-
-
-def _diagonal_group_from_hnf(
-    m: PrimeModulus, pow_g: list[int], d1: int, d2: int, c: int
-) -> MatrixGroup:
-    """The diagonal group whose exponent lattice has Hermite form [[d1, c], [0, d2]]."""
-    n = m.ell - 1
-    l3 = m.ell**3
-    elems = [
-        pow_g[(x * d1 + y * c) % n] * l3 + pow_g[(y * d2) % n]
-        for x in range(n // d1)
-        for y in range(n // d2)
-    ]
-    gens = [(pow_g[d1 % n], 0, 0, 1), (pow_g[c], 0, 0, pow_g[d2 % n])]
-    return _make_group(m, elems, dict.fromkeys(gens))
-
-
 def _sample_diagonal_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
     n = m.ell - 1
     if n == 1:
@@ -370,7 +349,7 @@ def _sample_diagonal_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
     d2 = rng.choice(divisors(n))
     step = d1 // gcd(d1, n // d2)
     c = rng.randrange(0, d1, step)
-    return _diagonal_group_from_hnf(m, _primitive_root_powers(m), d1, d2, c)
+    return _diagonal_group_from_hnf(m, d1, d2, c)
 
 
 def _adjoin_unipotent(Gss: MatrixGroup) -> MatrixGroup:
@@ -401,7 +380,7 @@ def _sample_case1(rng: Random, m: PrimeModulus, deg: int) -> Case1Scenario | Non
     d1, d2 = rng.choice(pairs)
     step = d1 // gcd(d1, n // d2)
     c = rng.randrange(0, d1, step)
-    comparison = _diagonal_group_from_hnf(m, _primitive_root_powers(m), d1, d2, c)
+    comparison = _diagonal_group_from_hnf(m, d1, d2, c)
     gens = list(comparison.generators)
     if rng.random() < 0.5:
         # Adjoin diagonal 12-torsion: it cannot change the 12th powers.

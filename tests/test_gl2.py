@@ -1,3 +1,6 @@
+import itertools
+from random import Random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +9,9 @@ from gl2orbits.gl2 import (
     ClosureBudgetError,
     Mat2,
     MatrixGroup,
+    _close,
+    _diagonal_closure,
+    _encode_all,
     _make_group,
     borel,
     closure,
@@ -368,3 +374,79 @@ def test_recorded_triangularity_on_certificate_scenarios():
     for G in groups:
         assert G.is_upper_triangular
         assert all(g.is_upper_triangular for g in G)
+
+
+def _breadth_first_codes(gens, ell, budget=None):
+    """The oracle: element codes of the breadth-first closure."""
+    tuples = [g.as_tuple() for g in gens]
+    if budget is None:
+        return frozenset(_encode_all(_close(tuples, ell), ell))
+    return frozenset(_encode_all(_close(tuples, ell, budget), ell))
+
+
+def _diagonals(m):
+    return [Mat2(a, 0, 0, d, m) for a in range(1, m.ell) for d in range(1, m.ell)]
+
+
+def test_diagonal_closure_matches_breadth_first_on_all_pairs():
+    # Every single diagonal generator and every ordered pair at l <= 7.
+    for p in (2, 3, 5, 7):
+        m = PrimeModulus(p)
+        diagonals = _diagonals(m)
+        sets = [[g] for g in diagonals] + [
+            list(pair) for pair in itertools.product(diagonals, repeat=2)
+        ]
+        for gens in sets:
+            G = closure(gens, m)
+            assert G.codes == _breadth_first_codes(gens, p)
+            assert G.generators == tuple(gens)
+
+
+def test_diagonal_closure_matches_breadth_first_on_random_sets():
+    # One to four generators, with repeats and the identity, up to l = 151.
+    primes = [p for p in range(2, 152) if is_prime(p)]
+    rng = Random(2102)
+    for _ in range(200):
+        p = rng.choice(primes)
+        m = PrimeModulus(p)
+        gens = [
+            Mat2(rng.randrange(1, p), 0, 0, rng.randrange(1, p), m)
+            for _ in range(rng.randint(1, 4))
+        ]
+        if rng.random() < 0.3:
+            gens.insert(rng.randrange(len(gens) + 1), Mat2.identity(m))
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        G = closure(gens, m)
+        assert G.codes == _breadth_first_codes(gens, p)
+        assert G.generators == tuple(gens)
+
+
+def test_diagonal_closure_budget_matches_breadth_first():
+    # The lattice closure raises at exactly the budgets where _close does.
+    for p, gens in [
+        (2, []),
+        (3, [(2, 0, 0, 1)]),
+        (7, [(3, 0, 0, 1), (1, 0, 0, 3)]),
+        (13, [(4, 0, 0, 10), (12, 0, 0, 12)]),
+        (31, [(3, 0, 0, 9), (1, 0, 0, 1), (3, 0, 0, 9)]),
+    ]:
+        m = PrimeModulus(p)
+        order = len(_close(gens, p))
+        for budget in sorted({-1, 0, 1, order - 1, order, order + 1}):
+            try:
+                _close(gens, p, budget)
+                expected = False
+            except ClosureBudgetError:
+                expected = True
+            if expected:
+                with pytest.raises(ClosureBudgetError, match=f"budget {budget}$"):
+                    _diagonal_closure(m, gens, budget)
+            else:
+                assert _diagonal_closure(m, gens, budget).order == order
+    # l = 199: the full diagonal group has 198^2 = 39,204 elements.
+    m = PrimeModulus(199)
+    cartan = split_cartan(m).generators
+    with pytest.raises(ClosureBudgetError):
+        closure(cartan, m, budget=39_203)
+    assert closure(cartan, m, budget=39_204) == split_cartan(m)

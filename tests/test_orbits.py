@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gl2orbits import orbits
 from gl2orbits.gl2 import (
     Mat2,
+    MatrixGroup,
     borel,
     closure,
     conjugate,
@@ -68,7 +69,11 @@ def test_orbit_zero_vector_rejected():
 
 
 def test_orbit_matches_elementwise_action():
-    for G in (split_cartan(M5), borel(M5), nonsplit_cartan(M5), unipotent(M5)):
+    groups = (
+        split_cartan(M5), borel(M5), nonsplit_cartan(M5), unipotent(M5),
+        trivial_group(M5),
+    )
+    for G in groups:
         for v in (e1(M5), e2(M5), Vector2(1, 1, M5), Vector2(2, 3, M5)):
             got = orbit(G, v)
             expected = brute_orbit(G, v)
@@ -100,6 +105,22 @@ def test_orbit_matches_elementwise_action():
                 members = partition.orbits[partition.label[code]]
                 assert list(members) == sorted(members)
                 assert {(c % p, c // p) for c in members} == brute_orbit(G, v)
+
+
+@pytest.mark.parametrize("p", [31, 151])
+def test_trivial_group_partition_matches_elementwise_orbits(p):
+    # A group with no non-identity generator skips the walk; the identity
+    # as a generator takes the same path.
+    m = PrimeModulus(p)
+    for G in (trivial_group(m), closure([Mat2.identity(m)], m)):
+        partition = orbits._orbit_partition(G)
+        assert partition.label[0] == -1
+        assert len(partition.orbits) == p * p - 1
+        for code in range(1, p * p):
+            members = partition.orbits[partition.label[code]]
+            assert {(c % p, c // p) for c in members} == brute_orbit(
+                G, Vector2.decode(code, m)
+            )
 
 
 def test_image_list_matches_apply():
@@ -358,6 +379,29 @@ def test_orbit_size_map_cached_per_equal_group(monkeypatch):
     gc.collect()
     assert orbit_size_map(closure(gens, m)) == uncached(closure(gens, m)).sizes
     assert len(calls) == 2
+
+
+def test_repeated_partition_lookup_never_compares_codes():
+    # A cache hit on the group itself must not compare its codes with
+    # themselves element by element.
+    class CountingCodes(frozenset):
+        calls = 0
+
+        def __eq__(self, other):
+            CountingCodes.calls += 1
+            return frozenset.__eq__(self, other)
+
+        __hash__ = frozenset.__hash__
+
+    B = borel(PrimeModulus(67))
+    G = MatrixGroup(B.modulus, CountingCodes(B.codes), B.generators)
+    orbits._PARTITIONS.pop(G, None)
+    first = orbits.orbit_partition(G)
+    CountingCodes.calls = 0
+    for _ in range(3):
+        assert orbits.orbit_partition(G) is first
+        assert orbit_size_map(G) is first.sizes
+    assert CountingCodes.calls == 0
 
 
 def test_orbit_size_map_is_read_only():

@@ -12,6 +12,7 @@ from gl2orbits.semisimplify import (
     semisimplification,
     verify_witness,
 )
+from gl2orbits.sweep import enumerate_upper_triangular_subgroups
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -73,6 +74,17 @@ def test_semisimplification_rejects_non_triangular():
 @given(triangular_strategy())
 def test_semisimplification_matches_elementwise_projection(G):
     assert semisimplification(G).elements == brute_semisimplification(G)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_semisimplification_is_the_projection_on_the_whole_lattice(p):
+    # Every subgroup of the Borel: the Hermite-form build from the projected
+    # generators against the projection a*l^3 + d of every code.
+    m = PrimeModulus(p)
+    l3 = p**3
+    for G in enumerate_upper_triangular_subgroups(m):
+        projected = frozenset(code // l3 * l3 + code % p for code in G.codes)
+        assert semisimplification(G).codes == projected
 
 
 @settings(max_examples=40)

@@ -149,11 +149,12 @@ def test_borel_lattice_guard():
 
 def test_diagonal_lattice_matches_join_fixpoint():
     # Independent oracle: close the cyclic subgroups of the diagonal group
-    # under pairwise join.
+    # under pairwise join, breadth-first (closure() would take the same
+    # Hermite-form route as the enumeration).
     for p in (3, 5, 7, 13):
         m = PrimeModulus(p)
         cartan = split_cartan(m)
-        cyclics = {closure([g], m).elements for g in cartan.elements}
+        cyclics = {frozenset(_close([t], p)) for t in cartan.element_tuples()}
         subgroups = set(cyclics)
         worklist = list(subgroups)
         while worklist:
@@ -161,11 +162,13 @@ def test_diagonal_lattice_matches_join_fixpoint():
             for cyc in cyclics:
                 if cyc <= current:
                     continue
-                joined = closure(list(current | cyc), m).elements
+                joined = frozenset(_close(current | cyc, p))
                 if joined not in subgroups:
                     subgroups.add(joined)
                     worklist.append(joined)
-        enumerated = {G.elements for G in enumerate_diagonal_subgroups(m)}
+        enumerated = {
+            frozenset(G.element_tuples()) for G in enumerate_diagonal_subgroups(m)
+        }
         assert enumerated == subgroups
 
 
@@ -502,6 +505,31 @@ def test_sweeps_never_build_matrix_sets(monkeypatch):
     assert all(entry["total"] > 0 for entry in sampled.suites)
 
 
+def test_certificate_sweep_closes_no_diagonal_set_breadth_first(monkeypatch):
+    # The benchmark's certificates round: its samplers, validators and the
+    # triangular order bound close diagonal generator sets only from their
+    # exponent lattice.
+    calls = []
+    original = gl2._close
+
+    def recording_close(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(gl2, "_close", recording_close)
+    report = run(
+        SweepConfig(
+            primes=tuple(p for p in range(37, 68) if is_prime(p)),
+            sample_count=16,
+            suites=("case1", "case2"),
+            seed=864,
+            degrees=(1, 2, 3, 6, 12),
+        )
+    )
+    assert sum(entry["pass"] for entry in report.suites) == 32
+    assert calls == []
+
+
 def _lemma32_config(ell):
     return SweepConfig(primes=(ell,), mode="exhaustive", suites=("lemma32",))
 
@@ -594,9 +622,10 @@ def test_report_bytes_pinned():
     # Any change that moves a byte of a report must update these digests
     # on purpose. The second config reaches lemma33's coset refinement and
     # the nonsplit subgroup check above l = 13. The third is the benchmark's
-    # certificates round: both chains at l = 37..67. The last two are stages
+    # certificates round: both chains at l = 37..67. The next two are stages
     # 1 and 2 of scripts/full_verification.py: the exhaustive lemma31 and
-    # lemma32 lattices.
+    # lemma32 lattices. The last is the benchmark's large_primes round, whose
+    # sampled groups include closures of diagonal generator sets.
     pinned = [
         (
             SweepConfig(
@@ -650,6 +679,16 @@ def test_report_bytes_pinned():
             ),
             "7931cce00027296512265d2672f22140d5c0703dcb02775889778d6103e0e1cb",
             "89f4e3f070baa2cb632878ee183e80ba0cc9aed54902b732db68753fd2fde378",
+        ),
+        (
+            SweepConfig(
+                primes=(151, 199),
+                sample_count=2,
+                suites=("lemma31", "lemma33", "nonsplit"),
+                seed=2024,
+            ),
+            "1f49fe479209a5550cd288789b6a8d3c59a501536ceb12567f628ba4cbbcab6e",
+            "68de581db78b9d315ac4497f6d182d412aef274ac24834c929cb6a335860cb6c",
         ),
     ]
     for cfg, json_pin, csv_pin in pinned:
