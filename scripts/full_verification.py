@@ -6,11 +6,13 @@ sample 500 scenarios each over the odd primes up to 97; the inert and
 nonsplit suites cover every prime up to 199. Exits nonzero on any genuine
 verification failure.
 
-After each stage, its wall time and the peak resident set sizes so far go
-to stderr, for this process and for its finished worker processes; stdout
-carries only the per-suite lines and the total.
+After each stage, its wall time, the sha256 of its JSON report and the peak
+resident set sizes so far go to stderr, for this process and for its
+finished worker processes; stdout carries only the per-suite lines and the
+total. Equal digests mean byte-identical stage reports.
 """
 
+import hashlib
 import resource
 import sys
 import time
@@ -74,7 +76,8 @@ def main() -> int:
         report = run(cfg)
         print(
             f"stage {number}/{len(stages)} {','.join(cfg.suites)}: "
-            f"{time.monotonic() - stage_started:.2f}s, peak RSS "
+            f"{time.monotonic() - stage_started:.2f}s, report sha256 "
+            f"{hashlib.sha256(report.json_text().encode()).hexdigest()}, peak RSS "
             f"{_peak_rss_mb(resource.RUSAGE_SELF):.1f} MB, workers "
             f"{_peak_rss_mb(resource.RUSAGE_CHILDREN):.1f} MB",
             file=sys.stderr,

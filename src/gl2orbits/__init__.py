@@ -42,7 +42,6 @@ from .gl2 import (
 from .modarith import (
     FpUnit,
     PrimeModulus,
-    gcd_character_identity_holds,
     least_primitive_root,
     power_image_order,
 )

@@ -29,6 +29,7 @@ from typing import Mapping
 from .gl2 import (
     MatrixGroup,
     MatTuple,
+    UnipotentProduct,
     _encode_all,
     _mul_t,
     kth_power_subgroup,
@@ -42,7 +43,6 @@ from .orbits import (
     _first_violation,
     _orbit_partition,
     orbit_partition,
-    orbit_size_map,
     uniform_divisibility_transfer,
 )
 from .semisimplify import semisimplification
@@ -77,7 +77,7 @@ class DegreeParameter:
 class Case1Scenario:
     """Split-image scenario: triangular image G, diagonal comparison group Gp."""
 
-    G: MatrixGroup
+    G: MatrixGroup | UnipotentProduct
     Gp: MatrixGroup
     degree: DegreeParameter
 
@@ -86,7 +86,7 @@ class Case1Scenario:
 class Case2Scenario:
     """Scalar-sixth-power scenario: triangular image G alone."""
 
-    G: MatrixGroup
+    G: MatrixGroup | UnipotentProduct
     degree: DegreeParameter
 
 
@@ -124,21 +124,27 @@ class ValidationReport:
 class DivisibilityCertificate:
     """A validated scenario's verified divisibility conclusion.
 
-    orbit_sizes maps every nonzero vector encoding to its G-orbit size;
-    factors records the multiplicative chain; verdict is True only when
-    every recorded check passed, including the direct final check that
-    l - 1 divides final_constant * d * (orbit size) for all vectors.
+    partition is G's orbit partition, which the checks read; orbit_sizes
+    maps every nonzero vector encoding to its G-orbit size, derived from it
+    on first read. factors records the multiplicative chain; verdict is
+    True only when every recorded check passed, including the direct final
+    check that l - 1 divides final_constant * d * (orbit size) for all
+    vectors.
     """
 
     kind: str
     ell: int
     degree: int
-    orbit_sizes: Mapping[int, int]
+    partition: OrbitPartition
     factors: tuple[tuple[str, int], ...]
     checks: tuple[CheckRecord, ...]
     final_constant: int
     verdict: bool
     counterexample: dict | None
+
+    @property
+    def orbit_sizes(self) -> Mapping[int, int]:
+        return self.partition.sizes
 
 
 @lru_cache(maxsize=None)
@@ -354,7 +360,7 @@ def verify_case1_chain(s: Case1Scenario) -> DivisibilityCertificate:
         kind="case1",
         ell=ell,
         degree=deg,
-        orbit_sizes=orbit_size_map(s.G),
+        partition=g_partition,
         factors=(
             ("base_constant", 1),
             ("cartan_over_comparison", index_cartan),
@@ -439,8 +445,9 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
         checks.append(
             CheckRecord("transfer_up_to_image", False, "not evaluated: chain broken")
         )
+    g_partition = orbit_partition(s.G)
     final, counterexample = _divisibility_check(
-        "final_direct", orbit_partition(s.G), FINAL_CONSTANT * deg, n, m
+        "final_direct", g_partition, FINAL_CONSTANT * deg, n, m
     )
     checks.append(final)
 
@@ -448,7 +455,7 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
         kind="case2",
         ell=ell,
         degree=deg,
-        orbit_sizes=orbit_size_map(s.G),
+        partition=g_partition,
         factors=(
             ("scalar_bound", 36),
             ("sixth_power_order", r6),

@@ -15,6 +15,10 @@ with d1 and d2 dividing l - 1 and 0 <= c < d1; the group has order
 is closed breadth-first over plain integer 4-tuples, encoded once at the
 end.
 
+A diagonal group D times the unit shears is carried as a ``UnipotentProduct``
+descriptor, which answers order, generators and membership from D and
+builds its l * |D| codes only when they are read.
+
 The constructor checks every code for nonsingularity. An upper-triangular
 set is checked at C speed from its low halves code % l^2 = c*l + d: when
 they all lie in 1..l-1, c = 0 gives det = a*d, and the smallest code being
@@ -318,8 +322,12 @@ class MatrixGroup:
     def generator_tuples(self) -> list[MatTuple]:
         return [g.as_tuple() for g in self.generators]
 
-    def is_subgroup_of(self, other: MatrixGroup) -> bool:
-        return self.modulus == other.modulus and self.codes <= other.codes
+    def is_subgroup_of(self, other: MatrixGroup | UnipotentProduct) -> bool:
+        # The containing group answers, so a descriptor is never expanded.
+        return self.modulus == other.modulus and other.contains_codes(self.codes)
+
+    def contains_codes(self, codes: Iterable[int]) -> bool:
+        return self.codes.issuperset(codes)
 
     # The predicates below read the codes: b = c = 0 exactly when the code
     # is below l modulo l^3, and diag(a, a) is a * (l^3 + 1).
@@ -366,6 +374,73 @@ def _make_group(
             raise ValueError(f"generator entries {t} are not reduced mod {modulus.ell}")
         gens.append(g)
     return MatrixGroup(modulus, frozenset(codes), tuple(gens))
+
+
+@dataclass(frozen=True)
+class UnipotentProduct:
+    """The group D·U of a diagonal group D and the unit shears [[1, b], [0, 1]].
+
+    D·U is every [[a, b], [0, d]] with diag(a, d) in D, so it has order
+    l * |D|. Only D is held. Order, generators (D's, then the unit shear)
+    and membership are read off D, so orbit partitions, containment and the
+    certificate chains never build the l * |D| codes; ``elements`` and
+    ``materialize`` build them through ``_make_group``, with every
+    constructor check, on first read. Equality and hash come from D, and a
+    descriptor never equals a ``MatrixGroup``.
+    """
+
+    base: MatrixGroup
+    is_upper_triangular = True
+    is_diagonal = False
+
+    def __post_init__(self) -> None:
+        if not self.base.is_diagonal:
+            raise ValueError("only a diagonal group is adjoined to the unit shears")
+
+    @property
+    def modulus(self) -> PrimeModulus:
+        return self.base.modulus
+
+    @property
+    def order(self) -> int:
+        return self.modulus.ell * self.base.order
+
+    @cached_property
+    def generators(self) -> tuple[Mat2, ...]:
+        shear = Mat2(1, 1, 0, 1, self.modulus)
+        return tuple(dict.fromkeys((*self.base.generators, shear)))
+
+    def generator_tuples(self) -> list[MatTuple]:
+        return [g.as_tuple() for g in self.generators]
+
+    def contains_codes(self, codes: Iterable[int]) -> bool:
+        """Whether every code lies in D·U, by code arithmetic.
+
+        [[a, b], [c, d]] lies in D·U when c = 0 and diag(a, d) lies in D.
+        Every code of D has b = c = 0, so both hold exactly when the code
+        less its b part b*l^2 is a code of D.
+        """
+        ell = self.modulus.ell
+        l2 = ell * ell
+        base = self.base.codes
+        return all(code - code // l2 % ell * l2 in base for code in codes)
+
+    def materialize(self) -> MatrixGroup:
+        """D·U as a ``MatrixGroup``, built and checked on the first call."""
+        return self._group
+
+    @cached_property
+    def _group(self) -> MatrixGroup:
+        ell = self.modulus.ell
+        shifts = range(0, ell**3, ell * ell)  # b * l^2 for b < l
+        codes = frozenset().union(
+            *[map(add, self.base.codes, repeat(shift)) for shift in shifts]
+        )
+        return _make_group(self.modulus, codes, self.generator_tuples())
+
+    @property
+    def elements(self) -> frozenset[Mat2]:
+        return self.materialize().elements
 
 
 # ---------------------------------------------------------------------------

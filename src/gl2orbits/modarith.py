@@ -131,13 +131,3 @@ def power_image_order(n: int, k: int) -> int:
         raise ValueError("n and k must be positive")
     return n // math.gcd(k, n)
 
-
-def gcd_character_identity_holds(n_r: int, n_psi: int) -> bool:
-    """Whether two cyclic-image orders have 12th-power subgroups of equal order.
-
-    Stated as the cross identity gcd(12, n_psi) * n_r == gcd(12, n_r) * n_psi,
-    which is equivalent to power_image_order(n_r, 12) == power_image_order(n_psi, 12).
-    """
-    if n_r < 1 or n_psi < 1:
-        raise ValueError("orders must be positive")
-    return math.gcd(12, n_psi) * n_r == math.gcd(12, n_r) * n_psi

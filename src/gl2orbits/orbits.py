@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
 from weakref import WeakKeyDictionary
 
-from .gl2 import MatrixGroup, MatTuple
+from .gl2 import MatrixGroup, MatTuple, UnipotentProduct
 from .modarith import PrimeModulus
 
 
@@ -159,7 +159,7 @@ def _image_list(g: MatTuple, ell: int) -> list[int]:
     return image
 
 
-def _orbit_partition(G: MatrixGroup) -> OrbitPartition:
+def _orbit_partition(G: MatrixGroup | UnipotentProduct) -> OrbitPartition:
     """The uncached partition, from one labeling pass over the codes.
 
     A group with no non-identity generator needs no pass: every nonzero
@@ -199,12 +199,14 @@ def _orbit_partition(G: MatrixGroup) -> OrbitPartition:
     return OrbitPartition(tuple(orbits), tuple(label))
 
 
-# Orbit partitions by group. Equal groups share one entry, and an entry is
-# dropped when the group object it was stored under is freed.
-_PARTITIONS: WeakKeyDictionary[MatrixGroup, OrbitPartition] = WeakKeyDictionary()
+# Orbit partitions by group or D·U descriptor. Equal groups share one entry,
+# and an entry is dropped when the object it was stored under is freed.
+_PARTITIONS: WeakKeyDictionary[
+    MatrixGroup | UnipotentProduct, OrbitPartition
+] = WeakKeyDictionary()
 
 
-def orbit_partition(G: MatrixGroup) -> OrbitPartition:
+def orbit_partition(G: MatrixGroup | UnipotentProduct) -> OrbitPartition:
     """G's orbit partition, computed once per group and cached."""
     partition = _PARTITIONS.get(G)
     if partition is None:
@@ -386,7 +388,7 @@ def _first_violation(
 def uniform_divisibility_transfer(
     M: int,
     c: int,
-    G: MatrixGroup,
+    G: MatrixGroup | UnipotentProduct,
     H: MatrixGroup,
     direction: TransferDirection,
 ) -> TransferVerdict:

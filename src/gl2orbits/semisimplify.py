@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .gl2 import Mat2, MatrixGroup, _diagonal_closure, _mul_t
+from .gl2 import Mat2, MatrixGroup, UnipotentProduct, _diagonal_closure, _mul_t
 from .modarith import FpUnit
 
 
@@ -74,12 +74,12 @@ class SemisimplificationResult:
     cases_matched: tuple[str, ...]
 
 
-def _require_upper_triangular(G: MatrixGroup) -> None:
+def _require_upper_triangular(G: MatrixGroup | UnipotentProduct) -> None:
     if not G.is_upper_triangular:
         raise ValueError("group is not upper triangular")
 
 
-def semisimplification(G: MatrixGroup) -> MatrixGroup:
+def semisimplification(G: MatrixGroup | UnipotentProduct) -> MatrixGroup:
     """Diagonal-parts group {diag(a, d) : [[a, b], [0, d]] in G}.
 
     Computed as the group the projected generators generate, built from

@@ -21,9 +21,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
 from math import gcd
-from operator import add
 from random import Random
 from typing import Callable, Iterable, Iterator
 
@@ -45,9 +43,9 @@ from .gl2 import (
     Mat2,
     MatrixGroup,
     MatTuple,
+    UnipotentProduct,
     _diagonal_group_from_hnf,
     _diagonal_hnf,
-    _make_group,
     closure,
     conjugate,
     decode_tuple,
@@ -231,7 +229,7 @@ def _allocate(total: int, primes: tuple[int, ...]) -> dict[int, int]:
     return {p: base + (1 if i < extra else 0) for i, p in enumerate(primes)}
 
 
-def _serialize_group(G: MatrixGroup) -> dict:
+def _serialize_group(G: MatrixGroup | UnipotentProduct) -> dict:
     return {
         "ell": G.modulus.ell,
         "generators": sorted(list(g.as_tuple()) for g in G.generators),
@@ -274,7 +272,7 @@ def enumerate_upper_triangular_subgroups(m: PrimeModulus) -> Iterator[MatrixGrou
         raise ValueError(f"exhaustive Borel lattice enumeration capped at l <= {cap}")
     groups = []
     for D in enumerate_diagonal_subgroups(m):
-        groups.append(_adjoin_unipotent(D))
+        groups.append(UnipotentProduct(D).materialize())
         shears = [0] if D.is_scalar else range(ell)
         groups.extend(conjugate(D, Mat2(1, t, 0, 1, m)) for t in shears)
     # Ascending codes are ascending element tuples.
@@ -352,19 +350,6 @@ def _sample_diagonal_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
     return _diagonal_group_from_hnf(m, d1, d2, c)
 
 
-def _adjoin_unipotent(Gss: MatrixGroup) -> MatrixGroup:
-    """The product D·U of a diagonal group D with all unit shears, built directly."""
-    if not Gss.is_diagonal:
-        raise ValueError("only a diagonal group is adjoined to the unit shears")
-    ell = Gss.modulus.ell
-    shifts = range(0, ell**3, ell * ell)  # b * l^2 for b < l
-    elems = frozenset().union(
-        *[map(add, Gss.codes, repeat(shift)) for shift in shifts]
-    )
-    gens = [g.as_tuple() for g in Gss.generators] + [(1, 1, 0, 1)]
-    return _make_group(Gss.modulus, elems, dict.fromkeys(gens))
-
-
 def _sample_case1(rng: Random, m: PrimeModulus, deg: int) -> Case1Scenario | None:
     """A valid split-image scenario, constructed rather than rejection-sampled."""
     ell = m.ell
@@ -392,7 +377,7 @@ def _sample_case1(rng: Random, m: PrimeModulus, deg: int) -> Case1Scenario | Non
         if (u, v) != (0, 0):
             gens.append(Mat2(pow(g, u, ell), 0, 0, pow(g, v, ell), m))
     gss = closure(gens, m)
-    G = _adjoin_unipotent(gss) if rng.random() < 2 / 3 else gss
+    G = UnipotentProduct(gss) if rng.random() < 2 / 3 else gss
     return Case1Scenario(G, comparison, DegreeParameter(deg))
 
 
@@ -427,7 +412,7 @@ def _sample_case2(
         if not compatible:
             continue
         deg = rng.choice(compatible)
-        G = _adjoin_unipotent(gss) if rng.random() < 2 / 3 else gss
+        G = UnipotentProduct(gss) if rng.random() < 2 / 3 else gss
         return Case2Scenario(G, DegreeParameter(deg))
     return None
 
@@ -448,7 +433,11 @@ def _build_scenario(
 def sample_scenarios(
     cfg: SweepConfig, kind: str
 ) -> Iterator[Case1Scenario | Case2Scenario]:
-    """Seeded, reproducible stream of valid scenarios across cfg.primes."""
+    """Seeded, reproducible stream of valid scenarios across cfg.primes.
+
+    A scenario's G is either its diagonal-parts group or, two times in
+    three, that group times the unit shears as a ``UnipotentProduct``.
+    """
     allocation = _allocate(cfg.sample_count, cfg.primes)
     for ell in cfg.primes:
         for i in range(allocation[ell]):

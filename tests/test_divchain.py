@@ -22,6 +22,7 @@ from gl2orbits.divchain import (
 )
 from gl2orbits.gl2 import (
     Mat2,
+    UnipotentProduct,
     _mul_t,
     borel,
     closure,
@@ -412,14 +413,17 @@ def test_certificate_checks_cover_intermediate_step():
 
 
 def test_replay_detects_tampered_orbit_sizes():
+    # The sizes are derived from the stored partition, so it is tampered.
     s = Case1Scenario(split_cartan(M5), split_cartan(M5), DegreeParameter(1))
     cert = verify_case1_chain(s)
-    tampered = dict(cert.orbit_sizes)
-    tampered[next(iter(tampered))] += 1
+    first, *rest = cert.partition.orbits
+    tampered = _partition_of(((first[0],), first[1:], *rest), 5)
     from dataclasses import replace
 
-    bad = replace(cert, orbit_sizes=tampered)
+    bad = replace(cert, partition=tampered)
+    assert bad.orbit_sizes[first[0]] == 1 != cert.orbit_sizes[first[0]]
     assert not replay_certificate(bad, s)
+    assert replay_certificate(cert, s)
 
 
 def test_replay_ignores_a_corrupted_orbit_cache():
@@ -463,3 +467,56 @@ def test_sampled_scenarios_produce_passing_certificates(p, seed):
     cert2 = verify_case2_chain(s2)
     assert cert2.verdict
     assert semisimplification(s2.G).is_subgroup_of(s2.G)
+
+
+def _certificate_scenarios():
+    """The scenarios of the benchmark's certificates round (l = 37..67)."""
+    from gl2orbits.sweep import SweepConfig, sample_scenarios
+
+    cfg = SweepConfig(
+        primes=tuple(p for p in range(37, 68) if is_prime(p)),
+        sample_count=16,
+        suites=("case1", "case2"),
+        seed=864,
+        degrees=(1, 2, 3, 6, 12),
+    )
+    return list(sample_scenarios(cfg, "case1")) + list(sample_scenarios(cfg, "case2"))
+
+
+def test_chains_leave_descriptors_unmaterialized():
+    scenarios = _certificate_scenarios()
+    descriptors = [s.G for s in scenarios if isinstance(s.G, UnipotentProduct)]
+    assert len(descriptors) > len(scenarios) // 2
+    for s in scenarios:
+        chain = verify_case1_chain if isinstance(s, Case1Scenario) else verify_case2_chain
+        cert = chain(s)
+        assert cert.verdict
+        if isinstance(s.G, UnipotentProduct):
+            assert "_group" not in vars(s.G)
+            # The certificate holds the partition; the size map is not built.
+            assert "sizes" not in vars(cert.partition)
+    assert all("_group" not in vars(G) for G in descriptors)
+    # The descriptor's partition is the materialized group's.
+    G = descriptors[0]
+    assert orbit_partition(G).orbits == orbits._orbit_partition(G.materialize()).orbits
+
+
+def test_containment_checks_fail_against_a_descriptor(monkeypatch):
+    m = PrimeModulus(13)
+    D = kth_power_subgroup(split_cartan(m), 6)
+    G = UnipotentProduct(D)
+    outside = split_cartan(m)
+    assert not outside.is_subgroup_of(G)
+    with pytest.raises(ValueError, match="not a subgroup"):
+        orbits.uniform_divisibility_transfer(12, 1, G, outside, "up")
+    with pytest.raises(ValueError, match="not a subgroup"):
+        orbits.uniform_divisibility_transfer(12, 1, G, nonsplit_cartan(m), "down")
+    s1 = Case1Scenario(G, split_cartan(m), DegreeParameter(6))
+    s2 = Case2Scenario(G, DegreeParameter(12))
+    assert checks_by_name(validate_case1(s1))["semisimplification_contained"]
+    assert checks_by_name(validate_case2(s2))["semisimplification_contained"]
+    # A diagonal-parts group that escapes D·U fails the check.
+    monkeypatch.setattr(divchain, "semisimplification", lambda group: outside)
+    assert not checks_by_name(validate_case1(s1))["semisimplification_contained"]
+    assert not checks_by_name(validate_case2(s2))["semisimplification_contained"]
+    assert "_group" not in vars(G)

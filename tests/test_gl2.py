@@ -9,6 +9,7 @@ from gl2orbits.gl2 import (
     ClosureBudgetError,
     Mat2,
     MatrixGroup,
+    UnipotentProduct,
     _close,
     _diagonal_closure,
     _encode_all,
@@ -27,7 +28,8 @@ from gl2orbits.modarith import PrimeModulus, is_prime
 from gl2orbits.semisimplify import semisimplification
 from gl2orbits.sweep import (
     SweepConfig,
-    _adjoin_unipotent,
+    _serialize_group,
+    enumerate_diagonal_subgroups,
     enumerate_upper_triangular_subgroups,
     sample_scenarios,
 )
@@ -330,10 +332,75 @@ def test_borel_constructions_agree():
     for p in (2, 3, 5, 7, 13):
         m = PrimeModulus(p)
         B = borel(m)
-        from_cartan = _adjoin_unipotent(split_cartan(m))
+        from_cartan = UnipotentProduct(split_cartan(m)).materialize()
         closed = closure(B.generators, m)
         assert B == from_cartan == closed
         assert hash(B) == hash(from_cartan) == hash(closed)
+        assert from_cartan.codes == _breadth_first_codes(from_cartan.generators, p)
+
+
+def _adjoined_by_union(D):
+    """D·U as the union of l shifted copies of D's codes, built eagerly."""
+    ell = D.modulus.ell
+    codes = frozenset().union(
+        *[{code + b * ell * ell for code in D.codes} for b in range(ell)]
+    )
+    gens = [g.as_tuple() for g in D.generators] + [(1, 1, 0, 1)]
+    return _make_group(D.modulus, codes, dict.fromkeys(gens))
+
+
+def test_unipotent_product_membership_is_code_arithmetic():
+    # Every diagonal D at l <= 7, against every code below l^4.
+    for p in (2, 3, 5, 7):
+        m = PrimeModulus(p)
+        for D in enumerate_diagonal_subgroups(m):
+            G = UnipotentProduct(D)
+            assert "_group" not in vars(G)
+            members = {code for code in range(p**4) if G.contains_codes([code])}
+            assert members == G.materialize().codes
+            assert G.contains_codes(G.materialize().codes)
+            assert not G.contains_codes([*D.codes, p**3 + p + 1])
+
+
+def test_unipotent_product_matches_breadth_first_and_the_union():
+    for p in (2, 3, 5, 7, 13):
+        m = PrimeModulus(p)
+        for D in enumerate_diagonal_subgroups(m):
+            G = UnipotentProduct(D)
+            old = _adjoined_by_union(D)
+            # Answered from D alone, before any code set is built.
+            assert G.order == old.order
+            assert G.generators == old.generators
+            assert G.generator_tuples() == old.generator_tuples()
+            assert _serialize_group(G) == _serialize_group(old)
+            assert G.is_upper_triangular and not G.is_diagonal
+            assert "_group" not in vars(G)
+            built = G.materialize()
+            assert built is G.materialize()
+            assert built == old and built.codes == _breadth_first_codes(G.generators, p)
+            assert built.is_upper_triangular and not built.is_diagonal
+            assert G.elements == old.elements
+
+
+def test_unipotent_product_identity_and_rejections():
+    m = PrimeModulus(7)
+    D = closure([Mat2(3, 0, 0, 5, m)], m)
+    G = UnipotentProduct(D)
+    # Equality and hash come from D; a descriptor never equals a group.
+    assert G == UnipotentProduct(closure(D.generators, m))
+    assert hash(G) == hash(UnipotentProduct(closure(D.generators, m)))
+    assert G != UnipotentProduct(split_cartan(m)) and G != D
+    with pytest.raises(ValueError, match="diagonal"):
+        UnipotentProduct(borel(m))
+    with pytest.raises(ValueError, match="diagonal"):
+        UnipotentProduct(unipotent(m))
+    # Containment asks the containing group.
+    assert D.is_subgroup_of(G) and unipotent(m).is_subgroup_of(G)
+    assert not split_cartan(m).is_subgroup_of(G)
+    assert not nonsplit_cartan(m).is_subgroup_of(G)
+    assert not D.is_subgroup_of(UnipotentProduct(split_cartan(PrimeModulus(5))))
+    assert "_group" not in vars(G)
+    assert G != G.materialize() and G.materialize() != G
 
 
 def test_codes_are_the_encodings_of_elements():
@@ -369,11 +436,11 @@ def test_recorded_triangularity_on_certificate_scenarios():
     for kind in ("case1", "case2"):
         groups += [s.G for s in sample_scenarios(cfg, kind)]
     groups += [semisimplification(G) for G in groups]
-    # Some scenario is D·U, built by _adjoin_unipotent.
-    assert any(G.order % 37 == 0 for G in groups)
+    # Some scenario is D·U, carried as a descriptor.
+    assert any(isinstance(G, UnipotentProduct) for G in groups)
     for G in groups:
         assert G.is_upper_triangular
-        assert all(g.is_upper_triangular for g in G)
+        assert all(g.is_upper_triangular for g in G.elements)
 
 
 def _breadth_first_codes(gens, ell, budget=None):

@@ -1,12 +1,9 @@
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from gl2orbits.modarith import (
     FpUnit,
     PrimeModulus,
     divisors,
-    gcd_character_identity_holds,
     is_prime,
     least_primitive_root,
     multiplicative_order,
@@ -89,23 +86,6 @@ def test_power_image_order_by_enumeration():
         for k in range(2, 25):
             image = {(x * k) % n for x in range(n)}
             assert power_image_order(n, k) == len(image)
-
-
-def test_gcd_character_identity_examples():
-    assert gcd_character_identity_holds(24, 8)
-    assert gcd_character_identity_holds(6, 6)
-    assert not gcd_character_identity_holds(5, 7)
-
-
-@given(st.integers(1, 300), st.integers(1, 300))
-def test_gcd_character_identity_iff_equal_twelfth_power_orders(n, m):
-    lhs = gcd_character_identity_holds(n, m)
-    rhs = power_image_order(n, 12) == power_image_order(m, 12)
-    assert lhs == rhs
-    # Independent enumeration of the 12th-power subgroups.
-    size_n = len({(x * 12) % n for x in range(n)})
-    size_m = len({(x * 12) % m for x in range(m)})
-    assert rhs == (size_n == size_m)
 
 
 def test_divisors_and_prime_factors():

@@ -182,8 +182,8 @@ def test_diagonal_lattice_counts():
 def test_sample_scenarios_deterministic():
     cfg = SweepConfig(primes=(5, 13), sample_count=12, degrees=(1, 6), seed=99)
     for kind in ("case1", "case2"):
-        first = [s.G.sorted_elements() for s in sample_scenarios(cfg, kind)]
-        second = [s.G.sorted_elements() for s in sample_scenarios(cfg, kind)]
+        first = [s.G.elements for s in sample_scenarios(cfg, kind)]
+        second = [s.G.elements for s in sample_scenarios(cfg, kind)]
         assert first == second
         assert first
 
@@ -624,8 +624,9 @@ def test_report_bytes_pinned():
     # the nonsplit subgroup check above l = 13. The third is the benchmark's
     # certificates round: both chains at l = 37..67. The next two are stages
     # 1 and 2 of scripts/full_verification.py: the exhaustive lemma31 and
-    # lemma32 lattices. The last is the benchmark's large_primes round, whose
-    # sampled groups include closures of diagonal generator sets.
+    # lemma32 lattices. The next is the benchmark's large_primes round, whose
+    # sampled groups include closures of diagonal generator sets. The last is
+    # a reduced stage 4 (case1/case2) above the benchmark's l <= 67.
     pinned = [
         (
             SweepConfig(
@@ -690,8 +691,50 @@ def test_report_bytes_pinned():
             "1f49fe479209a5550cd288789b6a8d3c59a501536ceb12567f628ba4cbbcab6e",
             "68de581db78b9d315ac4497f6d182d412aef274ac24834c929cb6a335860cb6c",
         ),
+        (
+            SweepConfig(
+                primes=tuple(p for p in range(71, 98) if is_prime(p)),
+                sample_count=12,
+                suites=("case1", "case2"),
+                seed=864,
+                degrees=(1, 2, 3, 6, 12),
+            ),
+            "7bf6faa5250e7e9bc41abf67aa2f5a7072d4652c0efa20b3e7cca2de2230ad9d",
+            "af7f047ff9f5f19b8264cd59ba8bb76d4791bb46135746a71ece5a5882ea74f2",
+        ),
     ]
     for cfg, json_pin, csv_pin in pinned:
         report = run(cfg)
         assert hashlib.sha256(report.json_text().encode()).hexdigest() == json_pin
         assert hashlib.sha256(report.csv_text().encode()).hexdigest() == csv_pin
+
+
+def test_certificate_round_builds_no_unipotent_product(monkeypatch):
+    # The benchmark's certificates round. Every D·U has order divisible by
+    # l; no other group of the certificate path does, so no group built
+    # may have such an order.
+    built = []
+    make_group = gl2._make_group
+
+    def recording(modulus, codes, generator_tuples):
+        group = make_group(modulus, codes, generator_tuples)
+        built.append((modulus.ell, group.order))
+        return group
+
+    monkeypatch.setattr(gl2, "_make_group", recording)
+    cfg = SweepConfig(
+        primes=tuple(p for p in range(37, 68) if is_prime(p)),
+        sample_count=16,
+        suites=("case1", "case2"),
+        seed=864,
+        degrees=(1, 2, 3, 6, 12),
+    )
+    report = run(cfg)
+    assert report.total_failures == 0
+    assert all(e["pass"] == e["total"] for e in report.suites)
+    assert built and not [(ell, order) for ell, order in built if order % ell == 0]
+    # The same recorder sees a descriptor materialize.
+    scenarios = sample_scenarios(cfg, "case1")
+    G = next(s.G for s in scenarios if isinstance(s.G, gl2.UnipotentProduct))
+    G.materialize()
+    assert built[-1] == (G.modulus.ell, G.order)
