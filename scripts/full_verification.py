@@ -10,8 +10,13 @@ After each stage, its wall time, the sha256 of its JSON report and the peak
 resident set sizes so far go to stderr, for this process and for its
 finished worker processes; stdout carries only the per-suite lines and the
 total. Equal digests mean byte-identical stage reports.
+
+With --check-digests, each stage's JSON report digest is also compared
+with the one recorded for it in ``RECORDED_DIGESTS``; a stage that differs
+is named on stderr and the run exits 1.
 """
 
+import argparse
 import hashlib
 import resource
 import sys
@@ -19,6 +24,15 @@ import time
 
 from gl2orbits.modarith import is_prime
 from gl2orbits.sweep import SweepConfig, run
+
+# sha256 of each stage's JSON report, in stage order.
+RECORDED_DIGESTS = (
+    "be72657a48dd4c311f0dcf099417414c70fea27d0d05d77a6fdeb2c59362f4bf",
+    "7931cce00027296512265d2672f22140d5c0703dcb02775889778d6103e0e1cb",
+    "8ab04258e586deb6f099a075e128764f745d883fbc46a45e34923934cb65144f",
+    "c954417ac915ca6717bce36b2f8c473b10f397bf9be874c9b293b56d007914e6",
+    "0c80af1870544088617eb33bb253a3b59e5cab89dee5a2d9f1c13a6d51c4d99f",
+)
 
 
 def _peak_rss_mb(who: int) -> float:
@@ -28,6 +42,13 @@ def _peak_rss_mb(who: int) -> float:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check-digests",
+        action="store_true",
+        help="exit 1 when a stage's report digest differs from the recorded one",
+    )
+    args = parser.parse_args()
     started = time.monotonic()
     stages = [
         SweepConfig(
@@ -71,13 +92,16 @@ def main() -> int:
         ),
     ]
     failures = 0
+    mismatched = False
     for number, cfg in enumerate(stages, 1):
         stage_started = time.monotonic()
         report = run(cfg)
+        name = f"stage {number}/{len(stages)} {','.join(cfg.suites)}"
+        digest = hashlib.sha256(report.json_text().encode()).hexdigest()
         print(
-            f"stage {number}/{len(stages)} {','.join(cfg.suites)}: "
+            f"{name}: "
             f"{time.monotonic() - stage_started:.2f}s, report sha256 "
-            f"{hashlib.sha256(report.json_text().encode()).hexdigest()}, peak RSS "
+            f"{digest}, peak RSS "
             f"{_peak_rss_mb(resource.RUSAGE_SELF):.1f} MB, workers "
             f"{_peak_rss_mb(resource.RUSAGE_CHILDREN):.1f} MB",
             file=sys.stderr,
@@ -92,8 +116,16 @@ def main() -> int:
                 f"invalid={entry['invalid']}"
             )
         failures += report.total_failures
+        if args.check_digests and digest != RECORDED_DIGESTS[number - 1]:
+            mismatched = True
+            print(
+                f"{name}: report sha256 differs from the recorded "
+                f"{RECORDED_DIGESTS[number - 1]}",
+                file=sys.stderr,
+                flush=True,
+            )
     print(f"total failures: {failures}  elapsed: {time.monotonic() - started:.0f}s")
-    return 1 if failures else 0
+    return 1 if failures or mismatched else 0
 
 
 if __name__ == "__main__":

@@ -23,15 +23,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import repeat
 from math import gcd
+from operator import add, mul
 from typing import Mapping
 
 from .gl2 import (
     MatrixGroup,
     MatTuple,
     UnipotentProduct,
-    _encode_all,
-    _mul_t,
+    _row_table,
     kth_power_subgroup,
     nonsplit_cartan,
     split_cartan,
@@ -524,12 +525,32 @@ def inert_bound_check(
     return conclusion
 
 
-def _power_codes(g: MatTuple, n: int, ell: int) -> list[int]:
-    """Codes of g^0, g^1, ..., g^(n-1): n - 1 products, encoded once."""
-    powers = [(1, 0, 0, 1)]
+def _walk(table: list[int], start: int, n: int) -> list[int]:
+    """start, table[start], table[table[start]], ...: n entries."""
+    walk = [start]
     for _ in range(n - 1):
-        powers.append(_mul_t(powers[-1], g, ell))
-    return _encode_all(powers, ell)
+        start = table[start]
+        walk.append(start)
+    return walk
+
+
+def _power_codes(g: MatTuple, n: int, ell: int) -> list[int]:
+    """Codes of g^0, g^1, ..., g^(n-1), walked on the row table of g.
+
+    Row i of g^(k+1) is row i of g^k times g, so the first rows follow g's
+    row table T from the identity's first row (1, 0), code l, and the
+    second rows follow it from (0, 1), code 1. When the first walk passes
+    1 at step j and T^n fixes l, the second rows are the first rows j steps
+    on, cyclically, and need no walk of their own.
+    """
+    table = _row_table(g, ell)
+    high = _walk(table, ell, n)
+    if 1 in high and table[high[-1]] == ell:
+        j = high.index(1)
+        low = high[j:] + high[:j]
+    else:
+        low = _walk(table, 1, n)
+    return list(map(add, map(mul, high, repeat(ell * ell)), low))
 
 
 def nonsplit_orbit_check(ell: PrimeModulus) -> bool:

@@ -12,8 +12,12 @@ group generated by such matrices is a lattice L with (l-1)Z^2 <= L <= Z^2.
 L has one Hermite form [[d1, c], [0, d2]], columns (d1, 0) and (c, d2),
 with d1 and d2 dividing l - 1 and 0 <= c < d1; the group has order
 (l-1)^2 / (d1 * d2) and is built from the form. Every other generator set
-is closed breadth-first over plain integer 4-tuples, encoded once at the
-end.
+is closed breadth-first over element codes. Right multiplication by a
+generator h acts on each row of a matrix on its own, so one table T_h of
+the l^2 row codes gives code(X * h) = T_h[code // l^2] * l^2 +
+T_h[code % l^2]. T_h is the image list of [[d, b], [c, a]] for
+h = [[a, b], [c, d]], built by ``_image_list``, the same builder the orbit
+kernel walks; powers of one matrix are walked on the same table.
 
 A diagonal group D times the unit shears is carried as a ``UnipotentProduct``
 descriptor, which answers order, generators and membership from D and
@@ -28,7 +32,6 @@ test records ``is_upper_triangular`` at construction.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import repeat
@@ -177,30 +180,85 @@ def _pow_t(x: MatTuple, k: int, ell: int) -> MatTuple:
     return result
 
 
+def _image_list(g: MatTuple, ell: int) -> list[int]:
+    """The code of g * v at index code(v), for every column vector v = (x, y).
+
+    A vector's code is y*l + x. This is the one table builder: orbits walk
+    these lists, and ``_row_table`` reads one as right multiplication on rows.
+
+    Built one row y at a time. With the doubled table A[x] = a*x mod l,
+    x' = a*x + b*y = A[x + s] for the offset s = b*y/a, so the row's x'
+    values are the slice A[s : s + l]; likewise l*y' = l*(c*x + d*y) is a
+    slice of the doubled table l*(c*x mod l) at offset d*y/c. A zero a or
+    c makes that part constant along the row; g is invertible, so a and c
+    are not both zero.
+    """
+    a, b, c, d = g
+    xs = range(2 * ell)
+    a_table = [a * x % ell for x in xs]
+    c_table = [c * x % ell * ell for x in xs]
+    a_inv = pow(a, -1, ell) if a else 0
+    c_inv = pow(c, -1, ell) if c else 0
+    image: list[int] = []
+    for y in range(ell):
+        if a:
+            s = b * y * a_inv % ell
+            low = a_table[s : s + ell]
+        else:
+            low = repeat(b * y % ell)
+        if c:
+            t = d * y * c_inv % ell
+            high = c_table[t : t + ell]
+        else:
+            high = repeat(d * y % ell * ell)
+        image += map(add, low, high)
+    return image
+
+
+def _row_table(h: MatTuple, ell: int) -> list[int]:
+    """Right multiplication by h on the row codes x*l + y of a matrix's rows.
+
+    The row (x, y) times h = [[a, b], [c, d]] is (a*x + c*y, b*x + d*y).
+    Read as the column vector (y, x), whose code is x*l + y, that is the
+    column vector [[d, b], [c, a]] * (y, x). So the table is that matrix's
+    image list, and a matrix code splits into its two row codes as
+    code = (code // l^2) * l^2 + code % l^2, giving
+    code(X * h) = T[code // l^2] * l^2 + T[code % l^2].
+    """
+    a, b, c, d = h
+    return _image_list((d, b, c, a), ell)
+
+
 def _close(
     gen_tuples: Iterable[MatTuple],
     ell: int,
     budget: int = CLOSURE_BUDGET,
-) -> set[MatTuple]:
-    """Breadth-first closure under right multiplication by the generators.
+) -> set[int]:
+    """Codes of the group the generators generate, breadth-first on codes.
 
-    Generators alone suffice because the ambient group is finite, so
-    inverses are positive powers.
+    Each step multiplies on the right by a generator through its row table
+    (``_row_table``), so no matrix is built. Generators alone suffice
+    because the ambient group is finite, so inverses are positive powers.
+    Raises ClosureBudgetError as soon as more than ``budget`` elements have
+    been seen.
     """
-    gens = list(dict.fromkeys(gen_tuples))
-    seen: set[MatTuple] = {(1, 0, 0, 1)}
-    queue = deque(seen)
-    while queue:
-        x = queue.popleft()
-        for g in gens:
-            y = _mul_t(x, g, ell)
-            if y not in seen:
-                seen.add(y)
+    l2 = ell * ell
+    tables = [_row_table(g, ell) for g in dict.fromkeys(gen_tuples)]
+    identity = l2 * ell + 1
+    seen = {identity}
+    # The list grows while it is read, as a breadth-first queue.
+    queue = [identity]
+    for code in queue:
+        high, low = divmod(code, l2)
+        for table in tables:
+            nxt = table[high] * l2 + table[low]
+            if nxt not in seen:
+                seen.add(nxt)
                 if len(seen) > budget:
                     raise ClosureBudgetError(
                         f"closure exceeded element budget {budget}"
                     )
-                queue.append(y)
+                queue.append(nxt)
     return seen
 
 
@@ -567,8 +625,7 @@ def closure(
     tuples = [g.as_tuple() for g in gens]
     if all(g.is_diagonal for g in gens):
         return _diagonal_closure(modulus, tuples, budget)
-    closed = _close(tuples, modulus.ell, budget=budget)
-    return _make_group(modulus, _encode_all(closed, modulus.ell), tuples)
+    return _make_group(modulus, _close(tuples, modulus.ell, budget), tuples)
 
 
 def trivial_group(m: PrimeModulus) -> MatrixGroup:
@@ -628,32 +685,32 @@ def nonsplit_cartan(m: PrimeModulus) -> MatrixGroup:
     """Matrices [[a, b*eps], [b, a]] with eps the least primitive root mod l.
 
     This is the unit group of the quadratic extension of Z/lZ in matrix
-    form: it is cyclic of order l^2 - 1 and the returned group's single
-    generator generates it. Rejects l = 2.
+    form: it is cyclic of order l^2 - 1, and the returned group's single
+    generator, the least code of that order, generates it. Rejects l = 2.
     """
     m.require_odd("nonsplit_cartan")
     ell = m.ell
+    l2 = ell * ell
     eps = least_primitive_root(m).value
-    elems = _encode_all(
-        (
-            (a, (b * eps) % ell, b, a)
-            for a in range(ell)
-            for b in range(ell)
-            if (a, b) != (0, 0)
-        ),
-        ell,
-    )
-    n = ell * ell - 1
+    # The code of [[a, b*eps], [b, a]] is a*(l^3 + 1) + (b*eps mod l)*l^2 + b*l.
+    # Taking b = s/eps for s = 0 .. l-1 lists each a's codes in ascending order.
+    eps_inv = pow(eps, -1, ell)
+    off_diagonal = [s * l2 + s * eps_inv % ell * ell for s in range(ell)]
+    codes: list[int] = []
+    for a in range(ell):
+        codes += map(add, off_diagonal, repeat(a * (l2 * ell + 1)))
+    del codes[0]  # a = b = 0
+    n = l2 - 1
     factors = prime_factors(n)
     gen: MatTuple | None = None
-    for code in sorted(elems):
+    for code in codes:
         t = decode_tuple(code, ell)
         if all(_pow_t(t, n // q, ell) != (1, 0, 0, 1) for q in factors):
             gen = t
             break
     if gen is None:
         raise RuntimeError(f"nonsplit Cartan mod {ell} has no cyclic generator")
-    return _make_group(m, elems, [gen])
+    return _make_group(m, codes, [gen])
 
 
 def kth_power_subgroup(G: MatrixGroup, k: int) -> MatrixGroup:

@@ -4,13 +4,15 @@ The action is left multiplication on column vectors; a vector (x, y) is
 encoded as y*l + x, and the punctured plane V* has the l^2 - 1 codes
 1 .. l^2 - 1. A group's orbits come from one labeling pass over the codes,
 using only its generators, which suffices in a finite group: each
-generator's action is built once as an image list indexed by code, row by
-row from two doubled l-entry tables (one row of l codes per y), and each
-orbit is walked breadth-first over those lists. The resulting
-``OrbitPartition`` holds only the orbits and the label of every code, and
-is cached once per group; ``orbit``, ``orbit_decomposition``,
-``coset_orbit_refinement``, ``predict_diagonal_orbits`` and the
-divisibility checks read orbit lengths from it. The per-code size map that
+generator's action is built once as an image list indexed by code
+(``gl2._image_list``, the one table builder, which also gives the row
+tables that close groups on codes), and each orbit is walked breadth-first
+over those lists. The resulting ``OrbitPartition`` holds only the orbits
+and the label of every code, and is cached once per group; ``orbit``,
+``orbit_decomposition``, ``coset_orbit_refinement``,
+``predict_diagonal_orbits`` and the divisibility checks read orbit lengths
+from it, and ``refinement_violation`` checks that one partition refines
+another in one pass over the codes. The per-code size map that
 ``orbit_size_map`` returns is derived from the orbits on first read.
 """
 
@@ -18,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, compress, repeat
 from math import gcd
-from operator import add
+from operator import ne
 from types import MappingProxyType
 from typing import Iterable, Literal, Mapping
 from weakref import WeakKeyDictionary
 
-from .gl2 import MatrixGroup, MatTuple, UnipotentProduct
+from .gl2 import MatrixGroup, UnipotentProduct, _image_list
 from .modarith import PrimeModulus
 
 
@@ -126,37 +128,6 @@ class OrbitPartition:
         for members in self.orbits:
             sizes.update(dict.fromkeys(members, len(members)))
         return MappingProxyType(sizes)
-
-
-def _image_list(g: MatTuple, ell: int) -> list[int]:
-    """The code of g * v at index code(v), for every vector v.
-
-    Built one row y at a time. With the doubled table A[x] = a*x mod l,
-    x' = a*x + b*y = A[x + s] for the offset s = b*y/a, so the row's x'
-    values are the slice A[s : s + l]; likewise l*y' = l*(c*x + d*y) is a
-    slice of the doubled table l*(c*x mod l) at offset d*y/c. A zero a or
-    c makes that part constant along the row.
-    """
-    a, b, c, d = g
-    xs = range(2 * ell)
-    a_table = [a * x % ell for x in xs]
-    c_table = [c * x % ell * ell for x in xs]
-    a_inv = pow(a, -1, ell) if a else 0
-    c_inv = pow(c, -1, ell) if c else 0
-    image: list[int] = []
-    for y in range(ell):
-        if a:
-            s = b * y * a_inv % ell
-            low = a_table[s : s + ell]
-        else:
-            low = repeat(b * y % ell)
-        if c:
-            t = d * y * c_inv % ell
-            high = c_table[t : t + ell]
-        else:
-            high = repeat(d * y % ell * ell)
-        image += map(add, low, high)
-    return image
 
 
 def _orbit_partition(G: MatrixGroup | UnipotentProduct) -> OrbitPartition:
@@ -294,6 +265,10 @@ def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     )
 
 
+ESCAPES_G_ORBIT = "H-orbit escapes the G-orbit"
+MISSES_G_ORBIT = "H-orbits do not partition the G-orbit"
+
+
 def refine_orbit_codes(
     g: OrbitPartition, index: int, h: OrbitPartition
 ) -> list[tuple[int, ...]]:
@@ -313,11 +288,53 @@ def refine_orbit_codes(
         met.add(k)
         part = h.orbits[k]
         if set(map(g.label.__getitem__, part)) != {index}:
-            raise RuntimeError("H-orbit escapes the G-orbit")
+            raise RuntimeError(ESCAPES_G_ORBIT)
         parts.append(part)
     if sum(map(len, parts)) != len(g_codes):
-        raise RuntimeError("H-orbits do not partition the G-orbit")
+        raise RuntimeError(MISSES_G_ORBIT)
     return parts
+
+
+def refinement_violation(g: OrbitPartition, h: OrbitPartition) -> str | None:
+    """The error ``refine_orbit_codes`` raises first over G's orbits in order.
+
+    None when every G-orbit refines. One pass over the plane, indexed by
+    code, decides every G-orbit at once. Write s[k] for the G-label of the
+    first member of H-orbit k (the zero code's label -1 when it has none).
+    A code c is flagged when s[h.label[c]] differs from its own G-label:
+
+    - G-orbit i escapes exactly when it holds a flagged code, or is s[k] for
+      an H-orbit k with a flagged member. The walk from i then meets an
+      H-orbit with a member outside i.
+    - G-orbit i misses exactly when it holds a code that no H-orbit holds
+      and it does not escape; those codes exist only when the H-orbits hold
+      fewer than l^2 - 1 codes.
+
+    The first failing orbit decides the message, escape first. This is the
+    loop's verdict whenever g labels every code with the orbit holding it,
+    and h's orbits hold distinct nonzero codes, each labeled with the orbit
+    holding it; a code that no H-orbit holds may carry any label in range.
+    Partitions the kernel builds are of this kind, and so are those with
+    orbits merged or codes moved or lost.
+    """
+    n = len(g.label)
+    g_label, h_label = g.label.__getitem__, h.label.__getitem__
+    shared = list(map(g_label, map(next, map(iter, h.orbits), repeat(0))))
+    flags = map(ne, map(shared.__getitem__, h.label[1:]), g.label[1:])
+    escaped = None
+    flagged = list(compress(range(1, n), flags))
+    if flagged:
+        # A flagged member makes its H-orbit straddle two G-orbits, so the
+        # one holding the orbit's first member escapes too.
+        straddled = {shared[h_label(c)] for c in flagged if c in h.orbits[h_label(c)]}
+        escaped = min(straddled.union(map(g_label, flagged)))
+    missed = None
+    if sum(map(len, h.orbits)) != n - 1:
+        lost = set(range(1, n)).difference(chain.from_iterable(h.orbits))
+        missed = min(map(g_label, lost), default=None)
+    if escaped is not None and (missed is None or escaped <= missed):
+        return ESCAPES_G_ORBIT
+    return None if missed is None else MISSES_G_ORBIT
 
 
 def coset_orbit_refinement(

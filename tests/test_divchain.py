@@ -35,6 +35,7 @@ from gl2orbits.gl2 import (
 from gl2orbits.modarith import PrimeModulus, divisors, is_prime, power_image_order
 from gl2orbits.orbits import OrbitPartition, orbit_partition, orbit_size_map
 from gl2orbits.semisimplify import semisimplification
+from oracle import power_codes
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -381,6 +382,22 @@ def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
 
     monkeypatch.setattr(divchain, "_power_codes", reflection_for_order_two)
     assert not nonsplit_orbit_check(M7)
+
+
+def test_power_codes_match_tuple_powers():
+    # The row-table walk against one tuple product per power, for the
+    # Cartan generator at every odd l <= 31 and its square at l = 7.
+    for p in [q for q in range(3, 32) if is_prime(q)]:
+        n = p * p - 1
+        (gen,) = nonsplit_cartan(PrimeModulus(p)).generators
+        g = gen.as_tuple()
+        assert divchain._power_codes(g, n, p) == power_codes(g, n, p)
+    g7 = _mul_t(*[nonsplit_cartan(M7).generators[0].as_tuple()] * 2, 7)
+    assert divchain._power_codes(g7, 48, 7) == power_codes(g7, 48, 7)
+    # Walks whose first rows never reach (0, 1), or do but do not close
+    # after n steps, so the second rows are walked on their own.
+    for g, n, p in [((1, 1, 0, 1), 7, 7), ((2, 0, 0, 3), 5, 11), ((0, 1, 1, 0), 3, 5)]:
+        assert divchain._power_codes(g, n, p) == power_codes(g, n, p)
 
 
 def test_nonsplit_power_table_slices_are_the_cyclic_subgroups():

@@ -12,8 +12,10 @@ from gl2orbits.gl2 import (
     UnipotentProduct,
     _close,
     _diagonal_closure,
-    _encode_all,
+    _image_list,
     _make_group,
+    _mul_t,
+    _row_table,
     borel,
     closure,
     conjugate,
@@ -33,6 +35,7 @@ from gl2orbits.sweep import (
     enumerate_upper_triangular_subgroups,
     sample_scenarios,
 )
+from oracle import breadth_first_closure, breadth_first_codes
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 M5 = PrimeModulus(5)
@@ -443,12 +446,9 @@ def test_recorded_triangularity_on_certificate_scenarios():
         assert all(g.is_upper_triangular for g in G.elements)
 
 
-def _breadth_first_codes(gens, ell, budget=None):
-    """The oracle: element codes of the breadth-first closure."""
-    tuples = [g.as_tuple() for g in gens]
-    if budget is None:
-        return frozenset(_encode_all(_close(tuples, ell), ell))
-    return frozenset(_encode_all(_close(tuples, ell, budget), ell))
+def _breadth_first_codes(gens, ell):
+    """The oracle: element codes of the tuple breadth-first closure."""
+    return breadth_first_codes([g.as_tuple() for g in gens], ell)
 
 
 def _diagonals(m):
@@ -490,30 +490,135 @@ def test_diagonal_closure_matches_breadth_first_on_random_sets():
 
 
 def test_diagonal_closure_budget_matches_breadth_first():
-    # The lattice closure raises at exactly the budgets where _close does.
+    # The lattice closure and the code closure raise at exactly the budgets
+    # where the tuple closure does, diagonal sets or not.
     for p, gens in [
         (2, []),
         (3, [(2, 0, 0, 1)]),
         (7, [(3, 0, 0, 1), (1, 0, 0, 3)]),
         (13, [(4, 0, 0, 10), (12, 0, 0, 12)]),
         (31, [(3, 0, 0, 9), (1, 0, 0, 1), (3, 0, 0, 9)]),
+        (2, [(0, 1, 1, 0)]),
+        (5, [(1, 1, 0, 1), (2, 0, 0, 1)]),
+        (7, [(0, 3, 1, 0)]),
+        (11, [(1, 1, 0, 1), (1, 0, 1, 1)]),
+        (13, [(2, 5, 0, 3), (1, 0, 0, 1), (2, 5, 0, 3)]),
+        (31, [(1, 2, 3, 5)]),
     ]:
         m = PrimeModulus(p)
-        order = len(_close(gens, p))
+        order = len(breadth_first_closure(gens, p))
+        diagonal = all(b == c == 0 for _, b, c, _ in gens)
         for budget in sorted({-1, 0, 1, order - 1, order, order + 1}):
             try:
-                _close(gens, p, budget)
+                breadth_first_closure(gens, p, budget)
                 expected = False
             except ClosureBudgetError:
                 expected = True
             if expected:
                 with pytest.raises(ClosureBudgetError, match=f"budget {budget}$"):
-                    _diagonal_closure(m, gens, budget)
+                    _close(gens, p, budget)
+                if diagonal:
+                    with pytest.raises(ClosureBudgetError, match=f"budget {budget}$"):
+                        _diagonal_closure(m, gens, budget)
             else:
-                assert _diagonal_closure(m, gens, budget).order == order
+                assert len(_close(gens, p, budget)) == order
+                if diagonal:
+                    assert _diagonal_closure(m, gens, budget).order == order
     # l = 199: the full diagonal group has 198^2 = 39,204 elements.
     m = PrimeModulus(199)
     cartan = split_cartan(m).generators
     with pytest.raises(ClosureBudgetError):
         closure(cartan, m, budget=39_203)
     assert closure(cartan, m, budget=39_204) == split_cartan(m)
+
+
+def _random_generator_sets(rng, p, count):
+    """One to three generators: arbitrary, upper triangular or diagonal,
+    with the identity and repeats mixed in."""
+    m = PrimeModulus(p)
+    sets = []
+    while len(sets) < count:
+        shape = rng.choice(["general", "triangular", "diagonal"])
+        gens = []
+        while len(gens) < rng.randint(1, 3):
+            a, b, c, d = (rng.randrange(p) for _ in range(4))
+            if shape != "general":
+                c = 0
+            if shape == "diagonal":
+                b = 0
+            if (a * d - b * c) % p:
+                gens.append((a, b, c, d))
+        if rng.random() < 0.3:
+            gens.insert(rng.randrange(len(gens) + 1), (1, 0, 0, 1))
+        if rng.random() < 0.3:
+            gens.append(rng.choice(gens))
+        sets.append([Mat2(*t, m) for t in gens])
+    return sets
+
+
+def test_code_closure_matches_breadth_first_on_random_sets():
+    # The code closure against the tuple closure, on the same budget.
+    rng = Random(3131)
+    budget = 6_000
+    for p in [q for q in range(2, 32) if is_prime(q)]:
+        m = PrimeModulus(p)
+        for gens in _random_generator_sets(rng, p, 12):
+            tuples = [g.as_tuple() for g in gens]
+            try:
+                expected = breadth_first_codes(tuples, p, budget)
+            except ClosureBudgetError:
+                with pytest.raises(ClosureBudgetError):
+                    _close(tuples, p, budget)
+                with pytest.raises(ClosureBudgetError):
+                    closure(gens, m, budget)
+                continue
+            assert _close(tuples, p, budget) == expected
+            G = closure(gens, m, budget)
+            assert G.codes == expected and G.generators == tuple(gens)
+
+
+def test_row_table_matches_tuple_products():
+    # code(X * h) = T_h[code // l^2] * l^2 + T_h[code % l^2] for every
+    # invertible h and every X, singular ones included.
+    for p in (2, 3, 5):
+        l2 = p * p
+        tuples = list(itertools.product(range(p), repeat=4))
+        codes = [((a * p + b) * p + c) * p + d for a, b, c, d in tuples]
+        for h in tuples:
+            if (h[0] * h[3] - h[1] * h[2]) % p == 0:
+                continue
+            table = _row_table(h, p)
+            walked = [table[code // l2] * l2 + table[code % l2] for code in codes]
+            products = [_mul_t(x, h, p) for x in tuples]
+            assert walked == [((a * p + b) * p + c) * p + d for a, b, c, d in products]
+
+
+def test_one_image_list_builder():
+    from gl2orbits import orbits
+
+    assert orbits._image_list is _image_list
+
+
+def test_nonsplit_cartan_codes_and_least_generator():
+    # The codes are every [[a, b*eps], [b, a]] but zero, and the generator
+    # is the least code of order l^2 - 1.
+    from gl2orbits.modarith import least_primitive_root
+
+    for p in [q for q in range(3, 32) if is_prime(q)]:
+        m = PrimeModulus(p)
+        eps = least_primitive_root(m).value
+        n = p * p - 1
+        cns = nonsplit_cartan(m)
+        expected = {
+            ((a * p + b * eps % p) * p + b) * p + a
+            for a in range(p)
+            for b in range(p)
+            if (a, b) != (0, 0)
+        }
+        assert cns.codes == expected
+        (gen,) = cns.generators
+        for code in sorted(expected):
+            g = cns.decode(code)
+            if len(breadth_first_closure([g.as_tuple()], p)) == n:
+                assert gen == g
+                break

@@ -20,6 +20,8 @@ from gl2orbits.gl2 import (
 )
 from gl2orbits.modarith import PrimeModulus
 from gl2orbits.orbits import (
+    ESCAPES_G_ORBIT,
+    MISSES_G_ORBIT,
     Vector2,
     coset_orbit_refinement,
     minimal_uniform_constant,
@@ -27,6 +29,8 @@ from gl2orbits.orbits import (
     orbit_decomposition,
     orbit_size_map,
     predict_diagonal_orbits,
+    refine_orbit_codes,
+    refinement_violation,
     stabilizer_order,
     uniform_divisibility_transfer,
 )
@@ -478,5 +482,90 @@ def test_corrupted_h_partition_fails_the_refinement(monkeypatch):
     try:
         with pytest.raises(RuntimeError, match="do not partition the G-orbit"):
             coset_orbit_refinement(G, H, e1(M5))
+        report = sweep.run(
+            sweep.SweepConfig(primes=(5,), sample_count=1, suites=("lemma33",))
+        )
     finally:
         del orbits._PARTITIONS[H]
+    (row,) = report.rows
+    assert row.status == "fail"
+    assert row.failure["scenario"]["note"] == (
+        "refinement violated: H-orbits do not partition the G-orbit"
+    )
+
+
+def _per_orbit_verdict(g, h):
+    """The message refine_orbit_codes raises first over G's orbits, or None."""
+    try:
+        for index in range(len(g.orbits)):
+            refine_orbit_codes(g, index, h)
+    except RuntimeError as exc:
+        return str(exc)
+    return None
+
+
+def _forge(rng, h, kinds):
+    """h with each tampering of kinds applied in turn: two orbits merged, a
+    code dropped from its orbit, or a code moved to another orbit.
+
+    Every member is labeled with its orbit. A dropped code keeps the label
+    of the orbit it left while that orbit lasts, else takes a random one.
+    """
+    parts = [list(p) for p in h.orbits]
+    dropped = []
+    for kind in kinds:
+        if len(parts) < 2:
+            break
+        i, j = rng.sample(range(len(parts)), 2)
+        if kind == "merge":
+            parts[i].extend(parts[j])
+            del parts[j]
+        elif kind == "drop":
+            dropped.append((parts[i].pop(rng.randrange(len(parts[i]))), parts[i]))
+        else:
+            parts[j].append(parts[i].pop(rng.randrange(len(parts[i]))))
+        parts = [p for p in parts if p]
+    label = [-1] * len(h.label)
+    for index, codes in enumerate(parts):
+        for code in codes:
+            label[code] = index
+    for code, left in dropped:
+        kept = [index for index, p in enumerate(parts) if p is left]
+        label[code] = kept[0] if kept else rng.randrange(len(parts))
+    return orbits.OrbitPartition(tuple(tuple(sorted(p)) for p in parts), tuple(label))
+
+
+def test_one_pass_refinement_matches_per_orbit_loop_on_forgeries():
+    # Random nested pairs at l <= 13 from the lemma33 sampler. Each H
+    # partition is forged by one tampering of each kind and by two in a
+    # row, and both checks must agree, message and all: with two, an
+    # escape and a miss can fall in different G-orbits, and the first
+    # decides.
+    from random import Random
+
+    from gl2orbits.sweep import _sample_nested_pair
+
+    rng = Random(33)
+    kinds = ("merge", "drop", "move")
+    verdicts = set()
+    for trial in range(300):
+        m = PrimeModulus(rng.choice([3, 5, 7, 11, 13]))
+        G, H = _sample_nested_pair(rng, m)
+        g, h = orbits.orbit_partition(G), orbits.orbit_partition(H)
+        assert refinement_violation(g, h) is None
+        if len(h.orbits) < 2:
+            continue
+        for tampering in [(kind,) for kind in kinds] + [
+            tuple(rng.choices(kinds, k=2)) for _ in range(3)
+        ]:
+            forged = _forge(rng, h, tampering)
+            verdict = refinement_violation(g, forged)
+            assert verdict == _per_orbit_verdict(g, forged)
+            verdicts.add((tampering, verdict))
+    single = {(t[0], v) for t, v in verdicts if len(t) == 1}
+    # A merge or a move inside one G-orbit is still a refinement; a dropped
+    # code never is.
+    assert {kind for kind, verdict in single if verdict is None} == {"merge", "move"}
+    assert ("merge", ESCAPES_G_ORBIT) in single
+    assert ("move", ESCAPES_G_ORBIT) in single
+    assert ("drop", MISSES_G_ORBIT) in single

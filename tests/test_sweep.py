@@ -15,8 +15,6 @@ from gl2orbits.divchain import Case1Scenario, Case2Scenario, DegreeParameter
 from gl2orbits.gl2 import (
     Mat2,
     MatrixGroup,
-    _close,
-    _mul_t,
     borel,
     closure,
     scalars,
@@ -40,6 +38,7 @@ from gl2orbits.sweep import (
     run,
     sample_scenarios,
 )
+from oracle import breadth_first_closure, mul
 
 M3 = PrimeModulus(3)
 M5 = PrimeModulus(5)
@@ -78,7 +77,7 @@ def borel_join_fixpoint(m):
         cur = t
         while cur != identity:
             elems.add(cur)
-            cur = _mul_t(cur, t, ell)
+            cur = mul(cur, t, ell)
         cyclics.setdefault(frozenset(elems), (t,))
     subgroups = dict(cyclics)
     worklist = deque(subgroups.items())
@@ -88,7 +87,7 @@ def borel_join_fixpoint(m):
             if c_elems <= elems:
                 continue
             joined_gens = tuple(dict.fromkeys(gens + c_gens))
-            joined = frozenset(_close(joined_gens, ell))
+            joined = frozenset(breadth_first_closure(joined_gens, ell))
             if joined not in subgroups:
                 subgroups[joined] = joined_gens
                 worklist.append((joined, joined_gens))
@@ -154,7 +153,9 @@ def test_diagonal_lattice_matches_join_fixpoint():
     for p in (3, 5, 7, 13):
         m = PrimeModulus(p)
         cartan = split_cartan(m)
-        cyclics = {frozenset(_close([t], p)) for t in cartan.element_tuples()}
+        cyclics = {
+            frozenset(breadth_first_closure([t], p)) for t in cartan.element_tuples()
+        }
         subgroups = set(cyclics)
         worklist = list(subgroups)
         while worklist:
@@ -162,7 +163,7 @@ def test_diagonal_lattice_matches_join_fixpoint():
             for cyc in cyclics:
                 if cyc <= current:
                     continue
-                joined = frozenset(_close(current | cyc, p))
+                joined = frozenset(breadth_first_closure(current | cyc, p))
                 if joined not in subgroups:
                     subgroups.add(joined)
                     worklist.append(joined)
@@ -440,6 +441,46 @@ def test_cli_byte_identical_reports(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_full_verification_check_digests_names_the_stage(monkeypatch, capsys):
+    # Each stage's report replaced by a stub whose digest is known: with
+    # --check-digests, a stage that differs from its recorded digest exits 1
+    # and is named; without the flag the exit code ignores digests.
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "scripts" / "full_verification.py"
+    spec = importlib.util.spec_from_file_location("full_verification", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert len(script.RECORDED_DIGESTS) == 5
+
+    class Stub:
+        suites = []
+        total_failures = 0
+
+        def json_text(self):
+            return "stub\n"
+
+    stub_digest = hashlib.sha256(b"stub\n").hexdigest()
+    monkeypatch.setattr(script, "run", lambda cfg: Stub())
+    recorded = list(script.RECORDED_DIGESTS)
+    recorded[:2] = [stub_digest] * 2
+    recorded[3:] = [stub_digest] * 2
+    monkeypatch.setattr(script, "RECORDED_DIGESTS", tuple(recorded))
+
+    monkeypatch.setattr(sys, "argv", ["full_verification.py"])
+    assert script.main() == 0
+    assert "differs" not in capsys.readouterr().err
+
+    monkeypatch.setattr(sys, "argv", ["full_verification.py", "--check-digests"])
+    assert script.main() == 1
+    err = capsys.readouterr().err
+    assert "stage 3/5 lemma33: report sha256 differs from the recorded" in err
+    assert err.count("differs") == 1
+
+    monkeypatch.setattr(script, "RECORDED_DIGESTS", (stub_digest,) * 5)
+    assert script.main() == 0
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_triangular_closure_order_matches_closure(p):
     m = PrimeModulus(p)
@@ -601,7 +642,10 @@ def test_lemma32_gates_can_fail(monkeypatch):
     for G, new, prefix in cases:
         notes = _lemma32_notes_with_orbits(monkeypatch, G, _recut(G, *new))
         assert len(notes) == 1 and notes[0].startswith(prefix + " vs ")
-        assert "DiagonalOrbitPrediction(" in notes[0]
+        if prefix.startswith("axis"):
+            assert "DiagonalOrbitPrediction(" in notes[0]
+        else:
+            assert notes[0].endswith(" vs free action of order 6")
 
     # A code dropped: the sizes no longer sum to l^2 - 1.
     *head, mixed = orbits.orbit_partition(C).orbits
@@ -618,6 +662,28 @@ def test_lemma32_gates_can_fail(monkeypatch):
         predict_diagonal_orbits(C)
 
 
+def test_lemma32_free_action_gate_catches_halved_mixed_orbits(monkeypatch):
+    # Every mixed orbit cut in half. The halves agree with the prediction
+    # read at (1, 1), and their count with (l - 1)^2 over it, so only the
+    # gate that compares mixed orbits with |Gp| can fail.
+    m = PrimeModulus(7)
+    for G in (split_cartan(m), scalars(m)):
+        ell = G.modulus.ell
+        parts = orbits.orbit_partition(G).orbits
+        mixed = [p for p in parts if p[0] >= ell and p[0] % ell]
+        halves = [h for p in mixed for h in (p[: len(p) // 2], p[len(p) // 2 :])]
+        forged = _partition_of(_recut(G, *halves), ell)
+        monkeypatch.setitem(orbits._PARTITIONS, G, forged)
+        pred = predict_diagonal_orbits(G)
+        assert pred.mixed_orbit_size == G.order // 2
+        assert pred.mixed_count == len(halves)
+        (entry,) = run(_lemma32_config(ell)).suites
+        monkeypatch.undo()
+        notes = [f["scenario"]["note"] for f in entry["failures"]]
+        sizes = [G.order // 2] * len(halves)
+        assert notes == [f"mixed orbits {sizes} vs free action of order {G.order}"]
+
+
 def test_report_bytes_pinned():
     # Any change that moves a byte of a report must update these digests
     # on purpose. The second config reaches lemma33's coset refinement and
@@ -625,8 +691,10 @@ def test_report_bytes_pinned():
     # certificates round: both chains at l = 37..67. The next two are stages
     # 1 and 2 of scripts/full_verification.py: the exhaustive lemma31 and
     # lemma32 lattices. The next is the benchmark's large_primes round, whose
-    # sampled groups include closures of diagonal generator sets. The last is
-    # a reduced stage 4 (case1/case2) above the benchmark's l <= 67.
+    # sampled groups include closures of diagonal generator sets. The next is
+    # a reduced stage 4 (case1/case2) above the benchmark's l <= 67. The last
+    # is a reduced stage 3 (lemma33), whose "general" draws include ten
+    # closures that overrun their budget.
     pinned = [
         (
             SweepConfig(
@@ -701,6 +769,17 @@ def test_report_bytes_pinned():
             ),
             "7bf6faa5250e7e9bc41abf67aa2f5a7072d4652c0efa20b3e7cca2de2230ad9d",
             "af7f047ff9f5f19b8264cd59ba8bb76d4791bb46135746a71ece5a5882ea74f2",
+        ),
+        (
+            SweepConfig(
+                primes=tuple(p for p in range(3, 32) if is_prime(p)),
+                mode="sampled",
+                sample_count=100,
+                suites=("lemma33",),
+                seed=2024,
+            ),
+            "1bdda3ec85c3060dbee00062e6536ab978cdd7b8bd75b0c9d473bf2b2dd2ba10",
+            "b6e32bbc407e19e303ea71161c904921972be40d9f733ce79f4d8479d6c94ae0",
         ),
     ]
     for cfg, json_pin, csv_pin in pinned:
