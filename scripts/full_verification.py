@@ -4,19 +4,18 @@
 Exhaustive lattice suites run at their guarded caps; the certificate suites
 sample 500 scenarios each over the odd primes up to 97; the inert and
 nonsplit suites cover every prime up to 199. Exits nonzero on any genuine
-verification failure.
+verification failure, and on any stage whose report differs from the one
+recorded.
 
 After each stage, its wall time, the sha256 of its JSON report and the peak
 resident set sizes so far go to stderr, for this process and for its
 finished worker processes; stdout carries only the per-suite lines and the
-total. Equal digests mean byte-identical stage reports.
-
-With --check-digests, each stage's JSON report digest is also compared
-with the one recorded for it in ``RECORDED_DIGESTS``; a stage that differs
-is named on stderr and the run exits 1.
+total. Equal digests mean byte-identical stage reports. Each stage's digest
+is compared with the one recorded for it in ``RECORDED_DIGESTS``; a stage
+that differs is named on stderr and the run exits 1. A deliberate change
+to a stage's report bytes updates its recorded digest.
 """
 
-import argparse
 import hashlib
 import resource
 import sys
@@ -42,13 +41,6 @@ def _peak_rss_mb(who: int) -> float:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--check-digests",
-        action="store_true",
-        help="exit 1 when a stage's report digest differs from the recorded one",
-    )
-    args = parser.parse_args()
     started = time.monotonic()
     stages = [
         SweepConfig(
@@ -116,7 +108,7 @@ def main() -> int:
                 f"invalid={entry['invalid']}"
             )
         failures += report.total_failures
-        if args.check_digests and digest != RECORDED_DIGESTS[number - 1]:
+        if digest != RECORDED_DIGESTS[number - 1]:
             mismatched = True
             print(
                 f"{name}: report sha256 differs from the recorded "

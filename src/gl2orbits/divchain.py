@@ -539,17 +539,11 @@ def _power_codes(g: MatTuple, n: int, ell: int) -> list[int]:
 
     Row i of g^(k+1) is row i of g^k times g, so the first rows follow g's
     row table T from the identity's first row (1, 0), code l, and the
-    second rows follow it from (0, 1), code 1. When the first walk passes
-    1 at step j and T^n fixes l, the second rows are the first rows j steps
-    on, cyclically, and need no walk of their own.
+    second rows follow it from (0, 1), code 1.
     """
     table = _row_table(g, ell)
     high = _walk(table, ell, n)
-    if 1 in high and table[high[-1]] == ell:
-        j = high.index(1)
-        low = high[j:] + high[:j]
-    else:
-        low = _walk(table, 1, n)
+    low = _walk(table, 1, n)
     return list(map(add, map(mul, high, repeat(ell * ell)), low))
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import repeat
 from math import gcd
 from operator import ne
 from types import MappingProxyType
@@ -296,45 +296,25 @@ def refine_orbit_codes(
 
 
 def refinement_violation(g: OrbitPartition, h: OrbitPartition) -> str | None:
-    """The error ``refine_orbit_codes`` raises first over G's orbits in order.
+    """Whether H's orbits refine every orbit of G, in one pass over the plane.
 
-    None when every G-orbit refines. One pass over the plane, indexed by
-    code, decides every G-orbit at once. Write s[k] for the G-label of the
-    first member of H-orbit k (the zero code's label -1 when it has none).
-    A code c is flagged when s[h.label[c]] differs from its own G-label:
-
-    - G-orbit i escapes exactly when it holds a flagged code, or is s[k] for
-      an H-orbit k with a flagged member. The walk from i then meets an
-      H-orbit with a member outside i.
-    - G-orbit i misses exactly when it holds a code that no H-orbit holds
-      and it does not escape; those codes exist only when the H-orbits hold
-      fewer than l^2 - 1 codes.
-
-    The first failing orbit decides the message, escape first. This is the
-    loop's verdict whenever g labels every code with the orbit holding it,
-    and h's orbits hold distinct nonzero codes, each labeled with the orbit
-    holding it; a code that no H-orbit holds may carry any label in range.
-    Partitions the kernel builds are of this kind, and so are those with
-    orbits merged or codes moved or lost.
+    g and h are the partitions of G and of a subgroup H. A code is flagged
+    when its G-label differs from that of the first member of its H-orbit
+    (label -1, the zero code's, for an orbit with no members): an H-orbit
+    with a flagged member meets two G-orbits. Returns ESCAPES_G_ORBIT when
+    a code is flagged, else MISSES_G_ORBIT when the H-orbits hold fewer
+    than the l^2 - 1 nonzero codes, else None. That is the verdict of
+    ``refine_orbit_codes`` over all of G's orbits; with two faults in
+    different G-orbits the loop may report the other one first.
     """
     n = len(g.label)
-    g_label, h_label = g.label.__getitem__, h.label.__getitem__
-    shared = list(map(g_label, map(next, map(iter, h.orbits), repeat(0))))
-    flags = map(ne, map(shared.__getitem__, h.label[1:]), g.label[1:])
-    escaped = None
-    flagged = list(compress(range(1, n), flags))
-    if flagged:
-        # A flagged member makes its H-orbit straddle two G-orbits, so the
-        # one holding the orbit's first member escapes too.
-        straddled = {shared[h_label(c)] for c in flagged if c in h.orbits[h_label(c)]}
-        escaped = min(straddled.union(map(g_label, flagged)))
-    missed = None
-    if sum(map(len, h.orbits)) != n - 1:
-        lost = set(range(1, n)).difference(chain.from_iterable(h.orbits))
-        missed = min(map(g_label, lost), default=None)
-    if escaped is not None and (missed is None or escaped <= missed):
+    heads = map(next, map(iter, h.orbits), repeat(0))
+    first = list(map(g.label.__getitem__, heads))
+    if any(map(ne, map(first.__getitem__, h.label[1:]), g.label[1:])):
         return ESCAPES_G_ORBIT
-    return None if missed is None else MISSES_G_ORBIT
+    if sum(map(len, h.orbits)) != n - 1:
+        return MISSES_G_ORBIT
+    return None
 
 
 def coset_orbit_refinement(

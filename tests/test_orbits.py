@@ -535,12 +535,24 @@ def _forge(rng, h, kinds):
     return orbits.OrbitPartition(tuple(tuple(sorted(p)) for p in parts), tuple(label))
 
 
+def test_emptied_h_orbit_escapes_in_both_checks():
+    # H trivial at l = 5 with (1, 0) dropped from its singleton orbit: the
+    # orbit is left empty while the code still points to it, and both
+    # checks report an escape.
+    g = orbits.orbit_partition(scalars(M5))
+    h = orbits.OrbitPartition(
+        ((),) + tuple((c,) for c in range(2, 25)), tuple(range(-1, 24))
+    )
+    assert refinement_violation(g, h) == ESCAPES_G_ORBIT
+    assert _per_orbit_verdict(g, h) == ESCAPES_G_ORBIT
+
+
 def test_one_pass_refinement_matches_per_orbit_loop_on_forgeries():
     # Random nested pairs at l <= 13 from the lemma33 sampler. Each H
-    # partition is forged by one tampering of each kind and by two in a
-    # row, and both checks must agree, message and all: with two, an
-    # escape and a miss can fall in different G-orbits, and the first
-    # decides.
+    # partition is forged by one tampering of each kind, and both checks
+    # must agree, message and all. After two tamperings in a row only the
+    # verdict must agree: an escape and a miss can then fall in different
+    # G-orbits, and the loop reports whichever orbit comes first.
     from random import Random
 
     from gl2orbits.sweep import _sample_nested_pair
@@ -560,7 +572,11 @@ def test_one_pass_refinement_matches_per_orbit_loop_on_forgeries():
         ]:
             forged = _forge(rng, h, tampering)
             verdict = refinement_violation(g, forged)
-            assert verdict == _per_orbit_verdict(g, forged)
+            expected = _per_orbit_verdict(g, forged)
+            if len(tampering) == 1:
+                assert verdict == expected
+            else:
+                assert (verdict is None) == (expected is None)
             verdicts.add((tampering, verdict))
     single = {(t[0], v) for t, v in verdicts if len(t) == 1}
     # A merge or a move inside one G-orbit is still a refinement; a dropped

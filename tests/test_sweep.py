@@ -441,10 +441,9 @@ def test_cli_byte_identical_reports(tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
-def test_full_verification_check_digests_names_the_stage(monkeypatch, capsys):
-    # Each stage's report replaced by a stub whose digest is known: with
-    # --check-digests, a stage that differs from its recorded digest exits 1
-    # and is named; without the flag the exit code ignores digests.
+def test_full_verification_names_a_stage_whose_digest_differs(capsys, monkeypatch):
+    # Each stage's report replaced by a stub whose digest is known: a stage
+    # that differs from its recorded digest exits 1 and is named.
     import importlib.util
 
     path = Path(__file__).resolve().parents[1] / "scripts" / "full_verification.py"
@@ -467,11 +466,6 @@ def test_full_verification_check_digests_names_the_stage(monkeypatch, capsys):
     recorded[3:] = [stub_digest] * 2
     monkeypatch.setattr(script, "RECORDED_DIGESTS", tuple(recorded))
 
-    monkeypatch.setattr(sys, "argv", ["full_verification.py"])
-    assert script.main() == 0
-    assert "differs" not in capsys.readouterr().err
-
-    monkeypatch.setattr(sys, "argv", ["full_verification.py", "--check-digests"])
     assert script.main() == 1
     err = capsys.readouterr().err
     assert "stage 3/5 lemma33: report sha256 differs from the recorded" in err
@@ -479,6 +473,7 @@ def test_full_verification_check_digests_names_the_stage(monkeypatch, capsys):
 
     monkeypatch.setattr(script, "RECORDED_DIGESTS", (stub_digest,) * 5)
     assert script.main() == 0
+    assert "differs" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
