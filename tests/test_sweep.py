@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -10,7 +11,7 @@ from random import Random
 
 import pytest
 
-from gl2orbits import gl2, orbits, sweep
+from gl2orbits import divchain, gl2, orbits, sweep
 from gl2orbits.divchain import Case1Scenario, Case2Scenario, DegreeParameter
 from gl2orbits.gl2 import (
     Mat2,
@@ -687,9 +688,11 @@ def test_report_bytes_pinned():
     # 1 and 2 of scripts/full_verification.py: the exhaustive lemma31 and
     # lemma32 lattices. The next is the benchmark's large_primes round, whose
     # sampled groups include closures of diagonal generator sets. The next is
-    # a reduced stage 4 (case1/case2) above the benchmark's l <= 67. The last
+    # a reduced stage 4 (case1/case2) above the benchmark's l <= 67. The next
     # is a reduced stage 3 (lemma33), whose "general" draws include ten
-    # closures that overrun their budget.
+    # closures that overrun their budget. The next is a reduced stage 5
+    # (inert, nonsplit), l = 2 included. The last puts l = 2 in the
+    # certificate suites, whose rows there are invalid.
     pinned = [
         (
             SweepConfig(
@@ -776,11 +779,141 @@ def test_report_bytes_pinned():
             "1bdda3ec85c3060dbee00062e6536ab978cdd7b8bd75b0c9d473bf2b2dd2ba10",
             "b6e32bbc407e19e303ea71161c904921972be40d9f733ce79f4d8479d6c94ae0",
         ),
+        (
+            SweepConfig(
+                primes=(2, 3, 5, 7, 11, 13, 97, 199),
+                sample_count=1,
+                suites=("inert", "nonsplit"),
+            ),
+            "128acbf64e46ea8d639f77ebe2eea93284fafccb4430f3c7f1f56d7ed2c55f47",
+            "8e55e9514cfc1304d856280a545bc359db097e854ef1395ddb7019745cad8ee2",
+        ),
+        (
+            SweepConfig(
+                primes=(2, 3, 5),
+                sample_count=6,
+                suites=("case1", "case2"),
+                seed=7,
+                degrees=(1, 2),
+            ),
+            "73096cadf805df85d5c000812d678105f07b4e9f500db0bb0aad3bc286df7ba8",
+            "7f0943c1ec695025e1322561946c5a85b55d881b00fd87e6548410f0afc5c0ff",
+        ),
     ]
     for cfg, json_pin, csv_pin in pinned:
         report = run(cfg)
         assert hashlib.sha256(report.json_text().encode()).hexdigest() == json_pin
         assert hashlib.sha256(report.csv_text().encode()).hexdigest() == csv_pin
+
+
+def _forge_final_constant(monkeypatch):
+    monkeypatch.setattr(divchain, "FINAL_CONSTANT", 1)
+
+
+def _forge_witness_check(monkeypatch):
+    monkeypatch.setattr(sweep, "verify_witness", lambda G, witness: False)
+
+
+def _forge_diagonal_partitions(monkeypatch):
+    # An axis orbit of the split Cartan split in two, and two mixed orbits of
+    # the scalars merged; both leave the orbit of (1, 1) whole.
+    m = PrimeModulus(7)
+    C, S = split_cartan(m), scalars(m)
+    s_parts = orbits.orbit_partition(S).orbits
+    forged = {
+        C: _recut(C, (1, 2, 3), (4, 5, 6)),
+        S: _recut(S, tuple(sorted(s_parts[3] + s_parts[4]))),
+    }
+    for G, parts in forged.items():
+        monkeypatch.setitem(orbits._PARTITIONS, G, _partition_of(parts, 7))
+
+
+def _forge_trivial_partition(monkeypatch):
+    # The trivial group's orbits with (1, 0) and (0, 1) in one orbit, which
+    # escapes the G-orbits of every G that keeps the line of (1, 0).
+    T = trivial_group(PrimeModulus(7))
+    monkeypatch.setitem(orbits._PARTITIONS, T, _partition_of(_recut(T, (1, 7)), 7))
+
+
+def _forge_transfer_down(monkeypatch):
+    transfer = sweep.uniform_divisibility_transfer
+
+    def forged(M, c, G, H, direction):
+        verdict = transfer(M, c, G, H, direction)
+        if direction == "up":
+            return verdict
+        bad = orbits.Vector2(1, 1, G.modulus)
+        return dataclasses.replace(
+            verdict, conclusion_holds=False, conclusion_counterexample=bad
+        )
+
+    monkeypatch.setattr(sweep, "uniform_divisibility_transfer", forged)
+
+
+def _forge_inert_and_nonsplit_checks(monkeypatch):
+    monkeypatch.setattr(sweep, "inert_bound_check", lambda *args: False)
+    monkeypatch.setattr(sweep, "nonsplit_orbit_check", lambda m: False)
+
+
+@pytest.mark.parametrize(
+    "forge, cfg, json_pin, csv_pin",
+    [
+        (
+            _forge_final_constant,
+            SweepConfig(
+                primes=(7, 13), sample_count=8, degrees=(1, 2),
+                suites=("case1", "case2"), seed=864,
+            ),
+            "c6ebc91cb68c9c5c9db5de8a33325a6c8fc1c321a564c1fc38b17e8c085b1bac",
+            "f2e8bb825596414db6f07250ce0b56d1dcdd95f490095481d174614737719421",
+        ),
+        (
+            _forge_witness_check,
+            SweepConfig(
+                primes=(3, 17), mode="exhaustive", sample_count=2,
+                suites=("lemma31",),
+            ),
+            "c929b34e903cec7decc8cb7954c26465feda2675a58f6b123715f7ad84836e7a",
+            "f649238e90fb0ae4b12a7413c84215bd815b78b59ed3ee4a40e6df0d6bb11596",
+        ),
+        (
+            _forge_diagonal_partitions,
+            _lemma32_config(7),
+            "93d0b5428e69347212bcf82e7734261a65d7d7661d40f01ff9bccf28472f0bf8",
+            "2cc9bd15239404cfd86e308b33043f4ec27e47914b4d5f61ba829eb72d7ad006",
+        ),
+        (
+            _forge_trivial_partition,
+            SweepConfig(primes=(7,), sample_count=12, suites=("lemma33",), seed=5),
+            "6d712dc3e936479c6e86a3e49f453e8644ec98475a360a0ab0a2795d18db1d6b",
+            "6eb15d694a9db7515c7d006026f49ce7fc0208e164dc2b1b5d5f98cdd044c164",
+        ),
+        (
+            _forge_transfer_down,
+            SweepConfig(primes=(5, 7), sample_count=4, suites=("lemma33",), seed=3),
+            "88d44147f5e1de2b27c09a15c96614ffa60e79a1d5b3056d46725f02d07cb9d6",
+            "92f73ddc2bdc18ba443dcef9c83874fc8cc0cde41b6e3d3ebc58754be5001583",
+        ),
+        (
+            _forge_inert_and_nonsplit_checks,
+            SweepConfig(primes=(2, 5, 7), suites=("inert", "nonsplit")),
+            "7982cf8a86b54f36a8124bf9b4be0ade05bb90cc1604aed65e350b1e510f923a",
+            "432d185710a57fc49b41838cff23fd5e39a0119d6afa304def30730fcb46d026",
+        ),
+    ],
+    ids=["certificates", "lemma31", "lemma32", "lemma33-refinement",
+         "lemma33-transfer", "inert-nonsplit"],
+)
+def test_forged_failure_rows_pinned(monkeypatch, forge, cfg, json_pin, csv_pin):
+    # Each forgery turns some rows of its suites red. The digests pin their
+    # failure records (notes, vectors, expected divisors and values), which
+    # the passing pins above never print.
+    # monkeypatch holds the forged partitions' keys until the test ends.
+    forge(monkeypatch)
+    report = run(cfg)
+    assert report.total_failures > 0
+    assert hashlib.sha256(report.json_text().encode()).hexdigest() == json_pin
+    assert hashlib.sha256(report.csv_text().encode()).hexdigest() == csv_pin
 
 
 def test_certificate_round_builds_no_unipotent_product(monkeypatch):
