@@ -93,7 +93,6 @@ def main(argv: list[str] | None = None) -> int:
             suites=tuple(s.strip() for s in args.suites.split(",") if s.strip()),
             seed=args.seed,
             parallelism=args.parallelism,
-            output_path=None if args.out == "-" else args.out,
             output_format=args.format,
             include_timing=args.timing,
         )
@@ -107,10 +106,10 @@ def main(argv: list[str] | None = None) -> int:
     elapsed = time.monotonic() - started
 
     text = report.text()
-    if cfg.output_path is None:
+    if args.out == "-":
         sys.stdout.write(text)
     else:
-        with open(cfg.output_path, "w", encoding="utf-8") as handle:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
 
     totals: dict[str, list[int]] = {}

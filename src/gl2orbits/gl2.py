@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd
 from operator import add, mod
 from typing import Iterable, Iterator
@@ -681,6 +681,44 @@ def unipotent(m: PrimeModulus) -> MatrixGroup:
     return _make_group(m, elems, [(1, 1, 0, 1)])
 
 
+def _nonsplit_codes(m: PrimeModulus) -> Iterator[int]:
+    """Codes of the nonzero [[a, b*eps], [b, a]], eps the least primitive root.
+
+    The code of [[a, b*eps], [b, a]] is a*(l^3 + 1) + (b*eps mod l)*l^2 + b*l.
+    Taking b = s/eps for s = 0 .. l-1 lists each a's codes in ascending
+    order, so the codes come in ascending order.
+    """
+    ell = m.ell
+    l2 = ell * ell
+    eps = _primitive_root_powers(m)[1]  # cached per prime
+    eps_inv = pow(eps, -1, ell)
+    off_diagonal = [s * l2 + s * eps_inv % ell * ell for s in range(ell)]
+    codes = chain.from_iterable(
+        map(add, off_diagonal, repeat(a * (l2 * ell + 1))) for a in range(ell)
+    )
+    next(codes)  # a = b = 0
+    return codes
+
+
+@lru_cache(maxsize=None)
+def _nonsplit_generator(m: PrimeModulus) -> Mat2:
+    """The least code of order l^2 - 1 in the nonsplit Cartan, which generates it.
+
+    Kept per prime. The codes are walked lazily up to the generator, so a
+    caller that needs only the generator and its powers builds neither the
+    Cartan's code set nor its group.
+    """
+    m.require_odd("nonsplit_cartan")
+    ell = m.ell
+    n = ell * ell - 1
+    factors = prime_factors(n)
+    for code in _nonsplit_codes(m):
+        t = decode_tuple(code, ell)
+        if all(_pow_t(t, n // q, ell) != (1, 0, 0, 1) for q in factors):
+            return Mat2(*t, m)
+    raise RuntimeError(f"nonsplit Cartan mod {ell} has no cyclic generator")
+
+
 def nonsplit_cartan(m: PrimeModulus) -> MatrixGroup:
     """Matrices [[a, b*eps], [b, a]] with eps the least primitive root mod l.
 
@@ -688,29 +726,8 @@ def nonsplit_cartan(m: PrimeModulus) -> MatrixGroup:
     form: it is cyclic of order l^2 - 1, and the returned group's single
     generator, the least code of that order, generates it. Rejects l = 2.
     """
-    m.require_odd("nonsplit_cartan")
-    ell = m.ell
-    l2 = ell * ell
-    eps = least_primitive_root(m).value
-    # The code of [[a, b*eps], [b, a]] is a*(l^3 + 1) + (b*eps mod l)*l^2 + b*l.
-    # Taking b = s/eps for s = 0 .. l-1 lists each a's codes in ascending order.
-    eps_inv = pow(eps, -1, ell)
-    off_diagonal = [s * l2 + s * eps_inv % ell * ell for s in range(ell)]
-    codes: list[int] = []
-    for a in range(ell):
-        codes += map(add, off_diagonal, repeat(a * (l2 * ell + 1)))
-    del codes[0]  # a = b = 0
-    n = l2 - 1
-    factors = prime_factors(n)
-    gen: MatTuple | None = None
-    for code in codes:
-        t = decode_tuple(code, ell)
-        if all(_pow_t(t, n // q, ell) != (1, 0, 0, 1) for q in factors):
-            gen = t
-            break
-    if gen is None:
-        raise RuntimeError(f"nonsplit Cartan mod {ell} has no cyclic generator")
-    return _make_group(m, codes, [gen])
+    gen = _nonsplit_generator(m)
+    return _make_group(m, _nonsplit_codes(m), [gen.as_tuple()])
 
 
 def kth_power_subgroup(G: MatrixGroup, k: int) -> MatrixGroup:

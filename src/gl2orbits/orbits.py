@@ -9,11 +9,11 @@ generator's action is built once as an image list indexed by code
 tables that close groups on codes), and each orbit is walked breadth-first
 over those lists. The resulting ``OrbitPartition`` holds only the orbits
 and the label of every code, and is cached once per group; ``orbit``,
-``orbit_decomposition``, ``coset_orbit_refinement``,
-``predict_diagonal_orbits`` and the divisibility checks read orbit lengths
-from it, and ``refinement_violation`` checks that one partition refines
-another in one pass over the codes. The per-code size map that
-``orbit_size_map`` returns is derived from the orbits on first read.
+``orbit_decomposition``, ``coset_orbit_refinement`` and the divisibility
+checks read orbit lengths from it, and ``refinement_violation`` checks
+that one partition refines another in one pass over the codes. The
+per-code size map that ``orbit_size_map`` returns is derived from the
+orbits on first read.
 """
 
 from __future__ import annotations
@@ -237,9 +237,10 @@ def stabilizer_order(G: MatrixGroup, v: Vector2) -> int:
 def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     """Orbit structure of a diagonal group from its diagonal characters.
 
-    The image of each diagonal character determines the axis orbits; the
-    single off-axis orbit through (1, 1), read from the cached partition at
-    code l + 1, determines all the others.
+    The image of each diagonal character determines the axis orbits.
+    diag(a, d) fixes (x, y) with xy != 0 only when a = d = 1, so Gp acts
+    freely off the axes: every off-axis orbit has size |Gp|, and there are
+    (l - 1)^2 / |Gp| of them. No orbit is read.
     """
     if not Gp.is_diagonal:
         raise ValueError("diagonal orbit prediction needs a diagonal group")
@@ -248,19 +249,13 @@ def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     l3 = ell * ell * ell
     im1 = {code // l3 for code in Gp.codes}
     im2 = {code % ell for code in Gp.codes}
-    partition = orbit_partition(Gp)
-    mixed = len(partition.orbits[partition.label[ell + 1]])
-    if Gp.order % mixed != 0:
-        raise RuntimeError("orbit size does not divide group order")
-    if (n * n) % mixed != 0:
-        raise RuntimeError("mixed orbit size does not divide (l - 1)^2")
     return DiagonalOrbitPrediction(
         index1=n // len(im1),
         index2=n // len(im2),
         axis1_size=len(im1),
         axis2_size=len(im2),
-        mixed_orbit_size=mixed,
-        mixed_count=(n * n) // mixed,
+        mixed_orbit_size=Gp.order,
+        mixed_count=(n * n) // Gp.order,
         modulus=Gp.modulus,
     )
 

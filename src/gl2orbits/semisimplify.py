@@ -2,16 +2,20 @@
 
 The diagonal-parts group of an upper-triangular group G is always contained
 in G or G is simultaneously diagonalizable. Classification produces one of
-three machine-checkable witnesses for this trichotomy:
+two machine-checkable witnesses for this trichotomy:
 
   * TransvectionWitness: G holds a non-diagonal matrix gamma with repeated
     eigenvalues; gamma^(l-1) is the shear [[1, lam], [0, 1]] with
     lam = (l-1) * b * a^(l-2) != 0, and a further power is the unit shear
     [[1, 1], [0, 1]]. Shearing then moves every element of G onto its
     diagonal part inside G.
-  * CommutatorWitness: two non-commuting elements whose commutator is a
-    nontrivial unit-eigenvalue shear, from which the same argument runs.
   * DiagonalizerWitness: a basis change P with P^-1 G P diagonal.
+
+The third case of the trichotomy, a non-abelian G, is subsumed by the
+first: two non-commuting elements of the Borel have a nontrivial shear as
+their commutator, so G holds every unit shear, and the unit shear
+[[1, 1], [0, 1]] is a repeated-eigenvalue candidate. A CommutatorWitness,
+such a pair with its commutator, is still checked by ``verify_witness``.
 """
 
 from __future__ import annotations
@@ -52,7 +56,7 @@ class DiagonalizerWitness:
 
 TrichotomyWitness = Union[TransvectionWitness, CommutatorWitness, DiagonalizerWitness]
 
-# Classification order: the shear cases are tried before diagonalization.
+# Classification order: the shear case is tried before diagonalization.
 CASE_REPEATED_EIGENVALUE = "repeated_eigenvalue"
 CASE_NONCOMMUTATIVE = "noncommutative"
 CASE_DIAGONALIZABLE = "diagonalizable"
@@ -62,8 +66,9 @@ CASE_DIAGONALIZABLE = "diagonalizable"
 class SemisimplificationResult:
     """Outcome of classifying an upper-triangular group.
 
-    contained_in_G is True exactly for the shear witnesses, where the
-    diagonal-parts group was verified to sit inside G element by element.
+    contained_in_G is False with a diagonalizer; with the transvection
+    witness it is True when the diagonal-parts group was verified to sit
+    inside G element by element.
     cases_matched records every case predicate that held, in priority
     order, for audit; the witness realizes the first of them.
     """
@@ -102,19 +107,14 @@ def _unit_shear(G: MatrixGroup, n: int) -> Mat2:
 def _shear_containment(G: MatrixGroup) -> bool:
     """Check diag(a, d) in G for every [[a, b], [0, d]] in G by shearing.
 
-    Uses the identity [[a, b], [0, d]] * [[1, n], [0, 1]] = [[a, an + b], [0, d]]
-    with n = -b * a^-1, valid once G contains all unit shears.
+    [[a, b], [0, d]] * [[1, n], [0, 1]] = [[a, an + b], [0, d]] is diag(a, d)
+    for n = -b * a^-1, so it lies in G once G contains all unit shears.
+    Its code is the element's code a*l^3 + b*l^2 + d less b*l^2.
     """
     ell = G.modulus.ell
-    l3 = ell * ell * ell
-    inverse = [0] + [pow(x, -1, ell) for x in range(1, ell)]
+    l2 = ell * ell
     codes = G.codes
-    for m in G.element_tuples():
-        n = (-m[1] * inverse[m[0]]) % ell
-        a, b, c, d = _mul_t(m, (1, n, 0, 1), ell)
-        if b != 0 or c != 0 or a * l3 + d not in codes:
-            return False
-    return True
+    return all(code - code // l2 % ell * l2 in codes for code in codes)
 
 
 def _case_flags(G: MatrixGroup) -> tuple[Mat2 | None, bool, bool]:
@@ -145,18 +145,6 @@ def _transvection_witness(G: MatrixGroup, gamma: Mat2) -> TransvectionWitness:
     return TransvectionWitness(gamma, lam, lam_inverse, transvection)
 
 
-def _commutator_witness(G: MatrixGroup) -> CommutatorWitness:
-    gens = sorted(G.generators, key=Mat2.encode)
-    for i, g in enumerate(gens):
-        for h in gens[i + 1 :]:
-            comm = g * h * g.inverse() * h.inverse()
-            if comm != G.identity:
-                lam = FpUnit(comm.b, G.modulus)
-                transvection = comm ** pow(comm.b, -1, G.modulus.ell)
-                return CommutatorWitness(g, h, lam, transvection)
-    raise RuntimeError("no non-commuting generator pair in a non-abelian group")
-
-
 def _diagonalizer_witness(G: MatrixGroup) -> DiagonalizerWitness:
     """Basis change from the eigenvectors of one non-diagonal element.
 
@@ -177,10 +165,12 @@ def _diagonalizer_witness(G: MatrixGroup) -> DiagonalizerWitness:
 def classify_semisimplification(G: MatrixGroup) -> SemisimplificationResult:
     """Classify an upper-triangular group and build the matching witness.
 
-    Case priority: repeated-eigenvalue shear, then commutator shear, then
-    diagonalization. In the shear cases the containment of the
-    diagonal-parts group in G is established constructively by shearing
-    every element, not by set comparison.
+    A group with a repeated-eigenvalue shear gets a transvection witness,
+    and the containment of the diagonal-parts group in G is established
+    constructively by shearing every element, not by set comparison. Every
+    other group gets a diagonalizer. A non-abelian group always has such a
+    shear (see the module docstring), so "noncommutative" is only recorded
+    in cases_matched, after "repeated_eigenvalue".
     """
     _require_upper_triangular(G)
     gss = semisimplification(G)
@@ -197,9 +187,6 @@ def classify_semisimplification(G: MatrixGroup) -> SemisimplificationResult:
     witness: TrichotomyWitness
     if candidate is not None:
         witness = _transvection_witness(G, candidate)
-        contained = _shear_containment(G)
-    elif nonabelian:
-        witness = _commutator_witness(G)
         contained = _shear_containment(G)
     else:
         witness = _diagonalizer_witness(G)

@@ -7,9 +7,20 @@ pairs), case1 and case2 (the two divisibility-chain certificates with
 final constant 864), inert (the l + 1 divides 12wf exclusion), and
 nonsplit (transitivity of the nonsplit Cartan and its subgroups).
 
-Every scenario's random stream is derived from (seed, suite, prime, index)
-alone, so reports are byte-identical for a fixed config and seed
-regardless of the parallelism degree.
+Every suite follows one protocol. At each prime, ``_scenarios`` streams
+its (scenario id, scenario) pairs in scenario-id order: the full subgroup
+lattice where the mode and its cap allow, the (w, f) grid for inert, the
+prime itself for nonsplit, and otherwise seeded draws, each from the
+random stream that ``_scenario_rng`` derives from (seed, suite, prime,
+index) alone. The suite's check turns one scenario into its row's status
+and failure record, and ``_run_task``, the only place that builds a
+``ScenarioRow``, makes the rows of one (suite, prime) task. The stream
+yields None where the suite has no scenario: at l = 2 for the suites that
+need an odd prime, and for a certificate draw that no degree suits; that
+row is invalid. Tasks run in report order, suites canonical and primes
+ascending, so ``run`` builds each suite entry from its own task's rows,
+and reports are byte-identical for a fixed config and seed regardless of
+the parallelism degree.
 """
 
 from __future__ import annotations
@@ -20,7 +31,6 @@ import io
 import json
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from math import gcd
 from random import Random
 from typing import Callable, Iterable, Iterator
@@ -46,10 +56,10 @@ from .gl2 import (
     UnipotentProduct,
     _diagonal_group_from_hnf,
     _diagonal_hnf,
+    _nonsplit_generator,
     closure,
     conjugate,
     decode_tuple,
-    nonsplit_cartan,
     trivial_group,
 )
 from .modarith import PrimeModulus, divisors, is_prime, least_primitive_root
@@ -87,9 +97,9 @@ class SweepConfig:
     """Declarative description of one sweep run.
 
     primes, degrees, and suites are normalized to sorted unique tuples at
-    construction (suites in canonical order). parallelism, output_path,
-    and include_timing are execution details excluded from the report's
-    config echo so that equal (config, seed) pairs reproduce equal bytes.
+    construction (suites in canonical order). parallelism and
+    include_timing are execution details excluded from the report's config
+    echo so that equal (config, seed) pairs reproduce equal bytes.
     """
 
     primes: tuple[int, ...]
@@ -99,7 +109,6 @@ class SweepConfig:
     suites: tuple[str, ...] = SUITE_NAMES
     seed: int = 0
     parallelism: int = 1
-    output_path: str | None = None
     output_format: str = "json"
     include_timing: bool = False
 
@@ -218,15 +227,16 @@ class SweepReport:
         return self.json_text() if self.config["output_format"] == "json" else self.csv_text()
 
 
-def _subseed(*parts: object) -> int:
-    data = "|".join(str(p) for p in parts).encode()
-    return int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
+def _scenario_rng(seed: int, suite: str, ell: int, index: int) -> Random:
+    """The random stream of one scenario, from (seed, suite, prime, index) alone."""
+    data = f"{seed}|{suite}|{ell}|{index}".encode()
+    return Random(int.from_bytes(hashlib.sha256(data).digest()[:8], "big"))
 
 
-def _allocate(total: int, primes: tuple[int, ...]) -> dict[int, int]:
-    """Spread a total sample count over the primes, earlier primes first."""
-    base, extra = divmod(total, len(primes))
-    return {p: base + (1 if i < extra else 0) for i, p in enumerate(primes)}
+def _sample_count(cfg: SweepConfig, ell: int) -> int:
+    """Prime ell's share of the sample count, earlier primes taking the rest."""
+    base, extra = divmod(cfg.sample_count, len(cfg.primes))
+    return base + (cfg.primes.index(ell) < extra)
 
 
 def _serialize_group(G: MatrixGroup | UnipotentProduct) -> dict:
@@ -237,14 +247,20 @@ def _serialize_group(G: MatrixGroup | UnipotentProduct) -> dict:
     }
 
 
-def _failure(
+# A row's status ("pass", "fail" or "invalid") and its failure record.
+Verdict = tuple[str, "dict | None"]
+PASS: Verdict = ("pass", None)
+
+
+def _verdict(
+    status: str,
     scenario: dict,
     vector: list[int] | None = None,
     expected_divisor: int | None = None,
     value: int | None = None,
-) -> dict:
-    """The failure record of a failed or invalid row, as the reports print it."""
-    return {
+) -> Verdict:
+    """A failed or invalid row's verdict, its record as the reports print it."""
+    return status, {
         "scenario": scenario,
         "vector": vector,
         "expected_divisor": expected_divisor,
@@ -420,7 +436,7 @@ def _sample_case2(
 def _build_scenario(
     cfg: SweepConfig, kind: str, ell: int, index: int
 ) -> Case1Scenario | Case2Scenario | None:
-    rng = Random(_subseed(cfg.seed, kind, ell, index))
+    rng = _scenario_rng(cfg.seed, kind, ell, index)
     m = PrimeModulus(ell)
     if kind == "case1":
         deg = cfg.degrees[index % len(cfg.degrees)]
@@ -438,107 +454,11 @@ def sample_scenarios(
     A scenario's G is either its diagonal-parts group or, two times in
     three, that group times the unit shears as a ``UnipotentProduct``.
     """
-    allocation = _allocate(cfg.sample_count, cfg.primes)
     for ell in cfg.primes:
-        for i in range(allocation[ell]):
+        for i in range(_sample_count(cfg, ell)):
             scenario = _build_scenario(cfg, kind, ell, i)
             if scenario is not None:
                 yield scenario
-
-
-# ---------------------------------------------------------------------------
-# Suite execution
-
-
-def _row_id(suite: str, ell: int, index: int) -> str:
-    return f"{suite}-{ell:03d}-{index:05d}"
-
-
-def _check_triangular_group(G: MatrixGroup) -> tuple[bool, str]:
-    result = classify_semisimplification(G)
-    if not verify_witness(G, result.witness):
-        return False, "witness rejected on re-derivation"
-    if isinstance(result.witness, DiagonalizerWitness):
-        return True, ""
-    if not result.contained_in_G:
-        return False, "shear containment failed"
-    if not result.Gss.is_subgroup_of(G):
-        return False, "diagonal parts escape the group"
-    return True, ""
-
-
-def _group_suite_rows(
-    cfg: SweepConfig,
-    suite: str,
-    ell: int,
-    cap: int,
-    enumerate_groups: Callable[[PrimeModulus], Iterable[MatrixGroup]],
-    sample_group: Callable[[Random, PrimeModulus], MatrixGroup],
-    check: Callable[[MatrixGroup], tuple[bool, str]],
-) -> list[ScenarioRow]:
-    """Check every group of the lattice up to the cap, else a seeded sample."""
-    m = PrimeModulus(ell)
-    if cfg.mode == "exhaustive" and ell <= cap:
-        groups = enumerate_groups(m)
-    else:
-        count = _allocate(cfg.sample_count, cfg.primes)[ell]
-        groups = (
-            sample_group(Random(_subseed(cfg.seed, suite, ell, i)), m)
-            for i in range(count)
-        )
-    rows = []
-    for i, G in enumerate(groups):
-        ok, note = check(G)
-        failure = None
-        if not ok:
-            failure = _failure({**_serialize_group(G), "note": note})
-        rows.append(
-            ScenarioRow(
-                suite, ell, _row_id(suite, ell, i), "pass" if ok else "fail", failure
-            )
-        )
-    return rows
-
-
-def _lemma31_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
-    return _group_suite_rows(
-        cfg, "lemma31", ell, LEMMA31_EXHAUSTIVE_CAP,
-        enumerate_upper_triangular_subgroups, _sample_triangular_group,
-        _check_triangular_group,
-    )
-
-
-def _check_diagonal_prediction(Gp: MatrixGroup) -> tuple[bool, str]:
-    ell = Gp.modulus.ell
-    parts = orbit_partition(Gp).orbits
-    if sum(map(len, parts)) != ell * ell - 1:
-        raise RuntimeError("orbits do not partition the punctured plane")
-    pred = predict_diagonal_orbits(Gp)
-    # Each orbit is classified by its smallest code c = y*l + x: on axis 1
-    # (y = 0) when c < l, on axis 2 (x = 0) when l divides c, else mixed.
-    axis1: list[int] = []
-    axis2: list[int] = []
-    mixed: list[int] = []
-    for codes in parts:
-        c = codes[0]
-        (axis1 if c < ell else axis2 if c % ell == 0 else mixed).append(len(codes))
-    if len(axis1) != pred.index1 or any(s != pred.axis1_size for s in axis1):
-        return False, f"axis-1 orbits {axis1} vs {pred}"
-    if len(axis2) != pred.index2 or any(s != pred.axis2_size for s in axis2):
-        return False, f"axis-2 orbits {axis2} vs {pred}"
-    # diag(a, d) fixes (x, y) with xy != 0 only when a = d = 1, so Gp acts
-    # freely off the axes and every mixed orbit has size |Gp|.
-    if any(s != Gp.order for s in mixed):
-        return False, f"mixed orbits {mixed} vs free action of order {Gp.order}"
-    return True, ""
-
-
-def _lemma32_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
-    return _group_suite_rows(
-        cfg, "lemma32", ell, LEMMA32_EXHAUSTIVE_CAP,
-        enumerate_diagonal_subgroups, _sample_diagonal_group,
-        _check_diagonal_prediction,
-    )
 
 
 def _sample_nested_pair(
@@ -554,9 +474,8 @@ def _sample_nested_pair(
         if m.ell == 2:
             G = _sample_triangular_group(rng, m)
         else:
-            cns = nonsplit_cartan(m)
-            k = rng.choice(divisors(cns.order))
-            G = closure([cns.generators[0] ** k], m)
+            k = rng.choice(divisors(m.ell * m.ell - 1))
+            G = closure([_nonsplit_generator(m) ** k], m)
     else:
         ell = m.ell
         gens = [
@@ -589,190 +508,214 @@ def _random_invertible_tuples(rng: Random, ell: int, k: int) -> list[MatTuple]:
     return out
 
 
-def _lemma33_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
+# ---------------------------------------------------------------------------
+# Suite execution
+
+
+def _row_id(suite: str, ell: int, index: int) -> str:
+    return f"{suite}-{ell:03d}-{index:05d}"
+
+
+def _scenarios(cfg: SweepConfig, suite: str, ell: int) -> Iterator[tuple[str, object]]:
+    """The suite's (scenario id, scenario) pairs at one prime, in id order.
+
+    lemma31 and lemma32 enumerate their lattice in exhaustive mode up to its
+    cap; otherwise every suite but inert and nonsplit takes the prime's
+    share of seeded draws. The samplers and enumerations are looked up
+    here, when the stream starts, so wrappers installed on this module's
+    names see every call.
+    """
     m = PrimeModulus(ell)
-    allocation = _allocate(cfg.sample_count, cfg.primes)
-    rows = []
-    for i in range(allocation[ell]):
-        rng = Random(_subseed(cfg.seed, "lemma33", ell, i))
-        G, H = _sample_nested_pair(rng, m)
-        ok = True
-        note = ""
-        failure_vector = None
-        expected = None
-        value = None
-        M = ell - 1
-        if not H.is_subgroup_of(G):
-            raise ValueError("H is not a subgroup of G")
-        g_partition = orbit_partition(G)
-        h_partition = orbit_partition(H)
-        violation = refinement_violation(g_partition, h_partition)
-        if violation is not None:
-            ok, note = False, f"refinement violated: {violation}"
-        if ok:
-            c_up = minimal_uniform_constant(map(len, h_partition.orbits), M)
-            up = uniform_divisibility_transfer(M, c_up, G, H, "up")
-            c_down = minimal_uniform_constant(map(len, g_partition.orbits), M)
-            down = uniform_divisibility_transfer(M, c_down, G, H, "down")
-            for verdict in (up, down):
-                if not verdict.hypothesis_holds:
-                    ok, note = False, "minimal constant failed its own hypothesis"
-                    break
-                if not verdict.conclusion_holds:
-                    ok = False
-                    note = f"transfer {verdict.direction} conclusion failed"
-                    bad = verdict.conclusion_counterexample
-                    if bad is not None:
-                        failure_vector = [bad.x, bad.y]
-                        expected = M
-                        part = (
-                            h_partition if verdict.direction == "down" else g_partition
-                        )
-                        size = len(part.orbits[part.label[bad.encode()]])
-                        value = verdict.conclusion_constant * size
-                    break
-        failure = None
-        if not ok:
-            scenario = {
-                "G": _serialize_group(G),
-                "H": _serialize_group(H),
-                "note": note,
-            }
-            failure = _failure(scenario, failure_vector, expected, value)
-        rows.append(
-            ScenarioRow(
-                "lemma33", ell, _row_id("lemma33", ell, i),
-                "pass" if ok else "fail", failure,
-            )
+    if suite == "inert":
+        for w in (2, 4, 6):
+            for f in range(1, INERT_F_MAX + 1):
+                yield f"inert-{ell:03d}-w{w}-f{f:02d}", (m, w, f)
+        return
+    if suite == "nonsplit":
+        yield f"nonsplit-{ell:03d}", m if ell > 2 else None
+        return
+    draws = range(_sample_count(cfg, ell))
+    exhaustive = cfg.mode == "exhaustive"
+    if exhaustive and suite == "lemma31" and ell <= LEMMA31_EXHAUSTIVE_CAP:
+        scenarios = enumerate_upper_triangular_subgroups(m)
+    elif exhaustive and suite == "lemma32" and ell <= LEMMA32_EXHAUSTIVE_CAP:
+        scenarios = enumerate_diagonal_subgroups(m)
+    elif suite in ("case1", "case2"):
+        scenarios = (_build_scenario(cfg, suite, ell, i) for i in draws)
+    else:
+        sample = {
+            "lemma31": _sample_triangular_group,
+            "lemma32": _sample_diagonal_group,
+            "lemma33": _sample_nested_pair,
+        }[suite]
+        scenarios = (sample(_scenario_rng(cfg.seed, suite, ell, i), m) for i in draws)
+    for i, scenario in enumerate(scenarios):
+        yield _row_id(suite, ell, i), scenario
+
+
+def _group_failure(G: MatrixGroup, note: str) -> Verdict:
+    return _verdict("fail", {**_serialize_group(G), "note": note})
+
+
+def _check_triangular_group(G: MatrixGroup) -> Verdict:
+    result = classify_semisimplification(G)
+    if not verify_witness(G, result.witness):
+        return _group_failure(G, "witness rejected on re-derivation")
+    if isinstance(result.witness, DiagonalizerWitness):
+        return PASS
+    if not result.contained_in_G:
+        return _group_failure(G, "shear containment failed")
+    if not result.Gss.is_subgroup_of(G):
+        return _group_failure(G, "diagonal parts escape the group")
+    return PASS
+
+
+def _check_diagonal_prediction(Gp: MatrixGroup) -> Verdict:
+    ell = Gp.modulus.ell
+    parts = orbit_partition(Gp).orbits
+    if sum(map(len, parts)) != ell * ell - 1:
+        raise RuntimeError("orbits do not partition the punctured plane")
+    pred = predict_diagonal_orbits(Gp)
+    # Each orbit is classified by its smallest code c = y*l + x: on axis 1
+    # (y = 0) when c < l, on axis 2 (x = 0) when l divides c, else mixed.
+    axis1: list[int] = []
+    axis2: list[int] = []
+    mixed: list[int] = []
+    for codes in parts:
+        c = codes[0]
+        (axis1 if c < ell else axis2 if c % ell == 0 else mixed).append(len(codes))
+    if len(axis1) != pred.index1 or any(s != pred.axis1_size for s in axis1):
+        return _group_failure(Gp, f"axis-1 orbits {axis1} vs {pred}")
+    if len(axis2) != pred.index2 or any(s != pred.axis2_size for s in axis2):
+        return _group_failure(Gp, f"axis-2 orbits {axis2} vs {pred}")
+    # diag(a, d) fixes (x, y) with xy != 0 only when a = d = 1, so Gp acts
+    # freely off the axes and every mixed orbit has size |Gp|.
+    if any(s != Gp.order for s in mixed):
+        return _group_failure(
+            Gp, f"mixed orbits {mixed} vs free action of order {Gp.order}"
         )
-    return rows
+    return PASS
 
 
-def _certificate_rows(cfg: SweepConfig, ell: int, kind: str) -> list[ScenarioRow]:
-    chain = verify_case1_chain if kind == "case1" else verify_case2_chain
-    allocation = _allocate(cfg.sample_count, cfg.primes)
-    rows = []
-    for i in range(allocation[ell]):
-        sid = _row_id(kind, ell, i)
-        if ell == 2:
-            rows.append(
-                ScenarioRow(
-                    kind, ell, sid, "invalid",
-                    _failure({"ell": 2, "note": "requires an odd prime"}),
-                )
-            )
-            continue
-        scenario = _build_scenario(cfg, kind, ell, i)
-        if scenario is None:
-            rows.append(
-                ScenarioRow(
-                    kind, ell, sid, "invalid",
-                    _failure(
-                        {
-                            "ell": ell,
-                            "note": "no scenario compatible with the degree list",
-                        }
-                    ),
-                )
-            )
-            continue
-        try:
-            cert = chain(scenario)
-        except InvalidScenarioError as exc:
-            detail = _describe_scenario(scenario)
-            detail["failed_checks"] = list(exc.report.failed_names)
-            rows.append(ScenarioRow(kind, ell, sid, "invalid", _failure(detail)))
-            continue
-        failure = None
-        if not cert.verdict:
-            detail = _describe_scenario(scenario)
-            detail["failed_checks"] = [c.name for c in cert.checks if not c.passed]
-            counterexample = cert.counterexample or {}
-            failure = _failure(
-                detail,
-                counterexample.get("vector"),
-                counterexample.get("expected_divisor", ell - 1),
-                counterexample.get("value"),
-            )
-        rows.append(
-            ScenarioRow(
-                kind, ell, sid, "pass" if cert.verdict else "fail", failure
-            )
-        )
-    return rows
+def _check_nested_pair(G: MatrixGroup, H: MatrixGroup) -> Verdict:
+    """Lemma 3.3 for H <= G: H's orbits refine G's, and the minimal uniform
+    constants of each group's orbit sizes transfer up and down."""
+    if not H.is_subgroup_of(G):
+        raise ValueError("H is not a subgroup of G")
+    M = G.modulus.ell - 1
+    g_partition = orbit_partition(G)
+    h_partition = orbit_partition(H)
+
+    def failure(note: str, *counterexample: object) -> Verdict:
+        scenario = {"G": _serialize_group(G), "H": _serialize_group(H), "note": note}
+        return _verdict("fail", scenario, *counterexample)
+
+    violation = refinement_violation(g_partition, h_partition)
+    if violation is not None:
+        return failure(f"refinement violated: {violation}")
+    # Each direction's conclusion is about the other group's orbits.
+    for direction, hypothesis, conclusion in (
+        ("up", h_partition, g_partition),
+        ("down", g_partition, h_partition),
+    ):
+        c = minimal_uniform_constant(map(len, hypothesis.orbits), M)
+        verdict = uniform_divisibility_transfer(M, c, G, H, direction)
+        if not verdict.hypothesis_holds:
+            return failure("minimal constant failed its own hypothesis")
+        if not verdict.conclusion_holds:
+            note = f"transfer {direction} conclusion failed"
+            bad = verdict.conclusion_counterexample
+            if bad is None:
+                return failure(note)
+            size = len(conclusion.orbits[conclusion.label[bad.encode()]])
+            return failure(note, [bad.x, bad.y], M, verdict.conclusion_constant * size)
+    return PASS
 
 
-def _describe_scenario(scenario: Case1Scenario | Case2Scenario) -> dict:
-    out = {"G": _serialize_group(scenario.G), "d": scenario.degree.d}
+def _describe_scenario(
+    scenario: Case1Scenario | Case2Scenario, failed_checks: Iterable[str]
+) -> dict:
+    out = {
+        "G": _serialize_group(scenario.G),
+        "d": scenario.degree.d,
+        "failed_checks": list(failed_checks),
+    }
     if isinstance(scenario, Case1Scenario):
         out["Gp"] = _serialize_group(scenario.Gp)
     return out
 
 
-def _inert_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
-    m = PrimeModulus(ell)
-    rows = []
-    for w in (2, 4, 6):
-        for f in range(1, INERT_F_MAX + 1):
-            sid = f"inert-{ell:03d}-w{w}-f{f:02d}"
-            admissible = admissible_rho_orders(m, w, f)
-            if not admissible:
-                rows.append(
-                    ScenarioRow(
-                        "inert", ell, sid, "invalid",
-                        _failure(
-                            {
-                                "ell": ell, "w": w, "f": f,
-                                "note": "hypotheses unsatisfiable",
-                            }
-                        ),
-                    )
-                )
-                continue
-            ok = all(inert_bound_check(m, w, f, r) for r in admissible)
-            failure = None
-            if not ok:
-                failure = _failure(
-                    {"ell": ell, "w": w, "f": f, "rho": list(admissible)},
-                    expected_divisor=ell + 1,
-                    value=12 * w * f,
-                )
-            rows.append(
-                ScenarioRow("inert", ell, sid, "pass" if ok else "fail", failure)
-            )
-    return rows
+def _check_certificate(scenario: Case1Scenario | Case2Scenario) -> Verdict:
+    """The verdict of the scenario's chain; invalid when the chain rejects it."""
+    case1 = isinstance(scenario, Case1Scenario)
+    chain = verify_case1_chain if case1 else verify_case2_chain
+    try:
+        cert = chain(scenario)
+    except InvalidScenarioError as exc:
+        failed = exc.report.failed_names
+        return _verdict("invalid", _describe_scenario(scenario, failed))
+    if cert.verdict:
+        return PASS
+    failed = [c.name for c in cert.checks if not c.passed]
+    counterexample = cert.counterexample or {}
+    return _verdict(
+        "fail",
+        _describe_scenario(scenario, failed),
+        counterexample.get("vector"),
+        counterexample.get("expected_divisor", scenario.G.modulus.ell - 1),
+        counterexample.get("value"),
+    )
 
 
-def _nonsplit_rows(cfg: SweepConfig, ell: int) -> list[ScenarioRow]:
-    sid = f"nonsplit-{ell:03d}"
-    if ell == 2:
-        return [
-            ScenarioRow(
-                "nonsplit", ell, sid, "invalid",
-                _failure({"ell": 2, "note": "requires an odd prime"}),
-            )
-        ]
-    ok = nonsplit_orbit_check(PrimeModulus(ell))
-    failure = None
-    if not ok:
-        failure = _failure({"ell": ell}, expected_divisor=ell * ell - 1)
-    return [ScenarioRow("nonsplit", ell, sid, "pass" if ok else "fail", failure)]
+def _check_inert(scenario: tuple[PrimeModulus, int, int]) -> Verdict:
+    m, w, f = scenario
+    ell = m.ell
+    admissible = admissible_rho_orders(m, w, f)
+    if not admissible:
+        note = "hypotheses unsatisfiable"
+        return _verdict("invalid", {"ell": ell, "w": w, "f": f, "note": note})
+    if all(inert_bound_check(m, w, f, r) for r in admissible):
+        return PASS
+    scenario = {"ell": ell, "w": w, "f": f, "rho": list(admissible)}
+    return _verdict("fail", scenario, expected_divisor=ell + 1, value=12 * w * f)
 
 
-_SUITE_RUNNERS = {
-    "lemma31": _lemma31_rows,
-    "lemma32": _lemma32_rows,
-    "lemma33": _lemma33_rows,
-    "case1": partial(_certificate_rows, kind="case1"),
-    "case2": partial(_certificate_rows, kind="case2"),
-    "inert": _inert_rows,
-    "nonsplit": _nonsplit_rows,
+def _check_nonsplit(m: PrimeModulus) -> Verdict:
+    if nonsplit_orbit_check(m):
+        return PASS
+    return _verdict("fail", {"ell": m.ell}, expected_divisor=m.ell * m.ell - 1)
+
+
+# The check of one scenario of each suite.
+_CHECKS: dict[str, Callable[..., Verdict]] = {
+    "lemma31": _check_triangular_group,
+    "lemma32": _check_diagonal_prediction,
+    "lemma33": lambda pair: _check_nested_pair(*pair),
+    "case1": _check_certificate,
+    "case2": _check_certificate,
+    "inert": _check_inert,
+    "nonsplit": _check_nonsplit,
 }
 
 
+def _no_scenario(ell: int) -> Verdict:
+    note = (
+        "requires an odd prime"
+        if ell == 2
+        else "no scenario compatible with the degree list"
+    )
+    return _verdict("invalid", {"ell": ell, "note": note})
+
+
 def _run_task(task: tuple[SweepConfig, str, int]) -> list[ScenarioRow]:
+    """The rows of one suite at one prime, in scenario-id order."""
     cfg, suite, ell = task
-    return _SUITE_RUNNERS[suite](cfg, ell)
+    check = _CHECKS[suite]
+    rows = []
+    for sid, scenario in _scenarios(cfg, suite, ell):
+        verdict = _no_scenario(ell) if scenario is None else check(scenario)
+        rows.append(ScenarioRow(suite, ell, sid, *verdict))
+    return rows
 
 
 def run(cfg: SweepConfig) -> SweepReport:
@@ -787,29 +730,25 @@ def run(cfg: SweepConfig) -> SweepReport:
             chunks = list(pool.map(_run_task, tasks))
     else:
         chunks = [_run_task(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
-    order = {name: i for i, name in enumerate(SUITE_NAMES)}
-    rows.sort(key=lambda r: (order[r.suite], r.prime, r.scenario_id))
     suites = []
-    for suite in cfg.suites:
-        for ell in cfg.primes:
-            group = [r for r in rows if r.suite == suite and r.prime == ell]
-            suites.append(
-                {
-                    "name": suite,
-                    "prime": ell,
-                    "total": len(group),
-                    "pass": sum(1 for r in group if r.status == "pass"),
-                    "fail": sum(1 for r in group if r.status == "fail"),
-                    "invalid": sum(1 for r in group if r.status == "invalid"),
-                    "failures": [r.failure for r in group if r.status == "fail"],
-                }
-            )
+    for (_, suite, ell), chunk in zip(tasks, chunks):
+        statuses = [r.status for r in chunk]
+        suites.append(
+            {
+                "name": suite,
+                "prime": ell,
+                "total": len(chunk),
+                "pass": statuses.count("pass"),
+                "fail": statuses.count("fail"),
+                "invalid": statuses.count("invalid"),
+                "failures": [r.failure for r in chunk if r.status == "fail"],
+            }
+        )
     elapsed = int((time.monotonic() - started) * 1000)
     return SweepReport(
         version=REPORT_VERSION,
         config=cfg.config_echo(),
         suites=suites,
-        rows=rows,
+        rows=[row for chunk in chunks for row in chunk],
         elapsed_ms=elapsed if cfg.include_timing else 0,
     )

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2orbits.gl2 import Mat2, borel, closure, conjugate, split_cartan, unipotent
+from gl2orbits.gl2 import (
+    Mat2,
+    _make_group,
+    borel,
+    closure,
+    conjugate,
+    split_cartan,
+    unipotent,
+)
 from gl2orbits.modarith import FpUnit, PrimeModulus
 from gl2orbits.semisimplify import (
     CommutatorWitness,
@@ -12,7 +20,10 @@ from gl2orbits.semisimplify import (
     semisimplification,
     verify_witness,
 )
-from gl2orbits.sweep import enumerate_upper_triangular_subgroups
+from gl2orbits.sweep import (
+    _check_triangular_group,
+    enumerate_upper_triangular_subgroups,
+)
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -143,6 +154,38 @@ def test_classify_borel_fires_shear_case():
     assert result.contained_in_G
     assert result.Gss == split_cartan(M5)
     assert result.Gss.is_subgroup_of(borel(M5))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_noncommutative_groups_lead_with_a_repeated_eigenvalue(p):
+    # A non-abelian subgroup of the Borel holds the unit shears, so the
+    # repeated-eigenvalue case always comes first and no classification
+    # leads with "noncommutative".
+    for G in enumerate_upper_triangular_subgroups(PrimeModulus(p)):
+        result = classify_semisimplification(G)
+        assert result.cases_matched[0] != "noncommutative"
+        if not G.is_abelian:
+            assert result.cases_matched == ("repeated_eigenvalue", "noncommutative")
+            assert isinstance(result.witness, TransvectionWitness)
+
+
+def test_shear_containment_fails_without_a_diagonal_part():
+    # D·U for D = <diag(4, 1)> mod 5, with diag(4, 1) swapped for diag(1, 4)
+    # to keep ten elements: the set holds every unit shear and [[4, 1], [0, 1]],
+    # but not that element's diagonal part.
+    unit_shears = [(1, b, 0, 1) for b in range(5)]
+    forged_tuples = unit_shears + [(4, b, 0, 1) for b in range(1, 5)] + [(1, 0, 0, 4)]
+    codes = [Mat2(*t, M5).encode() for t in forged_tuples]
+    forged = _make_group(M5, codes, [(1, 1, 0, 1), (4, 1, 0, 1)])
+    result = classify_semisimplification(forged)
+    assert isinstance(result.witness, TransvectionWitness)
+    assert verify_witness(forged, result.witness)
+    assert not result.contained_in_G
+    status, failure = _check_triangular_group(forged)
+    assert (status, failure["scenario"]["note"]) == ("fail", "shear containment failed")
+    genuine = closure([Mat2(1, 1, 0, 1, M5), Mat2(4, 1, 0, 1, M5)])
+    assert genuine.order == 10
+    assert classify_semisimplification(genuine).contained_in_G
 
 
 def test_classify_diagonalizer_case():

@@ -32,7 +32,7 @@ from gl2orbits.sweep import (
     SweepConfig,
     _random_triangular_tuple,
     _sample_triangular_group,
-    _subseed,
+    _scenario_rng,
     _triangular_closure_order,
     enumerate_diagonal_subgroups,
     enumerate_upper_triangular_subgroups,
@@ -499,7 +499,7 @@ def test_over_budget_draw_falls_back_without_closing_it(monkeypatch):
     # Under sweep seed 2024, the lemma31 draw at l = 151 has three generators
     # whose group has 151 * 7500 = 1,132,500 elements, over the budget.
     m = PrimeModulus(151)
-    rng = Random(_subseed(2024, "lemma31", 151, 0))
+    rng = _scenario_rng(2024, "lemma31", 151, 0)
     gens = [
         Mat2(*_random_triangular_tuple(rng, 151), m)
         for _ in range(rng.choice([1, 2, 3]))
@@ -517,7 +517,7 @@ def test_over_budget_draw_falls_back_without_closing_it(monkeypatch):
         return closed
 
     monkeypatch.setattr(gl2, "_close", recording_close)
-    G = _sample_triangular_group(Random(_subseed(2024, "lemma31", 151, 0)), m)
+    G = _sample_triangular_group(_scenario_rng(2024, "lemma31", 151, 0), m)
     assert G == closure(gens[:1], m)
     assert sizes and None not in sizes and max(sizes) <= 150 * 150
 
@@ -609,8 +609,6 @@ def test_lemma32_gates_can_fail(monkeypatch):
     Q = closure([Mat2(2, 0, 0, 2, m)])  # two orbits per axis, twelve mixed
     s_parts = orbits.orbit_partition(S).orbits
     assert s_parts[2] == (8, 16, 24, 32, 40, 48)
-    # The mixed orbits tampered with leave the orbit of (1, 1), code l + 1,
-    # whole: predict_diagonal_orbits reads the mixed size there.
     mixed_merged = tuple(sorted(s_parts[3] + s_parts[4]))
     cases = [
         # An axis orbit split in two.
@@ -650,18 +648,23 @@ def test_lemma32_gates_can_fail(monkeypatch):
 
     monkeypatch.undo()
 
-    # The orbit of (1, 1), code l + 1, cut to 5 codes: 5 does not divide 36.
+    # The orbit of (1, 1), code l + 1, cut to 5 codes: the prediction reads
+    # no orbit, so it still expects one mixed orbit of size |C| = 36, and
+    # the free-action gate fails.
     assert mixed[0] == 8
-    wrong = _partition_of(_recut(C, mixed[:5], mixed[5:]), 7)
-    monkeypatch.setitem(orbits._PARTITIONS, C, wrong)
-    with pytest.raises(RuntimeError, match="does not divide group order"):
-        predict_diagonal_orbits(C)
+    pred = predict_diagonal_orbits(C)
+    cut = _recut(C, mixed[:5], mixed[5:])
+    notes = _lemma32_notes_with_orbits(monkeypatch, C, cut)
+    assert notes == ["mixed orbits [5, 31] vs free action of order 36"]
+    monkeypatch.setitem(orbits._PARTITIONS, C, _partition_of(cut, 7))
+    assert predict_diagonal_orbits(C) == pred
+    assert (pred.mixed_orbit_size, pred.mixed_count) == (36, 1)
 
 
 def test_lemma32_free_action_gate_catches_halved_mixed_orbits(monkeypatch):
-    # Every mixed orbit cut in half. The halves agree with the prediction
-    # read at (1, 1), and their count with (l - 1)^2 over it, so only the
-    # gate that compares mixed orbits with |Gp| can fail.
+    # Every mixed orbit cut in half. The axis orbits are untouched, so only
+    # the gate that compares mixed orbits with |Gp| can fail. The prediction
+    # reads no orbit: it keeps |Gp| and (l - 1)^2 / |Gp|.
     m = PrimeModulus(7)
     for G in (split_cartan(m), scalars(m)):
         ell = G.modulus.ell
@@ -671,8 +674,8 @@ def test_lemma32_free_action_gate_catches_halved_mixed_orbits(monkeypatch):
         forged = _partition_of(_recut(G, *halves), ell)
         monkeypatch.setitem(orbits._PARTITIONS, G, forged)
         pred = predict_diagonal_orbits(G)
-        assert pred.mixed_orbit_size == G.order // 2
-        assert pred.mixed_count == len(halves)
+        assert pred.mixed_orbit_size == G.order
+        assert pred.mixed_count == len(mixed) == len(halves) // 2
         (entry,) = run(_lemma32_config(ell)).suites
         monkeypatch.undo()
         notes = [f["scenario"]["note"] for f in entry["failures"]]
