@@ -15,8 +15,11 @@ Three arguments are verified computationally:
     12 * w * f whenever the two divisibility hypotheses are satisfiable,
     alongside the simply-transitive orbit facts of the nonsplit Cartan.
 
-Certificates re-run the final divisibility directly from orbit sizes, so a
-bug in the chain bookkeeping cannot silently pass.
+Both chains share one skeleton: the triangular prefix of validation, the
+lift into G (lower <= G^ss <= G, then the transfer up) and the finish,
+which re-runs the final divisibility directly from orbit sizes, so a bug
+in the chain bookkeeping cannot silently pass. Case 2's order_chain check
+is order_arithmetic_holds.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from math import gcd
 from operator import add, mul
 from typing import Mapping
 
@@ -40,6 +42,7 @@ from .gl2 import (
 from .modarith import PrimeModulus, divisors, power_image_order
 from .orbits import (
     OrbitPartition,
+    TransferVerdict,
     Vector2,
     _first_violation,
     _orbit_partition,
@@ -159,12 +162,10 @@ def _det_image_order(G: MatrixGroup) -> int:
 
 
 def _divisibility_check(
-    name: str,
-    partition: OrbitPartition,
-    multiplier: int,
-    divisor: int,
-    modulus: PrimeModulus,
+    name: str, partition: OrbitPartition, multiplier: int, modulus: PrimeModulus
 ) -> tuple[CheckRecord, dict | None]:
+    """Whether l - 1 divides multiplier * (every orbit size), and where not."""
+    divisor = modulus.ell - 1
     codes = _first_violation(partition.orbits, multiplier, divisor)
     if codes is None:
         return CheckRecord(name, True), None
@@ -179,27 +180,43 @@ def _divisibility_check(
     return CheckRecord(name, False, detail), counterexample
 
 
+def _not_evaluated(name: str, reason: str) -> CheckRecord:
+    return CheckRecord(name, False, f"not evaluated: {reason}")
+
+
+def _transfer_record(name: str, t: TransferVerdict, detail: str) -> CheckRecord:
+    return CheckRecord(name, t.hypothesis_holds and t.conclusion_holds, detail)
+
+
+def _triangular_prefix(
+    G: MatrixGroup | UnipotentProduct,
+    checks: list[CheckRecord],
+    dependent: tuple[str, ...],
+) -> MatrixGroup | None:
+    """Record G triangular and G^ss <= G, and return G^ss; or None, with
+    the containment and the dependent checks recorded as not evaluated."""
+    ut = G.is_upper_triangular
+    checks.append(CheckRecord("upper_triangular", ut))
+    if not ut:
+        checks.extend(
+            _not_evaluated(name, "G not triangular")
+            for name in ("semisimplification_contained", *dependent)
+        )
+        return None
+    gss = semisimplification(G)
+    checks.append(CheckRecord("semisimplification_contained", gss.is_subgroup_of(G)))
+    return gss
+
+
 def validate_case1(s: Case1Scenario) -> ValidationReport:
     """Check each validity condition of a split-image scenario independently."""
     checks = []
-    gss = twelfth = None
+    twelfth = None
     same_modulus = s.G.modulus == s.Gp.modulus
     checks.append(
         CheckRecord("modulus_match", same_modulus, "G and Gp share one modulus")
     )
-    ut = s.G.is_upper_triangular
-    checks.append(CheckRecord("upper_triangular", ut))
-    if ut:
-        gss = semisimplification(s.G)
-        checks.append(
-            CheckRecord("semisimplification_contained", gss.is_subgroup_of(s.G))
-        )
-    else:
-        checks.append(
-            CheckRecord(
-                "semisimplification_contained", False, "not evaluated: G not triangular"
-            )
-        )
+    gss = _triangular_prefix(s.G, checks, ())
     diag = s.Gp.is_diagonal
     checks.append(CheckRecord("comparison_group_diagonal", diag))
     if diag and gss is not None and same_modulus:
@@ -207,9 +224,7 @@ def validate_case1(s: Case1Scenario) -> ValidationReport:
         match = twelfth == kth_power_subgroup(gss, 12)
         checks.append(CheckRecord("twelfth_power_match", match))
     else:
-        checks.append(
-            CheckRecord("twelfth_power_match", False, "not evaluated: prior failure")
-        )
+        checks.append(_not_evaluated("twelfth_power_match", "prior failure"))
     if diag:
         n = s.Gp.modulus.ell - 1
         index = (n * n) // s.Gp.order
@@ -222,24 +237,18 @@ def validate_case1(s: Case1Scenario) -> ValidationReport:
             )
         )
     else:
-        checks.append(
-            CheckRecord("cartan_index_divides", False, "not evaluated: Gp not diagonal")
-        )
+        checks.append(_not_evaluated("cartan_index_divides", "Gp not diagonal"))
     return ValidationReport(tuple(checks), gss, twelfth)
 
 
 def validate_case2(s: Case2Scenario) -> ValidationReport:
     """Check each validity condition of a scalar-sixth-power scenario."""
     checks = []
-    gss = n_chi = None
+    n_chi = None
     ell = s.G.modulus.ell
-    ut = s.G.is_upper_triangular
-    checks.append(CheckRecord("upper_triangular", ut))
-    if ut:
-        gss = semisimplification(s.G)
-        checks.append(
-            CheckRecord("semisimplification_contained", gss.is_subgroup_of(s.G))
-        )
+    dependent = ("sixth_powers_agree", "determinant_index_divides")
+    gss = _triangular_prefix(s.G, checks, dependent)
+    if gss is not None:
         sixth = all(
             pow(a, 6, ell) == pow(d, 6, ell) for a, _, _, d in gss.element_tuples()
         )
@@ -253,14 +262,50 @@ def validate_case2(s: Case2Scenario) -> ValidationReport:
                 f"[units : det image] = {index} against {s.degree.d}",
             )
         )
-    else:
-        for name in (
-            "semisimplification_contained",
-            "sixth_powers_agree",
-            "determinant_index_divides",
-        ):
-            checks.append(CheckRecord(name, False, "not evaluated: G not triangular"))
     return ValidationReport(tuple(checks), gss, det_image_order=n_chi)
+
+
+def _lift_to_image(
+    G: MatrixGroup | UnipotentProduct,
+    gss: MatrixGroup,
+    lower: MatrixGroup,
+    constant: int,
+) -> list[CheckRecord]:
+    """Record lower <= G^ss <= G, then carry constant up into the G-orbits."""
+    contained = lower.is_subgroup_of(gss) and gss.is_subgroup_of(G)
+    up = _not_evaluated("transfer_up_to_image", "chain broken")
+    if contained:
+        t = uniform_divisibility_transfer(G.modulus.ell - 1, constant, G, lower, "up")
+        detail = f"constant {constant} carried to G-orbits"
+        up = _transfer_record(up.name, t, detail)
+    return [CheckRecord("containment_chain", contained), up]
+
+
+def _finish(
+    kind: str,
+    s: Case1Scenario | Case2Scenario,
+    g_partition: OrbitPartition,
+    checks: list[CheckRecord],
+    factors: tuple[tuple[str, int], ...],
+) -> DivisibilityCertificate:
+    """Append the direct 864 * d check over G's orbits; certify the chain."""
+    m = s.G.modulus
+    deg = s.degree.d
+    final, counterexample = _divisibility_check(
+        "final_direct", g_partition, FINAL_CONSTANT * deg, m
+    )
+    checks.append(final)
+    return DivisibilityCertificate(
+        kind=kind,
+        ell=m.ell,
+        degree=deg,
+        partition=g_partition,
+        factors=(*factors, ("final_constant", FINAL_CONSTANT)),
+        checks=tuple(checks),
+        final_constant=FINAL_CONSTANT,
+        verdict=all(c.passed for c in checks),
+        counterexample=counterexample,
+    )
 
 
 def verify_case1_chain(s: Case1Scenario) -> DivisibilityCertificate:
@@ -279,194 +324,103 @@ def verify_case1_chain(s: Case1Scenario) -> DivisibilityCertificate:
     if not report.valid:
         raise InvalidScenarioError("case-1", report)
     m = s.G.modulus
-    ell = m.ell
-    n = ell - 1
+    n = m.ell - 1
     deg = s.degree.d
     cartan = _cached_cartan(m)
-    gss = report.gss
     g12 = report.twelfth
     index_cartan = (n * n) // s.Gp.order
     index_twelfth = s.Gp.order // g12.order
 
-    checks = []
     orbit_multiset = sorted(map(len, orbit_partition(cartan).orbits))
-    three_orbits = orbit_multiset == sorted([n, n, n * n])
-    checks.append(
+    checks = [
         CheckRecord(
             "cartan_three_orbits",
-            three_orbits,
+            orbit_multiset == sorted([n, n, n * n]),
             f"diagonal group orbit sizes {orbit_multiset}, base constant 1",
         )
+    ]
+    for name, constant, upper, lower in (
+        ("transfer_down_to_comparison", 1, cartan, s.Gp),
+        ("transfer_down_to_twelfth_powers", index_cartan, s.Gp, g12),
+    ):
+        t = uniform_divisibility_transfer(n, constant, upper, lower, "down")
+        detail = f"constant grows to {t.conclusion_constant}"
+        checks.append(_transfer_record(name, t, detail))
+    checks += _lift_to_image(s.G, report.gss, g12, index_cartan * index_twelfth)
+    g_partition = orbit_partition(s.G)
+    intermediate, _ = _divisibility_check(
+        "intermediate_144_times_index", g_partition, 144 * 1 * index_cartan, m
     )
-
-    t_down1 = uniform_divisibility_transfer(n, 1, cartan, s.Gp, "down")
-    checks.append(
-        CheckRecord(
-            "transfer_down_to_comparison",
-            t_down1.hypothesis_holds and t_down1.conclusion_holds,
-            f"constant grows to {t_down1.conclusion_constant}",
-        )
-    )
-    t_down2 = uniform_divisibility_transfer(n, index_cartan, s.Gp, g12, "down")
-    checks.append(
-        CheckRecord(
-            "transfer_down_to_twelfth_powers",
-            t_down2.hypothesis_holds and t_down2.conclusion_holds,
-            f"constant grows to {t_down2.conclusion_constant}",
-        )
-    )
-    contained = g12.is_subgroup_of(gss) and gss.is_subgroup_of(s.G)
-    checks.append(CheckRecord("containment_chain", contained))
-    if contained:
-        t_up = uniform_divisibility_transfer(
-            n, index_cartan * index_twelfth, s.G, g12, "up"
-        )
-        checks.append(
-            CheckRecord(
-                "transfer_up_to_image",
-                t_up.hypothesis_holds and t_up.conclusion_holds,
-                f"constant {index_cartan * index_twelfth} carried to G-orbits",
-            )
-        )
-    else:
-        checks.append(
-            CheckRecord("transfer_up_to_image", False, "not evaluated: chain broken")
-        )
-    checks.append(
+    checks += [
         CheckRecord(
             "twelfth_index_bounded",
             144 % index_twelfth == 0,
             f"[Gp : Gp^12] = {index_twelfth}",
-        )
-    )
-
-    g_partition = orbit_partition(s.G)
-    intermediate, _ = _divisibility_check(
-        "intermediate_144_times_index", g_partition, 144 * 1 * index_cartan, n, m
-    )
-    checks.append(intermediate)
-    checks.append(
+        ),
+        intermediate,
         CheckRecord(
             "assembled_constant_divides",
             (FINAL_CONSTANT * deg) % (index_cartan * index_twelfth) == 0,
             f"{index_cartan} * {index_twelfth} into {FINAL_CONSTANT} * {deg}",
-        )
-    )
-    final, counterexample = _divisibility_check(
-        "final_direct", g_partition, FINAL_CONSTANT * deg, n, m
-    )
-    checks.append(final)
-
-    return DivisibilityCertificate(
-        kind="case1",
-        ell=ell,
-        degree=deg,
-        partition=g_partition,
-        factors=(
-            ("base_constant", 1),
-            ("cartan_over_comparison", index_cartan),
-            ("comparison_over_twelfth", index_twelfth),
-            ("twelfth_index_bound", 144),
-            ("final_constant", FINAL_CONSTANT),
         ),
-        checks=tuple(checks),
-        final_constant=FINAL_CONSTANT,
-        verdict=all(c.passed for c in checks),
-        counterexample=counterexample,
+    ]
+    factors = (
+        ("base_constant", 1),
+        ("cartan_over_comparison", index_cartan),
+        ("comparison_over_twelfth", index_twelfth),
+        ("twelfth_index_bound", 144),
     )
+    return _finish("case1", s, g_partition, checks, factors)
 
 
 def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
     """Execute the scalar-sixth-power divisibility proof as a computation.
 
     Steps: confirm the sixth-power subgroup of the diagonal-parts group is
-    scalar; run the cyclic order arithmetic (det image order divides
-    36 * the sixth-power image order); check l - 1 divides 36 * d * that
-    order; and finish with the direct 864 * d check over all G-orbits.
+    scalar; run the cyclic order arithmetic of order_arithmetic_holds on
+    the images of the first diagonal character and the determinant; check
+    l - 1 divides 36 * d * the sixth-power image order; carry 36 * d up
+    into G; and finish with the direct 864 * d check over all G-orbits.
 
     The one validate_case2 report supplies G^ss and its determinant image
     order; an invalid scenario raises InvalidScenarioError carrying that
-    report.
+    report. Its sixth_powers_agree check gives a^6 = d^6 on G^ss, so
+    (ad)^6 = a^12: the precondition of order_arithmetic_holds holds.
     """
     report = validate_case2(s)
     if not report.valid:
         raise InvalidScenarioError("case-2", report)
-    m = s.G.modulus
-    ell = m.ell
-    n = ell - 1
+    n = s.G.modulus.ell - 1
     deg = s.degree.d
     gss = report.gss
     sixth = kth_power_subgroup(gss, 6)
-
-    checks = []
-    checks.append(
-        CheckRecord("sixth_power_scalar", sixth.is_scalar, f"order {sixth.order}")
-    )
     n_r = len({a for a, _, _, _ in gss.element_tuples()})
     n_chi = report.det_image_order
     r6 = power_image_order(n_r, 6)
-    checks.append(
+    index = n // n_chi
+    sixth_lengths = set(map(len, orbit_partition(sixth).orbits))
+    checks = [
+        CheckRecord("sixth_power_scalar", sixth.is_scalar, f"order {sixth.order}"),
         CheckRecord(
             "order_chain",
-            (6 * n_r) % n_chi == 0 and (36 * r6) % n_chi == 0,
+            order_arithmetic_holds(n_r, n_chi),
             f"det image {n_chi} against 6 * {n_r} and 36 * {r6}",
-        )
-    )
-    index = n // n_chi
-    checks.append(
-        CheckRecord("unit_index_gate", deg % index == 0, f"index {index} into {deg}")
-    )
-    checks.append(
+        ),
+        CheckRecord("unit_index_gate", deg % index == 0, f"index {index} into {deg}"),
         CheckRecord(
             "scalar_uniform_divisibility",
             (36 * deg * r6) % n == 0,
             f"{n} into 36 * {deg} * {r6}",
-        )
-    )
-    sixth_lengths = set(map(len, orbit_partition(sixth).orbits))
-    checks.append(
+        ),
         CheckRecord(
             "sixth_power_orbit_sizes",
             sixth_lengths == {r6},
             f"all orbits of the scalar subgroup have size {r6}",
-        )
-    )
-    contained = sixth.is_subgroup_of(gss) and gss.is_subgroup_of(s.G)
-    checks.append(CheckRecord("containment_chain", contained))
-    if contained:
-        t_up = uniform_divisibility_transfer(n, 36 * deg, s.G, sixth, "up")
-        checks.append(
-            CheckRecord(
-                "transfer_up_to_image",
-                t_up.hypothesis_holds and t_up.conclusion_holds,
-                f"constant {36 * deg} carried to G-orbits",
-            )
-        )
-    else:
-        checks.append(
-            CheckRecord("transfer_up_to_image", False, "not evaluated: chain broken")
-        )
-    g_partition = orbit_partition(s.G)
-    final, counterexample = _divisibility_check(
-        "final_direct", g_partition, FINAL_CONSTANT * deg, n, m
-    )
-    checks.append(final)
-
-    return DivisibilityCertificate(
-        kind="case2",
-        ell=ell,
-        degree=deg,
-        partition=g_partition,
-        factors=(
-            ("scalar_bound", 36),
-            ("sixth_power_order", r6),
-            ("final_constant", FINAL_CONSTANT),
         ),
-        checks=tuple(checks),
-        final_constant=FINAL_CONSTANT,
-        verdict=all(c.passed for c in checks),
-        counterexample=counterexample,
-    )
+        *_lift_to_image(s.G, gss, sixth, 36 * deg),
+    ]
+    factors = (("scalar_bound", 36), ("sixth_power_order", r6))
+    return _finish("case2", s, orbit_partition(s.G), checks, factors)
 
 
 def order_arithmetic_holds(n_r: int, n_chi: int) -> bool:
@@ -479,11 +433,7 @@ def order_arithmetic_holds(n_r: int, n_chi: int) -> bool:
     if power_image_order(n_r, 12) != power_image_order(n_chi, 6):
         raise ValueError("order relation between the images does not hold")
     r6 = power_image_order(n_r, 6)
-    return (
-        (6 * n_r) % n_chi == 0
-        and n_r == r6 * gcd(6, n_r)
-        and (36 * r6) % n_chi == 0
-    )
+    return (6 * n_r) % n_chi == 0 and (36 * r6) % n_chi == 0
 
 
 def admissible_rho_orders(ell: PrimeModulus, w: int, f: int) -> tuple[int, ...]:

@@ -387,6 +387,13 @@ class MatrixGroup:
     def contains_codes(self, codes: Iterable[int]) -> bool:
         return self.codes.issuperset(codes)
 
+    def contains_unsheared(self, codes: Iterable[int]) -> bool:
+        """Whether every code less its b part b*l^2 is a code of this group;
+        for [[a, b], [0, d]] that difference is the code of diag(a, d)."""
+        ell = self.modulus.ell
+        l2 = ell * ell
+        return all(code - code // l2 % ell * l2 in self.codes for code in codes)
+
     # The predicates below read the codes: b = c = 0 exactly when the code
     # is below l modulo l^3, and diag(a, a) is a * (l^3 + 1).
     # is_upper_triangular (c = 0 everywhere) is recorded at construction.
@@ -478,10 +485,7 @@ class UnipotentProduct:
         Every code of D has b = c = 0, so both hold exactly when the code
         less its b part b*l^2 is a code of D.
         """
-        ell = self.modulus.ell
-        l2 = ell * ell
-        base = self.base.codes
-        return all(code - code // l2 % ell * l2 in base for code in codes)
+        return self.base.contains_unsheared(codes)
 
     def materialize(self) -> MatrixGroup:
         """D·U as a ``MatrixGroup``, built and checked on the first call."""
@@ -646,7 +650,7 @@ def borel(m: PrimeModulus, cap: int = BOREL_PRIME_CAP) -> MatrixGroup:
     ]
     gens: list[MatTuple] = [(1, 1, 0, 1)]
     if ell > 2:
-        g = least_primitive_root(m).value
+        g = _primitive_root_powers(m)[1]
         gens += [(g, 0, 0, 1), (1, 0, 0, g)]
     return _make_group(m, elems, gens)
 
@@ -658,7 +662,7 @@ def split_cartan(m: PrimeModulus) -> MatrixGroup:
     elems = [a * l3 + d for a in range(1, ell) for d in range(1, ell)]
     gens: list[MatTuple] = []
     if ell > 2:
-        g = least_primitive_root(m).value
+        g = _primitive_root_powers(m)[1]
         gens = [(g, 0, 0, 1), (1, 0, 0, g)]
     return _make_group(m, elems, gens)
 
@@ -669,7 +673,7 @@ def scalars(m: PrimeModulus) -> MatrixGroup:
     elems = [a * (ell**3 + 1) for a in range(1, ell)]
     gens: list[MatTuple] = []
     if ell > 2:
-        g = least_primitive_root(m).value
+        g = _primitive_root_powers(m)[1]
         gens = [(g, 0, 0, g)]
     return _make_group(m, elems, gens)
 

@@ -104,19 +104,6 @@ def _unit_shear(G: MatrixGroup, n: int) -> Mat2:
     return Mat2(1, n, 0, 1, G.modulus)
 
 
-def _shear_containment(G: MatrixGroup) -> bool:
-    """Check diag(a, d) in G for every [[a, b], [0, d]] in G by shearing.
-
-    [[a, b], [0, d]] * [[1, n], [0, 1]] = [[a, an + b], [0, d]] is diag(a, d)
-    for n = -b * a^-1, so it lies in G once G contains all unit shears.
-    Its code is the element's code a*l^3 + b*l^2 + d less b*l^2.
-    """
-    ell = G.modulus.ell
-    l2 = ell * ell
-    codes = G.codes
-    return all(code - code // l2 % ell * l2 in codes for code in codes)
-
-
 def _case_flags(G: MatrixGroup) -> tuple[Mat2 | None, bool, bool]:
     """(smallest repeated-eigenvalue non-diagonal element, non-abelian, diagonalizable)."""
     ell = G.modulus.ell
@@ -187,7 +174,10 @@ def classify_semisimplification(G: MatrixGroup) -> SemisimplificationResult:
     witness: TrichotomyWitness
     if candidate is not None:
         witness = _transvection_witness(G, candidate)
-        contained = _shear_containment(G)
+        # [[a, b], [0, d]] * [[1, n], [0, 1]] = [[a, an + b], [0, d]] is
+        # diag(a, d) for n = -b * a^-1, so G, which holds all unit shears,
+        # holds diag(a, d) when G holds [[a, b], [0, d]].
+        contained = G.contains_unsheared(G.codes)
     else:
         witness = _diagonalizer_witness(G)
         contained = False

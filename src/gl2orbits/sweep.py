@@ -57,12 +57,13 @@ from .gl2 import (
     _diagonal_group_from_hnf,
     _diagonal_hnf,
     _nonsplit_generator,
+    _primitive_root_powers,
     closure,
     conjugate,
     decode_tuple,
     trivial_group,
 )
-from .modarith import PrimeModulus, divisors, is_prime, least_primitive_root
+from .modarith import PrimeModulus, divisors, is_prime
 from .orbits import (
     minimal_uniform_constant,
     orbit_partition,
@@ -296,6 +297,11 @@ def enumerate_upper_triangular_subgroups(m: PrimeModulus) -> Iterator[MatrixGrou
     yield from groups
 
 
+def _hermite_step(n: int, d1: int, d2: int) -> int:
+    """Step of c in the column Hermite forms [[d1, c], [0, d2]] of (Z/n)^2."""
+    return d1 // gcd(d1, n // d2)
+
+
 def enumerate_diagonal_subgroups(m: PrimeModulus) -> Iterator[MatrixGroup]:
     """Every subgroup of the full diagonal group, exactly once.
 
@@ -309,8 +315,7 @@ def enumerate_diagonal_subgroups(m: PrimeModulus) -> Iterator[MatrixGroup]:
         return
     for d1 in divisors(n):
         for d2 in divisors(n):
-            step = d1 // gcd(d1, n // d2)
-            for c in range(0, d1, step):
+            for c in range(0, d1, _hermite_step(n, d1, d2)):
                 yield _diagonal_group_from_hnf(m, d1, d2, c)
 
 
@@ -361,8 +366,7 @@ def _sample_diagonal_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
         return trivial_group(m)
     d1 = rng.choice(divisors(n))
     d2 = rng.choice(divisors(n))
-    step = d1 // gcd(d1, n // d2)
-    c = rng.randrange(0, d1, step)
+    c = rng.randrange(0, d1, _hermite_step(n, d1, d2))
     return _diagonal_group_from_hnf(m, d1, d2, c)
 
 
@@ -379,15 +383,14 @@ def _sample_case1(rng: Random, m: PrimeModulus, deg: int) -> Case1Scenario | Non
         if (6 * deg) % (d1 * d2) == 0
     ]
     d1, d2 = rng.choice(pairs)
-    step = d1 // gcd(d1, n // d2)
-    c = rng.randrange(0, d1, step)
+    c = rng.randrange(0, d1, _hermite_step(n, d1, d2))
     comparison = _diagonal_group_from_hnf(m, d1, d2, c)
     gens = list(comparison.generators)
     if rng.random() < 0.5:
         # Adjoin diagonal 12-torsion: it cannot change the 12th powers.
         torsion = gcd(12, n)
         t_step = n // torsion
-        g = least_primitive_root(m).value
+        g = _primitive_root_powers(m)[1]
         u = t_step * rng.randrange(torsion)
         v = t_step * rng.randrange(torsion)
         if (u, v) != (0, 0):
@@ -410,7 +413,7 @@ def _sample_case2(
     if ell == 2:
         return None
     n = ell - 1
-    g = least_primitive_root(m).value
+    g = _primitive_root_powers(m)[1]
     sixth_torsion = gcd(6, n)
     zstep = n // sixth_torsion
     for attempt in range(40):
@@ -574,7 +577,7 @@ def _check_diagonal_prediction(Gp: MatrixGroup) -> Verdict:
     ell = Gp.modulus.ell
     parts = orbit_partition(Gp).orbits
     if sum(map(len, parts)) != ell * ell - 1:
-        raise RuntimeError("orbits do not partition the punctured plane")
+        return _group_failure(Gp, "orbits do not partition the punctured plane")
     pred = predict_diagonal_orbits(Gp)
     # Each orbit is classified by its smallest code c = y*l + x: on axis 1
     # (y = 0) when c < l, on axis 2 (x = 0) when l divides c, else mixed.
@@ -600,15 +603,16 @@ def _check_diagonal_prediction(Gp: MatrixGroup) -> Verdict:
 def _check_nested_pair(G: MatrixGroup, H: MatrixGroup) -> Verdict:
     """Lemma 3.3 for H <= G: H's orbits refine G's, and the minimal uniform
     constants of each group's orbit sizes transfer up and down."""
-    if not H.is_subgroup_of(G):
-        raise ValueError("H is not a subgroup of G")
-    M = G.modulus.ell - 1
-    g_partition = orbit_partition(G)
-    h_partition = orbit_partition(H)
 
     def failure(note: str, *counterexample: object) -> Verdict:
         scenario = {"G": _serialize_group(G), "H": _serialize_group(H), "note": note}
         return _verdict("fail", scenario, *counterexample)
+
+    if not H.is_subgroup_of(G):
+        return failure("H is not a subgroup of G")
+    M = G.modulus.ell - 1
+    g_partition = orbit_partition(G)
+    h_partition = orbit_partition(H)
 
     violation = refinement_violation(g_partition, h_partition)
     if violation is not None:

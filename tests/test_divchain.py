@@ -412,17 +412,164 @@ def test_nonsplit_power_table_slices_are_the_cyclic_subgroups():
             assert set(orbit_size_map(sub).values()) == {d}
 
 
+def _case1_checks(down1, down2, up, twelfth, assembled):
+    return [
+        (
+            "cartan_three_orbits",
+            True,
+            "diagonal group orbit sizes [12, 12, 144], base constant 1",
+        ),
+        ("transfer_down_to_comparison", True, f"constant grows to {down1}"),
+        ("transfer_down_to_twelfth_powers", True, f"constant grows to {down2}"),
+        ("containment_chain", True, ""),
+        ("transfer_up_to_image", True, f"constant {up} carried to G-orbits"),
+        ("twelfth_index_bounded", True, f"[Gp : Gp^12] = {twelfth}"),
+        ("intermediate_144_times_index", True, ""),
+        ("assembled_constant_divides", True, assembled),
+        ("final_direct", True, ""),
+    ]
+
+
+def _case2_checks(sixth, order_chain, index, scalar, up):
+    return [
+        ("sixth_power_scalar", True, f"order {sixth}"),
+        ("order_chain", True, order_chain),
+        ("unit_index_gate", True, index),
+        ("scalar_uniform_divisibility", True, scalar),
+        (
+            "sixth_power_orbit_sizes",
+            True,
+            f"all orbits of the scalar subgroup have size {sixth}",
+        ),
+        ("containment_chain", True, ""),
+        ("transfer_up_to_image", True, f"constant {up} carried to G-orbits"),
+        ("final_direct", True, ""),
+    ]
+
+
+def _case1_factors(cartan, twelfth):
+    return (
+        ("base_constant", 1),
+        ("cartan_over_comparison", cartan),
+        ("comparison_over_twelfth", twelfth),
+        ("twelfth_index_bound", 144),
+        ("final_constant", 864),
+    )
+
+
+def _case2_factors(sixth):
+    return (("scalar_bound", 36), ("sixth_power_order", sixth), ("final_constant", 864))
+
+
 def test_certificate_checks_cover_intermediate_step():
-    s = Case1Scenario(borel(M13), split_cartan(M13), DegreeParameter(3))
-    cert = verify_case1_chain(s)
-    names = [c.name for c in cert.checks]
-    assert "cartan_three_orbits" in names
-    assert "transfer_down_to_comparison" in names
-    assert "transfer_down_to_twelfth_powers" in names
-    assert "transfer_up_to_image" in names
-    assert "intermediate_144_times_index" in names
-    assert "final_direct" in names
-    assert cert.counterexample is None
+    # Reports print only the names of failed checks; this pins every
+    # check's name, verdict and detail in order, and the recorded factors.
+    from random import Random
+
+    from gl2orbits.sweep import _sample_case1
+
+    sampled = _sample_case1(Random(0), M13, 6)
+    assert isinstance(sampled.G, UnipotentProduct)
+    assert (sampled.G.order, sampled.Gp.order) == (624, 16)
+    certificates = [
+        (
+            verify_case1_chain(
+                Case1Scenario(borel(M13), split_cartan(M13), DegreeParameter(3))
+            ),
+            _case1_checks(1, 144, 144, 144, "1 * 144 into 864 * 3"),
+            _case1_factors(1, 144),
+        ),
+        (
+            verify_case1_chain(sampled),
+            _case1_checks(9, 144, 144, 16, "9 * 16 into 864 * 6"),
+            _case1_factors(9, 16),
+        ),
+        (
+            verify_case2_chain(Case2Scenario(scalars(M13), DegreeParameter(2))),
+            _case2_checks(
+                2,
+                "det image 6 against 6 * 12 and 36 * 2",
+                "index 2 into 2",
+                "12 into 36 * 2 * 2",
+                72,
+            ),
+            _case2_factors(2),
+        ),
+        (
+            verify_case2_chain(Case2Scenario(borel(M7), DegreeParameter(1))),
+            _case2_checks(
+                1,
+                "det image 6 against 6 * 6 and 36 * 1",
+                "index 1 into 1",
+                "6 into 36 * 1 * 1",
+                36,
+            ),
+            _case2_factors(1),
+        ),
+    ]
+    for cert, checks, factors in certificates:
+        assert [(c.name, c.passed, c.detail) for c in cert.checks] == checks
+        assert cert.factors == factors
+        assert cert.counterexample is None and cert.verdict
+
+
+def test_invalid_scenarios_record_every_check_in_order():
+    ok = ("modulus_match", True, "G and Gp share one modulus")
+    unevaluated = ("twelfth_power_match", False, "not evaluated: prior failure")
+    index_one = ("cartan_index_divides", True, "[Cartan : Gp] = 1 against 6 * 1")
+    not_triangular = "not evaluated: G not triangular"
+    reports = [
+        (
+            validate_case1(
+                Case1Scenario(borel(M5), split_cartan(M7), DegreeParameter(1))
+            ),
+            [
+                ("modulus_match", False, "G and Gp share one modulus"),
+                ("upper_triangular", True, ""),
+                ("semisimplification_contained", True, ""),
+                ("comparison_group_diagonal", True, ""),
+                unevaluated,
+                index_one,
+            ],
+        ),
+        (
+            validate_case1(
+                Case1Scenario(nonsplit_cartan(M5), split_cartan(M5), DegreeParameter(1))
+            ),
+            [
+                ok,
+                ("upper_triangular", False, ""),
+                ("semisimplification_contained", False, not_triangular),
+                ("comparison_group_diagonal", True, ""),
+                unevaluated,
+                index_one,
+            ],
+        ),
+        (
+            validate_case1(
+                Case1Scenario(borel(M5), nonsplit_cartan(M5), DegreeParameter(1))
+            ),
+            [
+                ok,
+                ("upper_triangular", True, ""),
+                ("semisimplification_contained", True, ""),
+                ("comparison_group_diagonal", False, ""),
+                unevaluated,
+                ("cartan_index_divides", False, "not evaluated: Gp not diagonal"),
+            ],
+        ),
+        (
+            validate_case2(Case2Scenario(nonsplit_cartan(M5), DegreeParameter(1))),
+            [
+                ("upper_triangular", False, ""),
+                ("semisimplification_contained", False, not_triangular),
+                ("sixth_powers_agree", False, not_triangular),
+                ("determinant_index_divides", False, not_triangular),
+            ],
+        ),
+    ]
+    for report, checks in reports:
+        assert [(c.name, c.passed, c.detail) for c in report.checks] == checks
 
 
 def test_replay_detects_tampered_orbit_sizes():
