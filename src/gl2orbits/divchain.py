@@ -436,12 +436,17 @@ def order_arithmetic_holds(n_r: int, n_chi: int) -> bool:
     return (6 * n_r) % n_chi == 0 and (36 * r6) % n_chi == 0
 
 
-def admissible_rho_orders(ell: PrimeModulus, w: int, f: int) -> tuple[int, ...]:
-    """Orders dividing 12(l-1) that satisfy (l^2 - 1) | w * f * order."""
+def _check_units_and_f(w: int, f: int) -> None:
+    """Rejects a unit group order w outside (2, 4, 6) and a non-positive f."""
     if w not in (2, 4, 6):
         raise ValueError(f"unit group order {w} not in (2, 4, 6)")
     if f < 1:
         raise ValueError("f must be positive")
+
+
+def admissible_rho_orders(ell: PrimeModulus, w: int, f: int) -> tuple[int, ...]:
+    """Orders dividing 12(l-1) that satisfy (l^2 - 1) | w * f * order."""
+    _check_units_and_f(w, f)
     n = ell.ell * ell.ell - 1
     return tuple(
         r for r in divisors(12 * (ell.ell - 1)) if (w * f * r) % n == 0
@@ -459,20 +464,17 @@ def inert_bound_check(
     hypotheses. With rho_order omitted, returns False when no admissible
     order exists at all, else the same conclusion.
     """
-    if w not in (2, 4, 6):
-        raise ValueError(f"unit group order {w} not in (2, 4, 6)")
-    if f < 1:
-        raise ValueError("f must be positive")
-    conclusion = (12 * w * f) % (ell.ell + 1) == 0
     if rho_order is None:
+        # admissible_rho_orders checks w and f.
         if not admissible_rho_orders(ell, w, f):
             return False
-        return conclusion
-    if (12 * (ell.ell - 1)) % rho_order != 0:
-        raise ValueError(f"rho order {rho_order} does not divide 12(l-1)")
-    if (w * f * rho_order) % (ell.ell * ell.ell - 1) != 0:
-        raise ValueError("l^2 - 1 does not divide w * f * rho_order")
-    return conclusion
+    else:
+        _check_units_and_f(w, f)
+        if (12 * (ell.ell - 1)) % rho_order != 0:
+            raise ValueError(f"rho order {rho_order} does not divide 12(l-1)")
+        if (w * f * rho_order) % (ell.ell * ell.ell - 1) != 0:
+            raise ValueError("l^2 - 1 does not divide w * f * rho_order")
+    return (12 * w * f) % (ell.ell + 1) == 0
 
 
 def _walk(table: list[int], start: int, n: int) -> list[int]:

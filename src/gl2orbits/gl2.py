@@ -16,8 +16,8 @@ is closed breadth-first over element codes. Right multiplication by a
 generator h acts on each row of a matrix on its own, so one table T_h of
 the l^2 row codes gives code(X * h) = T_h[code // l^2] * l^2 +
 T_h[code % l^2]. T_h is the image list of [[d, b], [c, a]] for
-h = [[a, b], [c, d]], built by ``_image_list``, the same builder the orbit
-kernel walks; powers of one matrix are walked on the same table.
+h = [[a, b], [c, d]], built by ``_image_list``; the powers of one matrix
+(the nonsplit Cartan's power table) are walked on the same table.
 
 A diagonal group D times the unit shears is carried as a ``UnipotentProduct``
 descriptor, which answers order, generators and membership from D and
@@ -183,8 +183,9 @@ def _pow_t(x: MatTuple, k: int, ell: int) -> MatTuple:
 def _image_list(g: MatTuple, ell: int) -> list[int]:
     """The code of g * v at index code(v), for every column vector v = (x, y).
 
-    A vector's code is y*l + x. This is the one table builder: orbits walk
-    these lists, and ``_row_table`` reads one as right multiplication on rows.
+    A vector's code is y*l + x. This is the one table builder:
+    ``_row_table`` reads one as right multiplication on rows, for closures
+    and power tables.
 
     Built one row y at a time. With the doubled table A[x] = a*x mod l,
     x' = a*x + b*y = A[x + s] for the offset s = b*y/a, so the row's x'

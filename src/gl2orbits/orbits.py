@@ -2,32 +2,39 @@
 
 The action is left multiplication on column vectors; a vector (x, y) is
 encoded as y*l + x, and the punctured plane V* has the l^2 - 1 codes
-1 .. l^2 - 1. A group's orbits come from one labeling pass over the codes,
-using only its generators, which suffices in a finite group: each
-generator's action is built once as an image list indexed by code
-(``gl2._image_list``, the one table builder, which also gives the row
-tables that close groups on codes), and each orbit is walked breadth-first
-over those lists. The resulting ``OrbitPartition`` holds only the orbits
-and the label of every code, and is cached once per group; ``orbit``,
-``orbit_decomposition``, ``coset_orbit_refinement`` and the divisibility
-checks read orbit lengths from it, and ``refinement_violation`` checks
-that one partition refines another in one pass over the codes. The
-per-code size map that ``orbit_size_map`` returns is derived from the
-orbits on first read.
+1 .. l^2 - 1. A group's orbits come from its generators' action on the
+l + 1 lines through the origin, which suffices in a finite group: every
+G-orbit lies over one orbit of lines, and on a line of that orbit it is a
+coset of the scalars by which the line's stabilizer acts (Schreier's
+lemma gives them from one walk over the orbit's lines). So each orbit is
+a set of stride slices of the lines' codes, listed per prime in
+primitive-root order, and no orbit is walked code by code. The resulting
+``OrbitPartition`` holds only the orbits and the label of every code, and
+is cached once per group; ``orbit``, ``orbit_decomposition``,
+``coset_orbit_refinement`` and the divisibility checks read orbit lengths
+from it, and ``refinement_violation`` checks that one partition refines
+another in one pass over the codes. The per-code size map that
+``orbit_size_map`` returns is derived from the orbits on first read.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import repeat
+from functools import cached_property, lru_cache
+from itertools import chain, repeat
 from math import gcd
 from operator import ne
 from types import MappingProxyType
-from typing import Iterable, Literal, Mapping
+from typing import Collection, Iterable, Literal, Mapping
 from weakref import WeakKeyDictionary
 
-from .gl2 import MatrixGroup, UnipotentProduct, _image_list
+from .gl2 import (
+    MatrixGroup,
+    UnipotentProduct,
+    _discrete_logs,
+    _primitive_root_powers,
+)
 from .modarith import PrimeModulus
 
 
@@ -130,43 +137,121 @@ class OrbitPartition:
         return MappingProxyType(sizes)
 
 
-def _orbit_partition(G: MatrixGroup | UnipotentProduct) -> OrbitPartition:
-    """The uncached partition, from one labeling pass over the codes.
+# A sweep runs prime by prime, so a few primes' tables of l^2 - 1 codes are
+# kept, not every prime's.
+@lru_cache(maxsize=8)
+def _line_codes(m: PrimeModulus) -> tuple[array, ...]:
+    """The codes of every line of the plane less zero, in primitive-root order.
 
-    A group with no non-identity generator needs no pass: every nonzero
-    code is its own orbit.
+    Line t < l is spanned by (t, 1) and line l, the axis y = 0, by (1, 0).
+    Entry j of a line's array is the code of g^j times its spanning vector,
+    g the least primitive root. Stored as compact arrays.
     """
-    ell = G.modulus.ell
+    ell = m.ell
+    pow_g = _primitive_root_powers(m)
+    lines = [array("l", [p * ell + p * t % ell for p in pow_g]) for t in range(ell)]
+    lines.append(array("l", pow_g))
+    return tuple(lines)
+
+
+def _line_orbits(
+    gens: Collection[tuple[int, int, int, int]], m: PrimeModulus
+) -> tuple[list[tuple[list[int], int]], list[int]]:
+    """The orbits of the generators on the l + 1 lines, by one walk each.
+
+    Each walk goes breadth-first from its root line, the least line not yet
+    reached, and carries the root's spanning vector to a tree vector
+    w_L = g^offset[L] * (L's spanning vector) on every line L it reaches
+    (see ``_line_codes``). An edge (L, h) whose target is already reached is a
+    Schreier generator of the root's stabilizer, which scales the root's
+    spanning vector by the ratio of h * w_L to w_hL; k is the gcd of l - 1
+    and the logs of those ratios. Returns every (walk, k), and the offsets.
+    """
+    ell = m.ell
+    units = ell - 1
+    pow_g = _primitive_root_powers(m)
+    log = _discrete_logs(m)
+    offset = [-1] * (ell + 1)  # -1 marks a line not yet reached
+    line_orbits = []
+    for root in range(ell + 1):
+        if offset[root] >= 0:
+            continue
+        offset[root] = 0
+        walk = [root]
+        k = units
+        # The list grows while it is read, as a breadth-first queue.
+        for line in walk:
+            x, y = (line, 1) if line < ell else (1, 0)
+            for a, b, c, d in gens:
+                # h * (x, y) = (u, v) is v * (u/v, 1), or u * (1, 0) if v = 0.
+                u = (a * x + b * y) % ell
+                v = (c * x + d * y) % ell
+                if v:
+                    nxt = u * pow_g[-log[v] % units] % ell
+                    e = offset[line] + log[v]
+                else:
+                    nxt = ell
+                    e = offset[line] + log[u]
+                if offset[nxt] < 0:
+                    offset[nxt] = e % units
+                    walk.append(nxt)
+                else:
+                    k = gcd(k, e - offset[nxt])
+        line_orbits.append((walk, k))
+    return line_orbits, offset
+
+
+def _orbit_partition(G: MatrixGroup | UnipotentProduct) -> OrbitPartition:
+    """The uncached partition, from G's action on the l + 1 lines.
+
+    Over each orbit of lines (``_line_orbits``) the root's spanning vector
+    w_0 has stabilizer scalars g^(kZ), so the orbit of g^j * w_0 meets line
+    L in g^(j + offset[L] + kZ) times L's spanning vector: k orbits, each
+    a stride-k slice of every line's codes, sorted. Two orbits of lines
+    need no sort: all l + 1 lines with k = 1 make the single orbit V*, and
+    the l lines off the axis y = 0 make orbits of whole rows. A group with
+    no non-identity generator needs no walk: every nonzero code is its own
+    orbit.
+    """
+    m = G.modulus
+    ell = m.ell
     n = ell * ell
     gens = dict.fromkeys(G.generator_tuples())
     gens.pop((1, 0, 0, 1), None)
     if not gens:
         # Code k is orbit k - 1; the zero code keeps label -1.
         return OrbitPartition(tuple(zip(range(1, n))), tuple(range(-1, n - 1)))
-    images = [_image_list(g, ell) for g in gens]
-    label = [-1] * n
+    line_orbits, offset = _line_orbits(gens, m)
+    walk, k = line_orbits[0]
+    if k == 1 and len(walk) == ell + 1:
+        return OrbitPartition((tuple(range(1, n)),), (-1,) + (0,) * (n - 1))
+    pow_g = _primitive_root_powers(m)
+    lines = _line_codes(m)
     orbits: list[tuple[int, ...]] = []
-    find = label.index
-    start = 0
-    while True:
-        # The next unlabeled nonzero code starts the next orbit.
-        try:
-            start = find(-1, start + 1)
-        except ValueError:
-            break
-        index = len(orbits)
-        label[start] = index
-        members = [start]
-        # The list grows while it is read, as a breadth-first queue.
+    for walk, k in line_orbits:
+        if len(walk) == ell and ell not in walk:
+            # G moves line 0 to every line off the axis y = 0 and fixes the
+            # axis, so l divides |G| and G holds the unit shears: each row
+            # y != 0 of the codes lies whole in the orbit of
+            # (0, y) = g^log(y) * (0, 1), orbit log(y) mod k.
+            for j in range(k):
+                rows = [range(y * ell, y * ell + ell) for y in sorted(pow_g[j::k])]
+                orbits.append(tuple(chain.from_iterable(rows)))
+            continue
+        # Each line rotated by its offset: orbit j is every entry at a
+        # position j mod k, as k divides l - 1.
+        flat: list[int] = []
+        for line in walk:
+            r = offset[line] % k
+            flat += lines[line][r:]
+            flat += lines[line][:r]
+        orbits += [tuple(sorted(flat[j::k])) for j in range(k)]
+    # Disjoint orbits compare by their smallest members.
+    orbits.sort()
+    label = [-1] * n
+    for index, members in enumerate(orbits):
         for code in members:
-            for image in images:
-                nxt = image[code]
-                if label[nxt] < 0:
-                    label[nxt] = index
-                    members.append(nxt)
-        if len(members) > 1:
-            members.sort()
-        orbits.append(tuple(members))
+            label[code] = index
     return OrbitPartition(tuple(orbits), tuple(label))
 
 

@@ -1,8 +1,9 @@
 """Independent oracles for the tests: matrix arithmetic on plain 4-tuples.
 
 ``breadth_first_closure`` is the tuple closure the library used before it
-walked integer codes. It multiplies matrices entry by entry and shares no
-code with ``gl2orbits``, so the code kernels are checked against it.
+walked integer codes, and ``breadth_first_partition`` the orbit partition it
+used before it walked lines. They multiply entry by entry and share no code
+with ``gl2orbits``, so the code and line kernels are checked against them.
 """
 
 from collections import deque
@@ -66,3 +67,35 @@ def power_codes(g, n, ell):
     for _ in range(n - 1):
         powers.append(mul(powers[-1], g, ell))
     return [encode(t, ell) for t in powers]
+
+
+def breadth_first_partition(gen_tuples, ell):
+    """(orbits, label) of the group the generators generate, on vector codes.
+
+    A vector (x, y) has code y*l + x. Each orbit is walked breadth-first
+    from its smallest code by applying every generator to every member, so
+    orbits come ascending and ordered by smallest member; label[code] is
+    the orbit's index, and -1 for the zero code.
+    """
+    gens = list(dict.fromkeys(gen_tuples))
+    n = ell * ell
+    label = [-1] * n
+    orbits = []
+    for start in range(1, n):
+        if label[start] >= 0:
+            continue
+        index = len(orbits)
+        label[start] = index
+        members = [start]
+        queue = deque(members)
+        while queue:
+            code = queue.popleft()
+            x, y = code % ell, code // ell
+            for a, b, c, d in gens:
+                image = (c * x + d * y) % ell * ell + (a * x + b * y) % ell
+                if label[image] < 0:
+                    label[image] = index
+                    members.append(image)
+                    queue.append(image)
+        orbits.append(tuple(sorted(members)))
+    return tuple(orbits), tuple(label)

@@ -317,6 +317,19 @@ def test_inert_bound_check_validates_arguments():
         inert_bound_check(PrimeModulus(11), 2, 1, rho_order=12)
 
 
+def test_inert_argument_checks_read_the_same_with_and_without_rho_order():
+    m = PrimeModulus(11)
+    for w, f in ((3, 1), (2, 0)):
+        with pytest.raises(ValueError) as without:
+            inert_bound_check(m, w, f)
+        with pytest.raises(ValueError) as given_order:
+            inert_bound_check(m, w, f, rho_order=12)
+        with pytest.raises(ValueError) as admissible:
+            admissible_rho_orders(m, w, f)
+        assert str(without.value) == str(given_order.value) == str(admissible.value)
+    assert str(without.value) == "f must be positive"
+
+
 def test_inert_implication_small_grid():
     for p in [q for q in range(3, 60) if is_prime(q)]:
         m = PrimeModulus(p)

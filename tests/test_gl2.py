@@ -35,7 +35,7 @@ from gl2orbits.sweep import (
     enumerate_upper_triangular_subgroups,
     sample_scenarios,
 )
-from oracle import breadth_first_closure, breadth_first_codes
+from oracle import breadth_first_closure, breadth_first_codes, power_codes
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 M5 = PrimeModulus(5)
@@ -593,10 +593,23 @@ def test_row_table_matches_tuple_products():
             assert walked == [((a * p + b) * p + c) * p + d for a, b, c, d in products]
 
 
-def test_one_image_list_builder():
-    from gl2orbits import orbits
+def test_one_image_list_builder(monkeypatch):
+    # The closure's row tables and divchain's power table are both built by
+    # _image_list, through _row_table.
+    from gl2orbits import divchain, gl2
 
-    assert orbits._image_list is _image_list
+    built = []
+
+    def spy(g, ell):
+        built.append((g, ell))
+        return _image_list(g, ell)
+
+    monkeypatch.setattr(gl2, "_image_list", spy)
+    h = (2, 1, 0, 3)
+    assert _row_table(h, 5) == _image_list((3, 1, 0, 2), 5)
+    assert built == [((3, 1, 0, 2), 5)]
+    assert divchain._power_codes(h, 4, 5) == power_codes(h, 4, 5)
+    assert built == [((3, 1, 0, 2), 5)] * 2
 
 
 def test_nonsplit_cartan_codes_and_least_generator():

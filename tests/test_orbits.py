@@ -1,5 +1,6 @@
 import gc
 import itertools
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,8 @@ from gl2orbits import orbits
 from gl2orbits.gl2 import (
     Mat2,
     MatrixGroup,
+    UnipotentProduct,
+    _image_list,
     borel,
     closure,
     conjugate,
@@ -18,7 +21,7 @@ from gl2orbits.gl2 import (
     trivial_group,
     unipotent,
 )
-from gl2orbits.modarith import PrimeModulus
+from gl2orbits.modarith import PrimeModulus, is_prime
 from gl2orbits.orbits import (
     ESCAPES_G_ORBIT,
     MISSES_G_ORBIT,
@@ -34,6 +37,12 @@ from gl2orbits.orbits import (
     stabilizer_order,
     uniform_divisibility_transfer,
 )
+from gl2orbits.sweep import (
+    _sample_diagonal_group,
+    enumerate_diagonal_subgroups,
+    enumerate_upper_triangular_subgroups,
+)
+from oracle import breadth_first_partition
 
 M5 = PrimeModulus(5)
 M13 = PrimeModulus(13)
@@ -127,6 +136,96 @@ def test_trivial_group_partition_matches_elementwise_orbits(p):
             )
 
 
+class Generated:
+    """Just a modulus and generators: all that the orbit kernel reads, so
+    random generator sets need not be closed into groups."""
+
+    def __init__(self, modulus, gens):
+        self.modulus = modulus
+        self.gens = list(gens)
+
+    def generator_tuples(self):
+        return self.gens
+
+
+def assert_partition_matches_oracle(G):
+    partition = orbits._orbit_partition(G)
+    expected = breadth_first_partition(G.generator_tuples(), G.modulus.ell)
+    assert (partition.orbits, partition.label) == expected
+
+
+def random_generator(rng, p, kind):
+    """A random invertible 4-tuple: general, triangular, diagonal or scalar."""
+    while True:
+        a, b, c, d = (rng.randrange(p) for _ in range(4))
+        if kind != "general":
+            c = 0
+        if kind in ("diagonal", "scalar"):
+            b = 0
+        if kind == "scalar":
+            d = a
+        if (a * d - b * c) % p:
+            return (a, b, c, d)
+
+
+def random_generator_set(rng, p):
+    """One to three random generators, sometimes with the identity or a repeat."""
+    kind = rng.choice(["general", "triangular", "diagonal", "scalar", "mixed"])
+    kinds = ["general", "triangular", "diagonal", "scalar"]
+    gens = [
+        random_generator(rng, p, rng.choice(kinds) if kind == "mixed" else kind)
+        for _ in range(rng.randint(1, 3))
+    ]
+    if rng.random() < 0.25:
+        gens.insert(rng.randrange(len(gens) + 1), (1, 0, 0, 1))
+    if rng.random() < 0.25:
+        gens.append(rng.choice(gens))
+    return gens
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_line_kernel_matches_oracle_on_the_borel_lattice(p):
+    for G in enumerate_upper_triangular_subgroups(PrimeModulus(p)):
+        assert_partition_matches_oracle(G)
+
+
+def test_line_kernel_matches_oracle_on_diagonal_groups_and_products():
+    # Every diagonal subgroup at l <= 31, and its product with the shears.
+    for p in [q for q in range(2, 32) if is_prime(q)]:
+        for D in enumerate_diagonal_subgroups(PrimeModulus(p)):
+            assert_partition_matches_oracle(D)
+            assert_partition_matches_oracle(UnipotentProduct(D))
+
+
+def test_line_kernel_matches_oracle_on_standard_groups():
+    for p in [q for q in range(2, 32) if is_prime(q)]:
+        m = PrimeModulus(p)
+        groups = [split_cartan(m), scalars(m), unipotent(m), borel(m)]
+        if p > 2:
+            groups.append(nonsplit_cartan(m))
+        for G in groups:
+            assert_partition_matches_oracle(G)
+
+
+def test_line_kernel_matches_oracle_on_random_generator_sets():
+    rng = Random(15)
+    for p in [q for q in range(2, 32) if is_prime(q)]:
+        m = PrimeModulus(p)
+        for _ in range(40):
+            assert_partition_matches_oracle(Generated(m, random_generator_set(rng, p)))
+
+
+@pytest.mark.parametrize("p", [151, 199])
+def test_line_kernel_matches_oracle_at_large_primes(p):
+    rng = Random(p)
+    m = PrimeModulus(p)
+    D = _sample_diagonal_group(rng, m)
+    groups = [D, UnipotentProduct(D), nonsplit_cartan(m)]
+    groups += [Generated(m, random_generator_set(rng, p)) for _ in range(3)]
+    for G in groups:
+        assert_partition_matches_oracle(G)
+
+
 def test_image_list_matches_apply():
     # Every matrix of GL2(l), l in {2, 3, 5}: the a = 0, c = 0, c != 0 and
     # shear rows of the row builder all occur.
@@ -137,7 +236,7 @@ def test_image_list_matches_apply():
             if (a * d - b * c) % p == 0:
                 continue
             g = Mat2(a, b, c, d, m)
-            image = orbits._image_list(g.as_tuple(), p)
+            image = _image_list(g.as_tuple(), p)
             assert len(image) == p * p
             for y in range(p):
                 for x in range(p):
