@@ -22,7 +22,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd
 from operator import ne
 from types import MappingProxyType
@@ -137,9 +137,10 @@ class OrbitPartition:
         return MappingProxyType(sizes)
 
 
-# A sweep runs prime by prime, so a few primes' tables of l^2 - 1 codes are
-# kept, not every prime's.
-@lru_cache(maxsize=8)
+# Kept for every prime, like the primitive-root tables: each workload's
+# rounds revisit the same few primes, and one prime's tables hold l^2 - 1
+# codes.
+@lru_cache(maxsize=None)
 def _line_codes(m: PrimeModulus) -> tuple[array, ...]:
     """The codes of every line of the plane less zero, in primitive-root order.
 
@@ -207,10 +208,8 @@ def _orbit_partition(G: MatrixGroup | UnipotentProduct) -> OrbitPartition:
     Over each orbit of lines (``_line_orbits``) the root's spanning vector
     w_0 has stabilizer scalars g^(kZ), so the orbit of g^j * w_0 meets line
     L in g^(j + offset[L] + kZ) times L's spanning vector: k orbits, each
-    a stride-k slice of every line's codes, sorted. Two orbits of lines
-    need no sort: all l + 1 lines with k = 1 make the single orbit V*, and
-    the l lines off the axis y = 0 make orbits of whole rows. A group with
-    no non-identity generator needs no walk: every nonzero code is its own
+    a stride-k slice of every line's codes, sorted. A group with no
+    non-identity generator needs no walk: every nonzero code is its own
     orbit.
     """
     m = G.modulus
@@ -222,22 +221,9 @@ def _orbit_partition(G: MatrixGroup | UnipotentProduct) -> OrbitPartition:
         # Code k is orbit k - 1; the zero code keeps label -1.
         return OrbitPartition(tuple(zip(range(1, n))), tuple(range(-1, n - 1)))
     line_orbits, offset = _line_orbits(gens, m)
-    walk, k = line_orbits[0]
-    if k == 1 and len(walk) == ell + 1:
-        return OrbitPartition((tuple(range(1, n)),), (-1,) + (0,) * (n - 1))
-    pow_g = _primitive_root_powers(m)
     lines = _line_codes(m)
     orbits: list[tuple[int, ...]] = []
     for walk, k in line_orbits:
-        if len(walk) == ell and ell not in walk:
-            # G moves line 0 to every line off the axis y = 0 and fixes the
-            # axis, so l divides |G| and G holds the unit shears: each row
-            # y != 0 of the codes lies whole in the orbit of
-            # (0, y) = g^log(y) * (0, 1), orbit log(y) mod k.
-            for j in range(k):
-                rows = [range(y * ell, y * ell + ell) for y in sorted(pow_g[j::k])]
-                orbits.append(tuple(chain.from_iterable(rows)))
-            continue
         # Each line rotated by its offset: orbit j is every entry at a
         # position j mod k, as k divides l - 1.
         flat: list[int] = []
