@@ -1,10 +1,21 @@
 """2x2 invertible matrices over Z/lZ and finite subgroups of GL2(l).
 
-Groups carry their full element set as integer codes a*l^3 + b*l^2 + c*l + d;
-``Mat2`` objects are built only at the API edge (``elements``, iteration,
-generators and witnesses). Constructions are exhaustive by design and write
-codes directly; a prime cap keeps the largest standard group (the Borel,
-order l(l-1)^2) near a million elements.
+A group is held by its generators. Its order and membership come from a
+one-level stabilizer chain over the l + 1 lines of the plane
+(``_stabilizer_chain``): G permutes the lines, and the stabilizer of the
+axis line y = 0 is G ∩ B for the Borel B = U ⋊ T. So |G| is the length of
+the axis line's orbit times the stabilizer's order, and the stabilizer,
+which maps onto the group D of its diagonal parts with kernel 1 or the
+unit shears U, is read off D's exponent lattice and one test for U.
+Equality and containment sift generators through the chain, so no element
+set is compared.
+
+The element set is the frozenset ``codes`` of integer codes
+a*l^3 + b*l^2 + c*l + d, built on first read; ``Mat2`` objects are built
+only at the API edge (``elements``, iteration, generators and witnesses).
+Constructions that list their elements directly (the Borel, the nonsplit
+Cartan) hand their codes to ``_make_group``. Either way the codes pass
+the same checks, the last of which is that they number |G|.
 
 A set of diagonal generators is closed from its exponent lattice. With g
 the least primitive root, diag(g^u, g^w) has exponents (u, w), and the
@@ -19,20 +30,15 @@ T_h[code % l^2]. T_h is the image list of [[d, b], [c, a]] for
 h = [[a, b], [c, d]], built by ``_image_list``; the powers of one matrix
 (the nonsplit Cartan's power table) are walked on the same table.
 
-A diagonal group D times the unit shears is carried as a ``UnipotentProduct``
-descriptor, which answers order, generators and membership from D and
-builds its l * |D| codes only when they are read.
-
-The constructor checks every code for nonsingularity. An upper-triangular
-set is checked at C speed from its low halves code % l^2 = c*l + d: when
-they all lie in 1..l-1, c = 0 gives det = a*d, and the smallest code being
-at least l^3 gives a != 0. Other sets are scanned code by code. The same
-test records ``is_upper_triangular`` at construction.
+Every code is checked for nonsingularity. An upper-triangular set is
+checked at C speed from its low halves code % l^2 = c*l + d: when they all
+lie in 1..l-1, c = 0 gives det = a*d, and the smallest code being at least
+l^3 gives a != 0. Other sets are scanned code by code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import gcd
@@ -230,18 +236,14 @@ def _row_table(h: MatTuple, ell: int) -> list[int]:
     return _image_list((d, b, c, a), ell)
 
 
-def _close(
-    gen_tuples: Iterable[MatTuple],
-    ell: int,
-    budget: int = CLOSURE_BUDGET,
-) -> set[int]:
+
+
+def _close(gen_tuples: Iterable[MatTuple], ell: int) -> set[int]:
     """Codes of the group the generators generate, breadth-first on codes.
 
     Each step multiplies on the right by a generator through its row table
     (``_row_table``), so no matrix is built. Generators alone suffice
     because the ambient group is finite, so inverses are positive powers.
-    Raises ClosureBudgetError as soon as more than ``budget`` elements have
-    been seen.
     """
     l2 = ell * ell
     tables = [_row_table(g, ell) for g in dict.fromkeys(gen_tuples)]
@@ -255,10 +257,6 @@ def _close(
             nxt = table[high] * l2 + table[low]
             if nxt not in seen:
                 seen.add(nxt)
-                if len(seen) > budget:
-                    raise ClosureBudgetError(
-                        f"closure exceeded element budget {budget}"
-                    )
                 queue.append(nxt)
     return seen
 
@@ -271,48 +269,62 @@ def decode_tuple(code: int, ell: int) -> MatTuple:
     return (a, b, c, d)
 
 
-def _encode_all(tuples: Iterable[MatTuple], ell: int) -> list[int]:
-    """Codes a*l^3 + b*l^2 + c*l + d of reduced entry tuples."""
-    return [((a * ell + b) * ell + c) * ell + d for a, b, c, d in tuples]
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixGroup:
-    """A finite subgroup of GL2(l) with explicit elements and generators.
+    """The subgroup of GL2(l) that ``generators`` generate.
 
-    The elements are stored as the frozenset ``codes`` of their canonical
-    integer encodings a*l^3 + b*l^2 + c*l + d (see ``Mat2.encode``); every
-    entry is below l, so ascending codes are ascending (a, b, c, d) tuples.
-    ``elements`` is the same set as ``Mat2`` objects, built on first
-    access. Equality is element-set equality; generators are a
-    non-canonical convenience kept for fast orbit computations. Instances
-    are immutable and safe for concurrent reads.
+    Order, membership (``__contains__``, ``contains_codes``) and
+    ``is_subgroup_of`` come from the stabilizer chain (``_stabilizer_chain``),
+    built on first use. Two groups are equal when they have one order and
+    one holds the other's generators; the hash is (l, order), so groups
+    that differ only in their generators are equal and hash alike. The
+    structural predicates read the generators.
 
-    Construction rejects a code outside the entry range, a singular code,
-    a missing identity, a generator outside the set and an order that does
-    not divide |GL2(l)|. Every code is checked for nonsingularity: when all
-    low halves code % l^2 = c*l + d lie in 1..l-1, c = 0 gives det = a*d
-    and the range check's minimum settles a != 0; otherwise each
-    determinant is computed. ``is_upper_triangular`` is recorded from the
-    same low-half test.
+    ``codes`` is the element set as canonical integer encodings
+    a*l^3 + b*l^2 + c*l + d (see ``Mat2.encode``); every entry is below l,
+    so ascending codes are ascending (a, b, c, d) tuples. It is built on
+    first read, from the Hermite form for diagonal generators and by
+    ``_close`` otherwise, unless ``_make_group`` supplied it. Instances are
+    immutable and safe for concurrent reads.
     """
 
     modulus: PrimeModulus
-    codes: frozenset[int]
     generators: tuple[Mat2, ...]
-    is_upper_triangular: bool = field(init=False)
 
     def __post_init__(self) -> None:
+        if any(g.modulus != self.modulus for g in self.generators):
+            raise ValueError("mixed moduli in generator list")
+
+    @cached_property
+    def _chain(self) -> _StabilizerChain:
+        return _stabilizer_chain(self.generator_tuples(), self.modulus)
+
+    @property
+    def order(self) -> int:
+        return self._chain.order
+
+    @cached_property
+    def codes(self) -> frozenset[int]:
+        if self.is_diagonal:
+            codes = _diagonal_codes(self.modulus, *self._chain.lattice)
+        else:
+            codes = _close(self.generator_tuples(), self.modulus.ell)
+        return self._checked(codes)
+
+    def _checked(self, codes: Iterable[int]) -> frozenset[int]:
+        """The codes as a frozenset, once they pass every check.
+
+        Rejects a code outside the entry range, a singular code, a
+        non-triangular code for triangular generators, a missing identity,
+        a generator outside the set and a count other than the order.
+        """
+        codes = frozenset(codes)
         ell = self.modulus.ell
-        codes = self.codes
         l2, l3 = ell * ell, ell * ell * ell
         lowest = min(codes, default=0)
         if lowest < 0 or max(codes, default=0) >= ell**4:
             raise ValueError("element code outside the reduced entry range")
-        # A group is upper triangular exactly when its generators are, so a
-        # non-triangular generator (checked below to lie in the set) skips
-        # the low-half pass.
-        triangular = all(g.c == 0 for g in self.generators)
+        triangular = self.is_upper_triangular
         if triangular:
             # code % l^2 = c*l + d lies in 1..l-1 exactly when c = 0, d != 0.
             low = set(map(mod, codes, repeat(l2)))
@@ -327,31 +339,27 @@ class MatrixGroup:
                     raise ValueError(
                         f"singular matrix [[{a},{b}],[{c},{d}]] mod {ell}"
                     )
-        object.__setattr__(self, "is_upper_triangular", triangular)
+            if self.is_upper_triangular:
+                raise ValueError("a code with c != 0 for triangular generators")
         if l3 + 1 not in codes:
             raise ValueError("group must contain the identity")
-        for g in self.generators:
-            if g.modulus != self.modulus or g.encode() not in codes:
-                raise ValueError("generator outside element set")
-        gl2_order = (ell * ell - 1) * (ell * ell - ell)
-        if gl2_order % len(codes) != 0:
-            raise ValueError("element count violates Lagrange in GL2(l)")
+        if any(g.encode() not in codes for g in self.generators):
+            raise ValueError("generator outside element set")
+        if len(codes) != self.order:
+            raise ValueError(
+                f"{len(codes)} codes for a generated group of order {self.order}"
+            )
+        return codes
 
     def __eq__(self, other: object) -> bool:
-        # frozenset equality does not check identity: without this, a
-        # partition-cache hit on the group itself would compare every code.
         if self is other:
             return True
         if not isinstance(other, MatrixGroup):
             return NotImplemented
-        return self.modulus == other.modulus and self.codes == other.codes
+        return self.order == other.order and self.is_subgroup_of(other)
 
     def __hash__(self) -> int:
-        return hash((self.modulus.ell, self.codes))
-
-    @property
-    def order(self) -> int:
-        return len(self.codes)
+        return hash((self.modulus.ell, self.order))
 
     @property
     def identity(self) -> Mat2:
@@ -369,7 +377,7 @@ class MatrixGroup:
         return (decode_tuple(code, ell) for code in self.codes)
 
     def __contains__(self, m: Mat2) -> bool:
-        return m.modulus == self.modulus and m.encode() in self.codes
+        return m.modulus == self.modulus and self._chain.sifts(m.encode())
 
     def __iter__(self) -> Iterator[Mat2]:
         return map(self.decode, self.codes)
@@ -381,12 +389,14 @@ class MatrixGroup:
     def generator_tuples(self) -> list[MatTuple]:
         return [g.as_tuple() for g in self.generators]
 
-    def is_subgroup_of(self, other: MatrixGroup | UnipotentProduct) -> bool:
-        # The containing group answers, so a descriptor is never expanded.
-        return self.modulus == other.modulus and other.contains_codes(self.codes)
+    def is_subgroup_of(self, other: MatrixGroup) -> bool:
+        """Whether other holds every generator of this group."""
+        return self.modulus == other.modulus and other.contains_codes(
+            g.encode() for g in self.generators
+        )
 
     def contains_codes(self, codes: Iterable[int]) -> bool:
-        return self.codes.issuperset(codes)
+        return all(map(self._chain.sifts, codes))
 
     def contains_unsheared(self, codes: Iterable[int]) -> bool:
         """Whether every code less its b part b*l^2 is a code of this group;
@@ -395,20 +405,19 @@ class MatrixGroup:
         l2 = ell * ell
         return all(code - code // l2 % ell * l2 in self.codes for code in codes)
 
-    # The predicates below read the codes: b = c = 0 exactly when the code
-    # is below l modulo l^3, and diag(a, a) is a * (l^3 + 1).
-    # is_upper_triangular (c = 0 everywhere) is recorded at construction.
+    # A group has a property below exactly when its generators have it.
 
-    @cached_property
+    @property
+    def is_upper_triangular(self) -> bool:
+        return all(g.is_upper_triangular for g in self.generators)
+
+    @property
     def is_diagonal(self) -> bool:
-        ell = self.modulus.ell
-        l3 = ell * ell * ell
-        return all(code % l3 < ell for code in self.codes)
+        return all(g.is_diagonal for g in self.generators)
 
-    @cached_property
+    @property
     def is_scalar(self) -> bool:
-        l3 = self.modulus.ell ** 3
-        return all(code % (l3 + 1) == 0 for code in self.codes)
+        return all(g.is_scalar for g in self.generators)
 
     @cached_property
     def is_abelian(self) -> bool:
@@ -429,9 +438,9 @@ def _make_group(
     codes: Iterable[int],
     generator_tuples: Iterable[MatTuple],
 ) -> MatrixGroup:
-    """The one constructor of groups: element codes plus reduced generator tuples.
+    """The group of reduced generator tuples, with its codes listed directly.
 
-    A frozenset of codes is kept as it is; any other iterable is read once.
+    The codes are read once and pass every check of ``MatrixGroup.codes``.
     """
     gens = []
     for t in generator_tuples:
@@ -439,71 +448,10 @@ def _make_group(
         if g.as_tuple() != tuple(t):
             raise ValueError(f"generator entries {t} are not reduced mod {modulus.ell}")
         gens.append(g)
-    return MatrixGroup(modulus, frozenset(codes), tuple(gens))
-
-
-@dataclass(frozen=True)
-class UnipotentProduct:
-    """The group D·U of a diagonal group D and the unit shears [[1, b], [0, 1]].
-
-    D·U is every [[a, b], [0, d]] with diag(a, d) in D, so it has order
-    l * |D|. Only D is held. Order, generators (D's, then the unit shear)
-    and membership are read off D, so orbit partitions, containment and the
-    certificate chains never build the l * |D| codes; ``elements`` and
-    ``materialize`` build them through ``_make_group``, with every
-    constructor check, on first read. Equality and hash come from D, and a
-    descriptor never equals a ``MatrixGroup``.
-    """
-
-    base: MatrixGroup
-    is_upper_triangular = True
-    is_diagonal = False
-
-    def __post_init__(self) -> None:
-        if not self.base.is_diagonal:
-            raise ValueError("only a diagonal group is adjoined to the unit shears")
-
-    @property
-    def modulus(self) -> PrimeModulus:
-        return self.base.modulus
-
-    @property
-    def order(self) -> int:
-        return self.modulus.ell * self.base.order
-
-    @cached_property
-    def generators(self) -> tuple[Mat2, ...]:
-        shear = Mat2(1, 1, 0, 1, self.modulus)
-        return tuple(dict.fromkeys((*self.base.generators, shear)))
-
-    def generator_tuples(self) -> list[MatTuple]:
-        return [g.as_tuple() for g in self.generators]
-
-    def contains_codes(self, codes: Iterable[int]) -> bool:
-        """Whether every code lies in D·U, by code arithmetic.
-
-        [[a, b], [c, d]] lies in D·U when c = 0 and diag(a, d) lies in D.
-        Every code of D has b = c = 0, so both hold exactly when the code
-        less its b part b*l^2 is a code of D.
-        """
-        return self.base.contains_unsheared(codes)
-
-    def materialize(self) -> MatrixGroup:
-        """D·U as a ``MatrixGroup``, built and checked on the first call."""
-        return self._group
-
-    @cached_property
-    def _group(self) -> MatrixGroup:
-        ell = self.modulus.ell
-        shifts = range(0, ell**3, ell * ell)  # b * l^2 for b < l
-        codes = frozenset().union(
-            *[map(add, self.base.codes, repeat(shift)) for shift in shifts]
-        )
-        return _make_group(self.modulus, codes, self.generator_tuples())
-
-    @property
-    def elements(self) -> frozenset[Mat2]:
-        return self.materialize().elements
+    group = MatrixGroup(modulus, tuple(gens))
+    # codes is a cached property, so the stored set is never rebuilt.
+    object.__setattr__(group, "codes", group._checked(codes))
+    return group
 
 
 # ---------------------------------------------------------------------------
@@ -530,6 +478,18 @@ def _discrete_logs(m: PrimeModulus) -> tuple[int, ...]:
     return tuple(log)
 
 
+def image_order(values: Iterable[int], m: PrimeModulus) -> int:
+    """Order of the subgroup of (Z/lZ)^* that the nonzero values generate.
+
+    It is g^(kZ) for k the gcd of l - 1 and the values' logs. A character
+    of a group is a homomorphism, so its image is the subgroup its values
+    on the generators generate.
+    """
+    n = m.ell - 1
+    log = _discrete_logs(m)
+    return n // gcd(n, *(log[v] for v in values))
+
+
 def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
     """(g, s, t) with g = gcd(a, b) = s*a + t*b, for a > 0 and b >= 0."""
     s0, s1, t0, t1 = 1, 0, 0, 1
@@ -544,7 +504,7 @@ def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
 def _diagonal_hnf(
     gen_tuples: Iterable[MatTuple], m: PrimeModulus
 ) -> tuple[int, int, int]:
-    """Hermite form (d1, d2, c) of the exponent lattice of diagonal generators.
+    """Hermite form (d1, d2, c) of the exponent lattice of the diagonal parts.
 
     The lattice starts as (l-1)Z^2, columns (n, 0) and (0, n), and each
     generator's exponents (u, w) are merged into the column (c, d2): with
@@ -587,25 +547,105 @@ def _diagonal_group_from_hnf(m: PrimeModulus, d1: int, d2: int, c: int) -> Matri
     n = m.ell - 1
     pow_g = _primitive_root_powers(m)
     gens = [(pow_g[d1 % n], 0, 0, 1), (pow_g[c], 0, 0, pow_g[d2 % n])]
-    return _make_group(m, _diagonal_codes(m, d1, d2, c), dict.fromkeys(gens))
+    return MatrixGroup(m, tuple(Mat2(*t, m) for t in dict.fromkeys(gens)))
 
 
-def _diagonal_closure(
-    modulus: PrimeModulus,
-    gen_tuples: list[MatTuple],
-    budget: int = CLOSURE_BUDGET,
-) -> MatrixGroup:
-    """The group that diagonal generators generate, built from its Hermite form.
+# ---------------------------------------------------------------------------
+# The stabilizer chain over the lines
 
-    Raises ClosureBudgetError where ``_close`` would, when the order
-    (l-1)^2 / (d1 * d2) exceeds the budget (the identity alone never
-    does), before any element is built. The generators are kept as given.
+
+def _inverse_t(x: MatTuple, ell: int) -> MatTuple:
+    a, b, c, d = x
+    r = pow(a * d - b * c, -1, ell)
+    return (d * r % ell, -b * r % ell, -c * r % ell, a * r % ell)
+
+
+@dataclass(frozen=True)
+class _StabilizerChain:
+    """Order and membership of a group G from its action on the lines.
+
+    Line t < l is spanned by (t, 1) and line l, the axis, by e1 = (1, 0).
+    inverses maps each line L of the axis line's orbit to t_L^-1, for a
+    t_L in G carrying the axis to L (t_l = 1). The axis stabilizer S is
+    upper triangular: lattice is the Hermite form of the exponent lattice
+    of its diagonal parts D, and shear is None when S holds the unit
+    shears U, else the x0 with S = {[[a, x0*(d - a)], [0, d]] : diag(a, d)
+    in D}, the matrices of D's diagonal parts that fix the line (x0, 1).
     """
-    d1, d2, c = _diagonal_hnf(gen_tuples, modulus)
-    n = modulus.ell - 1
-    if n * n // (d1 * d2) > max(budget, 1):
-        raise ClosureBudgetError(f"closure exceeded element budget {budget}")
-    return _make_group(modulus, _diagonal_codes(modulus, d1, d2, c), gen_tuples)
+
+    modulus: PrimeModulus
+    inverses: dict[int, MatTuple]
+    lattice: tuple[int, int, int]
+    shear: int | None
+    order: int
+
+    def sifts(self, code: int) -> bool:
+        """Whether the matrix with this code lies in G.
+
+        It must be invertible and carry e1 to a line L of the orbit; then
+        s = t_L^-1 * x fixes the axis, and lies in S when its diagonal
+        exponents lie in D's lattice and, without U, b = x0 * (d - a).
+        """
+        ell = self.modulus.ell
+        if not 0 <= code < ell**4:
+            return False
+        x = decode_tuple(code, ell)
+        a, b, c, d = x
+        if (a * d - b * c) % ell == 0:
+            return False
+        t_inv = self.inverses.get(a * pow(c, -1, ell) % ell if c else ell)
+        if t_inv is None:
+            return False
+        a, b, _, d = _mul_t(t_inv, x, ell)
+        log = _discrete_logs(self.modulus)
+        u, w = log[a], log[d]
+        d1, d2, c = self.lattice
+        if w % d2 or (u - w // d2 * c) % d1:
+            return False
+        return self.shear is None or b == self.shear * (d - a) % ell
+
+
+def _stabilizer_chain(gens: Iterable[MatTuple], m: PrimeModulus) -> _StabilizerChain:
+    """One-level Schreier–Sims chain of the group the generators generate.
+
+    One breadth-first walk over the orbit O of the axis line keeps a
+    transversal t_L per line. The Schreier products t_hL^-1 * h * t_L fix
+    the axis and generate its stabilizer S (Schreier's lemma); at the axis
+    t_hL = 1, so the product is h * t_L. S maps onto the group D of its
+    diagonal parts with kernel S ∩ U, and |U| = l is prime, so
+    |S| = |D| or l * |D|. S holds U exactly when some product has a = d and
+    b != 0 (a power of it is a nontrivial shear) or two products with
+    a != d fix different lines (x0, 1), x0 = b / (d - a) (then they do not
+    commute, and their commutator is a nontrivial shear); otherwise every
+    product fixes e1 and one line (x0, 1), and so does S. |G| = |O| * |S|.
+    """
+    ell = m.ell
+    gens = list(dict.fromkeys(gens))
+    axis = ell
+    inverses = {axis: (1, 0, 0, 1)}
+    schreier: list[MatTuple] = []
+    # (line, t_line) pairs; the list grows while it is read, as a
+    # breadth-first queue.
+    walk = [(axis, (1, 0, 0, 1))]
+    for line, t in walk:
+        for h in gens:
+            ht = h if line == axis else _mul_t(h, t, ell)
+            a, _, c, _ = ht
+            image = a * pow(c, -1, ell) % ell if c else axis
+            if image == axis:
+                schreier.append(ht)
+            elif image not in inverses:
+                inverses[image] = _inverse_t(ht, ell)
+                walk.append((image, ht))
+            else:
+                schreier.append(_mul_t(inverses[image], ht, ell))
+    d1, d2, c = _diagonal_hnf(schreier, m)
+    x0s = {b * pow(d - a, -1, ell) % ell for a, b, _, d in schreier if a != d}
+    sheared = len(x0s) > 1 or any(a == d and b for a, b, _, d in schreier)
+    shear = None if sheared else min(x0s, default=0)
+    n = ell - 1
+    order = len(walk) * n * n // (d1 * d2) * (ell if shear is None else 1)
+    return _StabilizerChain(m, inverses, (d1, d2, c), shear, order)
 
 
 def closure(
@@ -616,25 +656,23 @@ def closure(
     """Subgroup generated by the given invertible matrices.
 
     An empty generator list needs an explicit modulus and yields the
-    trivial group. A set of diagonal generators is closed from its exponent
-    lattice (``_diagonal_closure``); any other set breadth-first.
+    trivial group. Raises ClosureBudgetError when the group's order
+    exceeds the budget (the identity alone never does), read off the
+    stabilizer chain before any element is built.
     """
     gens = tuple(generators)
     if modulus is None:
         if not gens:
             raise ValueError("empty generator list needs an explicit modulus")
         modulus = gens[0].modulus
-    for g in gens:
-        if g.modulus != modulus:
-            raise ValueError("mixed moduli in generator list")
-    tuples = [g.as_tuple() for g in gens]
-    if all(g.is_diagonal for g in gens):
-        return _diagonal_closure(modulus, tuples, budget)
-    return _make_group(modulus, _close(tuples, modulus.ell, budget), tuples)
+    group = MatrixGroup(modulus, gens)
+    if group.order > max(budget, 1):
+        raise ClosureBudgetError(f"closure exceeded element budget {budget}")
+    return group
 
 
 def trivial_group(m: PrimeModulus) -> MatrixGroup:
-    return _make_group(m, _encode_all([(1, 0, 0, 1)], m.ell), [])
+    return MatrixGroup(m, ())
 
 
 def borel(m: PrimeModulus, cap: int = BOREL_PRIME_CAP) -> MatrixGroup:
@@ -658,32 +696,23 @@ def borel(m: PrimeModulus, cap: int = BOREL_PRIME_CAP) -> MatrixGroup:
 
 def split_cartan(m: PrimeModulus) -> MatrixGroup:
     """All invertible diagonal matrices, order (l-1)^2."""
-    ell = m.ell
-    l3 = ell * ell * ell
-    elems = [a * l3 + d for a in range(1, ell) for d in range(1, ell)]
-    gens: list[MatTuple] = []
-    if ell > 2:
-        g = _primitive_root_powers(m)[1]
-        gens = [(g, 0, 0, 1), (1, 0, 0, g)]
-    return _make_group(m, elems, gens)
+    if m.ell == 2:
+        return trivial_group(m)
+    g = _primitive_root_powers(m)[1]
+    return MatrixGroup(m, (Mat2(g, 0, 0, 1, m), Mat2(1, 0, 0, g, m)))
 
 
 def scalars(m: PrimeModulus) -> MatrixGroup:
     """Scalar matrices a*I, order l-1."""
-    ell = m.ell
-    elems = [a * (ell**3 + 1) for a in range(1, ell)]
-    gens: list[MatTuple] = []
-    if ell > 2:
-        g = _primitive_root_powers(m)[1]
-        gens = [(g, 0, 0, g)]
-    return _make_group(m, elems, gens)
+    if m.ell == 2:
+        return trivial_group(m)
+    g = _primitive_root_powers(m)[1]
+    return MatrixGroup(m, (Mat2(g, 0, 0, g, m),))
 
 
 def unipotent(m: PrimeModulus) -> MatrixGroup:
     """Upper unitriangular matrices [[1, b], [0, 1]], order l."""
-    ell = m.ell
-    elems = [ell**3 + b * ell * ell + 1 for b in range(ell)]
-    return _make_group(m, elems, [(1, 1, 0, 1)])
+    return MatrixGroup(m, (Mat2(1, 1, 0, 1, m),))
 
 
 def _nonsplit_codes(m: PrimeModulus) -> Iterator[int]:
@@ -736,31 +765,18 @@ def nonsplit_cartan(m: PrimeModulus) -> MatrixGroup:
 
 
 def kth_power_subgroup(G: MatrixGroup, k: int) -> MatrixGroup:
-    """The subgroup {g^k : g in G} of an abelian group G."""
+    """The subgroup {g^k : g in G} of an abelian group G, generated by the
+    k-th powers of G's generators."""
     if k < 1:
         raise ValueError("exponent must be positive")
     if not G.is_abelian:
         raise ValueError("k-th power subgroup only defined here for abelian groups")
-    ell = G.modulus.ell
-    if G.is_diagonal:
-        l3 = ell**3
-        power = [pow(x, k, ell) for x in range(ell)]
-        elems = [power[code // l3] * l3 + power[code % ell] for code in G.codes]
-    else:
-        elems = _encode_all((_pow_t(t, k, ell) for t in G.element_tuples()), ell)
-    gens = [_pow_t(g.as_tuple(), k, ell) for g in G.generators]
-    return _make_group(G.modulus, elems, dict.fromkeys(gens))
+    return MatrixGroup(G.modulus, tuple(dict.fromkeys(g**k for g in G.generators)))
 
 
 def conjugate(G: MatrixGroup, P: Mat2) -> MatrixGroup:
-    """The conjugate group P^-1 G P, elementwise."""
+    """The conjugate group P^-1 G P, generated by the conjugated generators."""
     if P.modulus != G.modulus:
         raise ValueError("mixed moduli")
-    ell = G.modulus.ell
-    p = P.as_tuple()
-    p_inv = P.inverse().as_tuple()
-    elems = _encode_all(
-        (_mul_t(_mul_t(p_inv, t, ell), p, ell) for t in G.element_tuples()), ell
-    )
-    gens = [_mul_t(_mul_t(p_inv, g.as_tuple(), ell), p, ell) for g in G.generators]
-    return _make_group(G.modulus, elems, gens)
+    P_inv = P.inverse()
+    return MatrixGroup(G.modulus, tuple(P_inv * g * P for g in G.generators))

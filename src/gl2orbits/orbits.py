@@ -31,9 +31,9 @@ from weakref import WeakKeyDictionary
 
 from .gl2 import (
     MatrixGroup,
-    UnipotentProduct,
     _discrete_logs,
     _primitive_root_powers,
+    image_order,
 )
 from .modarith import PrimeModulus
 
@@ -202,7 +202,7 @@ def _line_orbits(
     return line_orbits, offset
 
 
-def _orbit_partition(G: MatrixGroup | UnipotentProduct) -> OrbitPartition:
+def _orbit_partition(G: MatrixGroup) -> OrbitPartition:
     """The uncached partition, from G's action on the l + 1 lines.
 
     Over each orbit of lines (``_line_orbits``) the root's spanning vector
@@ -241,14 +241,12 @@ def _orbit_partition(G: MatrixGroup | UnipotentProduct) -> OrbitPartition:
     return OrbitPartition(tuple(orbits), tuple(label))
 
 
-# Orbit partitions by group or D·U descriptor. Equal groups share one entry,
-# and an entry is dropped when the object it was stored under is freed.
-_PARTITIONS: WeakKeyDictionary[
-    MatrixGroup | UnipotentProduct, OrbitPartition
-] = WeakKeyDictionary()
+# Orbit partitions by group. Equal groups share one entry, and an entry is
+# dropped when the group it was stored under is freed.
+_PARTITIONS: WeakKeyDictionary[MatrixGroup, OrbitPartition] = WeakKeyDictionary()
 
 
-def orbit_partition(G: MatrixGroup | UnipotentProduct) -> OrbitPartition:
+def orbit_partition(G: MatrixGroup) -> OrbitPartition:
     """G's orbit partition, computed once per group and cached."""
     partition = _PARTITIONS.get(G)
     if partition is None:
@@ -308,23 +306,21 @@ def stabilizer_order(G: MatrixGroup, v: Vector2) -> int:
 def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     """Orbit structure of a diagonal group from its diagonal characters.
 
-    The image of each diagonal character determines the axis orbits.
-    diag(a, d) fixes (x, y) with xy != 0 only when a = d = 1, so Gp acts
-    freely off the axes: every off-axis orbit has size |Gp|, and there are
-    (l - 1)^2 / |Gp| of them. No orbit is read.
+    The image of each diagonal character, read off the generators,
+    determines the axis orbits. diag(a, d) fixes (x, y) with xy != 0 only
+    when a = d = 1, so Gp acts freely off the axes: every off-axis orbit
+    has size |Gp|, and there are (l - 1)^2 / |Gp| of them. No orbit is read.
     """
     if not Gp.is_diagonal:
         raise ValueError("diagonal orbit prediction needs a diagonal group")
-    ell = Gp.modulus.ell
-    n = ell - 1
-    l3 = ell * ell * ell
-    im1 = {code // l3 for code in Gp.codes}
-    im2 = {code % ell for code in Gp.codes}
+    n = Gp.modulus.ell - 1
+    im1 = image_order((g.a for g in Gp.generators), Gp.modulus)
+    im2 = image_order((g.d for g in Gp.generators), Gp.modulus)
     return DiagonalOrbitPrediction(
-        index1=n // len(im1),
-        index2=n // len(im2),
-        axis1_size=len(im1),
-        axis2_size=len(im2),
+        index1=n // im1,
+        index2=n // im2,
+        axis1_size=im1,
+        axis2_size=im2,
         mixed_orbit_size=Gp.order,
         mixed_count=(n * n) // Gp.order,
         modulus=Gp.modulus,
@@ -451,7 +447,7 @@ def _first_violation(
 def uniform_divisibility_transfer(
     M: int,
     c: int,
-    G: MatrixGroup | UnipotentProduct,
+    G: MatrixGroup,
     H: MatrixGroup,
     direction: TransferDirection,
 ) -> TransferVerdict:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .gl2 import Mat2, MatrixGroup, UnipotentProduct, _diagonal_closure, _mul_t
+from .gl2 import Mat2, MatrixGroup, _mul_t
 from .modarith import FpUnit
 
 
@@ -79,22 +79,21 @@ class SemisimplificationResult:
     cases_matched: tuple[str, ...]
 
 
-def _require_upper_triangular(G: MatrixGroup | UnipotentProduct) -> None:
+def _require_upper_triangular(G: MatrixGroup) -> None:
     if not G.is_upper_triangular:
         raise ValueError("group is not upper triangular")
 
 
-def semisimplification(G: MatrixGroup | UnipotentProduct) -> MatrixGroup:
+def semisimplification(G: MatrixGroup) -> MatrixGroup:
     """Diagonal-parts group {diag(a, d) : [[a, b], [0, d]] in G}.
 
-    Computed as the group the projected generators generate, built from
-    the Hermite form of their exponent lattice; projection onto diagonal
-    parts is a homomorphism on upper-triangular matrices, so this equals
-    the elementwise projection of G.
+    Computed as the group the projected generators generate; projection
+    onto diagonal parts is a homomorphism on upper-triangular matrices, so
+    this equals the elementwise projection of G.
     """
     _require_upper_triangular(G)
-    gens = dict.fromkeys(g.diagonal_part().as_tuple() for g in G.generators)
-    result = _diagonal_closure(G.modulus, list(gens))
+    gens = dict.fromkeys(g.diagonal_part() for g in G.generators)
+    result = MatrixGroup(G.modulus, tuple(gens))
     if G.order % result.order != 0:
         raise RuntimeError("semisimplification order does not divide group order")
     return result

@@ -53,9 +53,7 @@ from .gl2 import (
     Mat2,
     MatrixGroup,
     MatTuple,
-    UnipotentProduct,
     _diagonal_group_from_hnf,
-    _diagonal_hnf,
     _nonsplit_generator,
     _primitive_root_powers,
     closure,
@@ -240,7 +238,7 @@ def _sample_count(cfg: SweepConfig, ell: int) -> int:
     return base + (cfg.primes.index(ell) < extra)
 
 
-def _serialize_group(G: MatrixGroup | UnipotentProduct) -> dict:
+def _serialize_group(G: MatrixGroup) -> dict:
     return {
         "ell": G.modulus.ell,
         "generators": sorted(list(g.as_tuple()) for g in G.generators),
@@ -289,12 +287,18 @@ def enumerate_upper_triangular_subgroups(m: PrimeModulus) -> Iterator[MatrixGrou
         raise ValueError(f"exhaustive Borel lattice enumeration capped at l <= {cap}")
     groups = []
     for D in enumerate_diagonal_subgroups(m):
-        groups.append(UnipotentProduct(D).materialize())
+        groups.append(_times_unit_shears(D))
         shears = [0] if D.is_scalar else range(ell)
         groups.extend(conjugate(D, Mat2(1, t, 0, 1, m)) for t in shears)
     # Ascending codes are ascending element tuples.
     groups.sort(key=lambda G: (G.order, sorted(G.codes)))
     yield from groups
+
+
+def _times_unit_shears(D: MatrixGroup) -> MatrixGroup:
+    """D·U: D's generators, then the unit shear [[1, 1], [0, 1]]."""
+    shear = Mat2(1, 1, 0, 1, D.modulus)
+    return MatrixGroup(D.modulus, tuple(dict.fromkeys((*D.generators, shear))))
 
 
 def _hermite_step(n: int, d1: int, d2: int) -> int:
@@ -327,37 +331,20 @@ def _random_triangular_tuple(rng: Random, ell: int) -> MatTuple:
     return (rng.randrange(1, ell), rng.randrange(ell), 0, rng.randrange(1, ell))
 
 
-def _triangular_closure_order(gens: list[Mat2], m: PrimeModulus) -> int:
-    """Order of the subgroup H of the Borel that upper-triangular gens generate.
-
-    H maps onto the group D of its diagonal parts with kernel H ∩ U, and
-    |U| = l is prime, so |H| is |D| or |D| * l. H contains U when two
-    generators fail to commute (their commutator is a nontrivial shear) or
-    when a generator has a = d and b != 0 (its (l-1)-th power is one).
-    Otherwise H is abelian and generated by diagonalizable elements, so it
-    is diagonalizable and meets U trivially. |D| is read off the Hermite
-    form of D's exponent lattice, without building D.
-    """
-    n = m.ell - 1
-    d1, d2, _ = _diagonal_hnf([(g.a, 0, 0, g.d) for g in gens], m)
-    order = n * n // (d1 * d2)
-    repeated = any(g.a == g.d and g.b != 0 for g in gens)
-    commuting = all(g * h == h * g for g in gens for h in gens)
-    return order * m.ell if repeated or not commuting else order
-
-
 def _sample_triangular_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
     """A random subgroup of the Borel from one to three random generators.
 
     Generators whose group would exceed the closure budget (at very large
-    primes) are replaced by the first of them alone, before any closure.
+    primes) are replaced by the first of them alone; the budget is read off
+    the group's order, before any element is built.
     """
     ell = m.ell
     k = rng.choice([1, 2, 3])
     gens = [Mat2(*_random_triangular_tuple(rng, ell), m) for _ in range(k)]
-    if _triangular_closure_order(gens, m) > SAMPLED_CLOSURE_BUDGET:
-        gens = gens[:1]
-    return closure(gens, m, budget=SAMPLED_CLOSURE_BUDGET)
+    try:
+        return closure(gens, m, budget=SAMPLED_CLOSURE_BUDGET)
+    except ClosureBudgetError:
+        return closure(gens[:1], m)
 
 
 def _sample_diagonal_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
@@ -396,7 +383,7 @@ def _sample_case1(rng: Random, m: PrimeModulus, deg: int) -> Case1Scenario | Non
         if (u, v) != (0, 0):
             gens.append(Mat2(pow(g, u, ell), 0, 0, pow(g, v, ell), m))
     gss = closure(gens, m)
-    G = UnipotentProduct(gss) if rng.random() < 2 / 3 else gss
+    G = _times_unit_shears(gss) if rng.random() < 2 / 3 else gss
     return Case1Scenario(G, comparison, DegreeParameter(deg))
 
 
@@ -431,7 +418,7 @@ def _sample_case2(
         if not compatible:
             continue
         deg = rng.choice(compatible)
-        G = UnipotentProduct(gss) if rng.random() < 2 / 3 else gss
+        G = _times_unit_shears(gss) if rng.random() < 2 / 3 else gss
         return Case2Scenario(G, DegreeParameter(deg))
     return None
 
@@ -455,7 +442,7 @@ def sample_scenarios(
     """Seeded, reproducible stream of valid scenarios across cfg.primes.
 
     A scenario's G is either its diagonal-parts group or, two times in
-    three, that group times the unit shears as a ``UnipotentProduct``.
+    three, that group times the unit shears.
     """
     for ell in cfg.primes:
         for i in range(_sample_count(cfg, ell)):

@@ -22,7 +22,6 @@ from gl2orbits.divchain import (
 )
 from gl2orbits.gl2 import (
     Mat2,
-    UnipotentProduct,
     _mul_t,
     borel,
     closure,
@@ -35,7 +34,8 @@ from gl2orbits.gl2 import (
 from gl2orbits.modarith import PrimeModulus, divisors, is_prime, power_image_order
 from gl2orbits.orbits import OrbitPartition, orbit_partition, orbit_size_map
 from gl2orbits.semisimplify import semisimplification
-from oracle import power_codes
+from gl2orbits.sweep import _times_unit_shears
+from oracle import breadth_first_partition, power_codes
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -443,11 +443,10 @@ def _case1_checks(down1, down2, up, twelfth, assembled):
     ]
 
 
-def _case2_checks(sixth, order_chain, index, scalar, up):
+def _case2_checks(sixth, order_chain, scalar, up):
     return [
         ("sixth_power_scalar", True, f"order {sixth}"),
         ("order_chain", True, order_chain),
-        ("unit_index_gate", True, index),
         ("scalar_uniform_divisibility", True, scalar),
         (
             "sixth_power_orbit_sizes",
@@ -482,7 +481,8 @@ def test_certificate_checks_cover_intermediate_step():
     from gl2orbits.sweep import _sample_case1
 
     sampled = _sample_case1(Random(0), M13, 6)
-    assert isinstance(sampled.G, UnipotentProduct)
+    # D·U, held by its generators.
+    assert not sampled.G.is_diagonal and "codes" not in vars(sampled.G)
     assert (sampled.G.order, sampled.Gp.order) == (624, 16)
     certificates = [
         (
@@ -502,7 +502,6 @@ def test_certificate_checks_cover_intermediate_step():
             _case2_checks(
                 2,
                 "det image 6 against 6 * 12 and 36 * 2",
-                "index 2 into 2",
                 "12 into 36 * 2 * 2",
                 72,
             ),
@@ -513,7 +512,6 @@ def test_certificate_checks_cover_intermediate_step():
             _case2_checks(
                 1,
                 "det image 6 against 6 * 6 and 36 * 1",
-                "index 1 into 1",
                 "6 into 36 * 1 * 1",
                 36,
             ),
@@ -657,27 +655,29 @@ def _certificate_scenarios():
 
 
 def test_chains_leave_descriptors_unmaterialized():
+    # Every scenario group is held by its generators, D·U (not diagonal)
+    # in more than half of them, and the chains never build its codes.
     scenarios = _certificate_scenarios()
-    descriptors = [s.G for s in scenarios if isinstance(s.G, UnipotentProduct)]
+    descriptors = [s.G for s in scenarios if not s.G.is_diagonal]
     assert len(descriptors) > len(scenarios) // 2
     for s in scenarios:
         chain = verify_case1_chain if isinstance(s, Case1Scenario) else verify_case2_chain
         cert = chain(s)
         assert cert.verdict
-        if isinstance(s.G, UnipotentProduct):
-            assert "_group" not in vars(s.G)
-            # The certificate holds the partition; the size map is not built.
-            assert "sizes" not in vars(cert.partition)
-    assert all("_group" not in vars(G) for G in descriptors)
-    # The descriptor's partition is the materialized group's.
+        assert "codes" not in vars(s.G)
+        # The certificate holds the partition; the size map is not built.
+        assert "sizes" not in vars(cert.partition)
+    assert all("codes" not in vars(s.G) for s in scenarios)
+    # The partition of D·U is the oracle's, walked from its generators.
     G = descriptors[0]
-    assert orbit_partition(G).orbits == orbits._orbit_partition(G.materialize()).orbits
+    oracle = breadth_first_partition(G.generator_tuples(), G.modulus.ell)
+    assert orbit_partition(G).orbits == oracle[0]
 
 
 def test_containment_checks_fail_against_a_descriptor(monkeypatch):
     m = PrimeModulus(13)
     D = kth_power_subgroup(split_cartan(m), 6)
-    G = UnipotentProduct(D)
+    G = _times_unit_shears(D)
     outside = split_cartan(m)
     assert not outside.is_subgroup_of(G)
     with pytest.raises(ValueError, match="not a subgroup"):
@@ -692,4 +692,4 @@ def test_containment_checks_fail_against_a_descriptor(monkeypatch):
     monkeypatch.setattr(divchain, "semisimplification", lambda group: outside)
     assert not checks_by_name(validate_case1(s1))["semisimplification_contained"]
     assert not checks_by_name(validate_case2(s2))["semisimplification_contained"]
-    assert "_group" not in vars(G)
+    assert "codes" not in vars(G)

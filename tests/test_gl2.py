@@ -9,9 +9,8 @@ from gl2orbits.gl2 import (
     ClosureBudgetError,
     Mat2,
     MatrixGroup,
-    UnipotentProduct,
     _close,
-    _diagonal_closure,
+    _diagonal_group_from_hnf,
     _image_list,
     _make_group,
     _mul_t,
@@ -30,7 +29,11 @@ from gl2orbits.modarith import PrimeModulus, is_prime
 from gl2orbits.semisimplify import semisimplification
 from gl2orbits.sweep import (
     SweepConfig,
+    _sample_nested_pair,
+    _sample_triangular_group,
+    _scenario_rng,
     _serialize_group,
+    _times_unit_shears,
     enumerate_diagonal_subgroups,
     enumerate_upper_triangular_subgroups,
     sample_scenarios,
@@ -301,9 +304,16 @@ def test_make_group_rejects_singular_and_unreduced_input():
         _make_group(M5, [code5(4, 0, 0, 4)], [])
     with pytest.raises(ValueError, match="generator"):
         _make_group(M5, scalars(M5).codes, [(1, 1, 0, 1)])
+    # The count must be the order of the generated group: seven codes are
+    # no group, and the Cartan's 16 are not the group of diag(2, 1) alone.
     seven = [code5(a, 0, 0, d) for a in (1, 2) for d in (1, 2, 3, 4)][:7]
-    with pytest.raises(ValueError, match="Lagrange"):
+    with pytest.raises(ValueError, match="order 1$"):
         _make_group(M5, seven, [])
+    with pytest.raises(ValueError, match="16 codes for a generated group of order 4"):
+        _make_group(M5, cartan.codes, [(2, 0, 0, 1)])
+    # A non-triangular code for triangular generators.
+    with pytest.raises(ValueError, match="c != 0"):
+        _make_group(M5, [identity, code5(1, 0, 1, 1)], [])
     assert _make_group(M5, cartan.codes, [(2, 0, 0, 1), (1, 0, 0, 2)]) == cartan
 
 
@@ -324,9 +334,10 @@ def test_make_group_rejects_singular_and_unreduced_input():
     [[], [(2, 0, 0, 1)], [(0, 1, 1, 0)]],
 )
 def test_every_code_is_checked_for_singularity(codes, generators):
+    # Listed codes and codes built on first read pass the same checks.
     gens = tuple(Mat2(*t, M5) for t in generators)
     with pytest.raises(ValueError, match="singular"):
-        MatrixGroup(M5, frozenset(codes), gens)
+        MatrixGroup(M5, gens)._checked(codes)
     with pytest.raises(ValueError, match="singular"):
         _make_group(M5, codes, generators)
 
@@ -335,7 +346,7 @@ def test_borel_constructions_agree():
     for p in (2, 3, 5, 7, 13):
         m = PrimeModulus(p)
         B = borel(m)
-        from_cartan = UnipotentProduct(split_cartan(m)).materialize()
+        from_cartan = _times_unit_shears(split_cartan(m))
         closed = closure(B.generators, m)
         assert B == from_cartan == closed
         assert hash(B) == hash(from_cartan) == hash(closed)
@@ -353,15 +364,16 @@ def _adjoined_by_union(D):
 
 
 def test_unipotent_product_membership_is_code_arithmetic():
-    # Every diagonal D at l <= 7, against every code below l^4.
+    # D·U for every diagonal D at l <= 7, against every code below l^4:
+    # the chain sifts exactly the union of D's shifted codes.
     for p in (2, 3, 5, 7):
         m = PrimeModulus(p)
         for D in enumerate_diagonal_subgroups(m):
-            G = UnipotentProduct(D)
-            assert "_group" not in vars(G)
+            G = _times_unit_shears(D)
             members = {code for code in range(p**4) if G.contains_codes([code])}
-            assert members == G.materialize().codes
-            assert G.contains_codes(G.materialize().codes)
+            assert "codes" not in vars(G)
+            assert members == _adjoined_by_union(D).codes
+            assert G.contains_codes(G.codes)
             assert not G.contains_codes([*D.codes, p**3 + p + 1])
 
 
@@ -369,41 +381,43 @@ def test_unipotent_product_matches_breadth_first_and_the_union():
     for p in (2, 3, 5, 7, 13):
         m = PrimeModulus(p)
         for D in enumerate_diagonal_subgroups(m):
-            G = UnipotentProduct(D)
+            G = _times_unit_shears(D)
             old = _adjoined_by_union(D)
-            # Answered from D alone, before any code set is built.
+            # Answered from the generators, before any code set is built.
             assert G.order == old.order
             assert G.generators == old.generators
             assert G.generator_tuples() == old.generator_tuples()
             assert _serialize_group(G) == _serialize_group(old)
             assert G.is_upper_triangular and not G.is_diagonal
-            assert "_group" not in vars(G)
-            built = G.materialize()
-            assert built is G.materialize()
-            assert built == old and built.codes == _breadth_first_codes(G.generators, p)
-            assert built.is_upper_triangular and not built.is_diagonal
+            assert G == old and "codes" not in vars(G)
+            built = G.codes
+            assert built is G.codes
+            assert built == old.codes == _breadth_first_codes(G.generators, p)
             assert G.elements == old.elements
 
 
 def test_unipotent_product_identity_and_rejections():
     m = PrimeModulus(7)
     D = closure([Mat2(3, 0, 0, 5, m)], m)
-    G = UnipotentProduct(D)
-    # Equality and hash come from D; a descriptor never equals a group.
-    assert G == UnipotentProduct(closure(D.generators, m))
-    assert hash(G) == hash(UnipotentProduct(closure(D.generators, m)))
-    assert G != UnipotentProduct(split_cartan(m)) and G != D
-    with pytest.raises(ValueError, match="diagonal"):
-        UnipotentProduct(borel(m))
-    with pytest.raises(ValueError, match="diagonal"):
-        UnipotentProduct(unipotent(m))
-    # Containment asks the containing group.
+    G = _times_unit_shears(D)
+    # Equality and hash come from the chain: the same group under other
+    # generators is equal, and a group of another order or another set is not.
+    same = closure([Mat2(1, 1, 0, 1, m), Mat2(3, 2, 0, 5, m)], m)
+    assert G == same and same == G and hash(G) == hash(same)
+    assert G != _times_unit_shears(split_cartan(m)) and G != D
+    other = conjugate(G, Mat2(0, 1, 1, 0, m))
+    assert other.order == G.order and other != G and G != other
+    # Generators of another modulus are rejected.
+    with pytest.raises(ValueError, match="mixed moduli"):
+        MatrixGroup(m, (Mat2(1, 1, 0, 1, M5),))
+    # Containment sifts the generators through the containing group's chain.
     assert D.is_subgroup_of(G) and unipotent(m).is_subgroup_of(G)
     assert not split_cartan(m).is_subgroup_of(G)
     assert not nonsplit_cartan(m).is_subgroup_of(G)
-    assert not D.is_subgroup_of(UnipotentProduct(split_cartan(PrimeModulus(5))))
-    assert "_group" not in vars(G)
-    assert G != G.materialize() and G.materialize() != G
+    assert not D.is_subgroup_of(_times_unit_shears(split_cartan(PrimeModulus(5))))
+    assert "codes" not in vars(G)
+    built = _adjoined_by_union(D)
+    assert G == built and built == G
 
 
 def test_codes_are_the_encodings_of_elements():
@@ -411,18 +425,21 @@ def test_codes_are_the_encodings_of_elements():
     swap = Mat2(0, 1, 1, 0, m)
     groups = list(enumerate_upper_triangular_subgroups(PrimeModulus(5)))
     cns = nonsplit_cartan(m)
-    # Without generators the nonsplit Cartan's set meets the low-half test.
-    groups += [cns, MatrixGroup(m, cns.codes, ()), conjugate(borel(m), swap)]
+    groups += [cns, conjugate(borel(m), swap), conjugate(cns, swap)]
     for G in groups:
         elems = G.elements
         assert frozenset(G) == elems
         assert {g.encode() for g in elems} == G.codes
         assert G.sorted_elements() == sorted(elems, key=Mat2.encode)
         assert all(g in G for g in elems)
-        # The code-arithmetic predicates against the matrices themselves.
+        # The predicates read off the generators, against the matrices.
         assert G.is_upper_triangular == all(g.is_upper_triangular for g in elems)
         assert G.is_diagonal == all(g.is_diagonal for g in elems)
         assert G.is_scalar == all(g.is_scalar for g in elems)
+    # Without generators the nonsplit Cartan's set meets the low-half test,
+    # which finds codes with c != 0.
+    with pytest.raises(ValueError, match="c != 0"):
+        _make_group(m, cns.codes, [])
     assert Mat2(1, 0, 0, 1, PrimeModulus(7)) not in trivial_group(M5)
 
 
@@ -439,8 +456,9 @@ def test_recorded_triangularity_on_certificate_scenarios():
     for kind in ("case1", "case2"):
         groups += [s.G for s in sample_scenarios(cfg, kind)]
     groups += [semisimplification(G) for G in groups]
-    # Some scenario is D·U, carried as a descriptor.
-    assert any(isinstance(G, UnipotentProduct) for G in groups)
+    # Some scenario is D·U, and every group is held by its generators.
+    assert any(not G.is_diagonal for G in groups)
+    assert all("codes" not in vars(G) for G in groups)
     for G in groups:
         assert G.is_upper_triangular
         assert all(g.is_upper_triangular for g in G.elements)
@@ -490,8 +508,8 @@ def test_diagonal_closure_matches_breadth_first_on_random_sets():
 
 
 def test_diagonal_closure_budget_matches_breadth_first():
-    # The lattice closure and the code closure raise at exactly the budgets
-    # where the tuple closure does, diagonal sets or not.
+    # closure raises at exactly the budgets where the tuple closure does,
+    # diagonal sets or not, from the order and before any code is built.
     for p, gens in [
         (2, []),
         (3, [(2, 0, 0, 1)]),
@@ -506,8 +524,8 @@ def test_diagonal_closure_budget_matches_breadth_first():
         (31, [(1, 2, 3, 5)]),
     ]:
         m = PrimeModulus(p)
+        mats = [Mat2(*t, m) for t in gens]
         order = len(breadth_first_closure(gens, p))
-        diagonal = all(b == c == 0 for _, b, c, _ in gens)
         for budget in sorted({-1, 0, 1, order - 1, order, order + 1}):
             try:
                 breadth_first_closure(gens, p, budget)
@@ -516,14 +534,11 @@ def test_diagonal_closure_budget_matches_breadth_first():
                 expected = True
             if expected:
                 with pytest.raises(ClosureBudgetError, match=f"budget {budget}$"):
-                    _close(gens, p, budget)
-                if diagonal:
-                    with pytest.raises(ClosureBudgetError, match=f"budget {budget}$"):
-                        _diagonal_closure(m, gens, budget)
+                    closure(mats, m, budget)
             else:
-                assert len(_close(gens, p, budget)) == order
-                if diagonal:
-                    assert _diagonal_closure(m, gens, budget).order == order
+                G = closure(mats, m, budget)
+                assert G.order == order and "codes" not in vars(G)
+                assert G.codes == breadth_first_codes(gens, p)
     # l = 199: the full diagonal group has 198^2 = 39,204 elements.
     m = PrimeModulus(199)
     cartan = split_cartan(m).generators
@@ -557,7 +572,8 @@ def _random_generator_sets(rng, p, count):
 
 
 def test_code_closure_matches_breadth_first_on_random_sets():
-    # The code closure against the tuple closure, on the same budget.
+    # The code closure against the tuple closure; closure with the same
+    # budget raises exactly where the tuple closure overruns it.
     rng = Random(3131)
     budget = 6_000
     for p in [q for q in range(2, 32) if is_prime(q)]:
@@ -568,11 +584,9 @@ def test_code_closure_matches_breadth_first_on_random_sets():
                 expected = breadth_first_codes(tuples, p, budget)
             except ClosureBudgetError:
                 with pytest.raises(ClosureBudgetError):
-                    _close(tuples, p, budget)
-                with pytest.raises(ClosureBudgetError):
                     closure(gens, m, budget)
                 continue
-            assert _close(tuples, p, budget) == expected
+            assert _close(tuples, p) == expected
             G = closure(gens, m, budget)
             assert G.codes == expected and G.generators == tuple(gens)
 
@@ -635,3 +649,107 @@ def test_nonsplit_cartan_codes_and_least_generator():
             if len(breadth_first_closure([g.as_tuple()], p)) == n:
                 assert gen == g
                 break
+
+
+def _chain_draws(rng, p, count):
+    """One to three generators, upper triangular with probability 0.4 and
+    arbitrary otherwise, with the identity and repeats mixed in."""
+    sets = []
+    while len(sets) < count:
+        triangular = rng.random() < 0.4
+        gens = []
+        while len(gens) < rng.randint(1, 3):
+            a, b, c, d = (rng.randrange(p) for _ in range(4))
+            if triangular:
+                c = 0
+            if (a * d - b * c) % p:
+                gens.append((a, b, c, d))
+        if rng.random() < 0.2:
+            gens.insert(rng.randrange(len(gens) + 1), (1, 0, 0, 1))
+        if rng.random() < 0.2:
+            gens.append(rng.choice(gens))
+        sets.append(gens)
+    return sets
+
+
+def _hand_picked_draws(p):
+    """Sets that random draws rarely hit: commuting diagonalizable pairs,
+    repeated-eigenvalue shears, shears over a scalar, two triangular
+    matrices with different fixed lines (x0, 1), and transitive groups."""
+    draws = [[], [(1, 0, 0, 1)], [(0, 1, 1, 0)], [(1, 1, 0, 1), (1, 0, 1, 1)]]
+    for a in range(1, p):
+        draws.append([(a, 0, 0, 1), (1, 0, 0, a)])
+        draws.append([(a, 1, 0, a)])
+        draws.append([(a, a, 0, 1), (a, 0, 0, a)])
+        if a != 1:
+            # Both fix e1; x0 = b / (d - a) is 1 for one and 0 for the other.
+            draws.append([(a, (1 - a) % p, 0, 1), (a, 0, 0, 1)])
+    if p > 2:
+        draws.append([nonsplit_cartan(PrimeModulus(p)).generators[0].as_tuple()])
+    return draws
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_stabilizer_chain_matches_breadth_first_oracle(p):
+    # Order and membership from the chain against the tuple closure; at
+    # l <= 7 membership is checked on every invertible code.
+    m = PrimeModulus(p)
+    rng = Random(1970 + p)
+    invertible = [
+        code
+        for code in range(p**4)
+        if (code // p**3 * (code % p) - code // p**2 % p * (code // p % p)) % p
+    ]
+    for gens in _chain_draws(rng, p, 120 if p <= 7 else 30) + _hand_picked_draws(p):
+        G = MatrixGroup(m, tuple(Mat2(*t, m) for t in gens))
+        expected = breadth_first_codes(gens, p)
+        assert G.order == len(expected)
+        assert G.contains_codes(expected)
+        if p <= 7:
+            assert {c for c in invertible if G.contains_codes([c])} == expected
+        assert "codes" not in vars(G)
+
+
+@pytest.mark.parametrize("p", [151, 199])
+def test_stabilizer_chain_order_on_sampled_draws(p):
+    # The groups of the sampled lemma31 and lemma33 draws, against the
+    # code closure.
+    m = PrimeModulus(p)
+    for seed in (864, 2024):
+        for index in range(8):
+            groups = [
+                _sample_triangular_group(_scenario_rng(seed, "lemma31", p, index), m),
+                *_sample_nested_pair(_scenario_rng(seed, "lemma33", p, index), m),
+            ]
+            for G in groups:
+                assert G.order == len(_close(G.generator_tuples(), p))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_constructions_are_the_groups_of_their_generators(p):
+    # Every library construction's codes, listed or built on first read,
+    # are the tuple closure of its generators.
+    m = PrimeModulus(p)
+    n = p - 1
+    groups = [
+        borel(m),
+        split_cartan(m),
+        scalars(m),
+        unipotent(m),
+        trivial_group(m),
+        _diagonal_group_from_hnf(m, n, n, 0),
+        closure([Mat2(1, 1, 0, 1, m), Mat2(0, 1, 1, 0, m)], m),
+    ]
+    if p > 2:
+        cns = nonsplit_cartan(m)
+        groups += [
+            cns,
+            _diagonal_group_from_hnf(m, 1, n, 0),
+            kth_power_subgroup(cns, 2),
+            kth_power_subgroup(split_cartan(m), 2),
+            conjugate(borel(m), Mat2(0, 1, 1, 0, m)),
+            conjugate(split_cartan(m), Mat2(1, 1, 0, 1, m)),
+        ]
+    for G in groups:
+        assert G.codes == breadth_first_codes(G.generator_tuples(), p)
+        assert len(G.codes) == G.order

@@ -10,7 +10,6 @@ from gl2orbits import orbits
 from gl2orbits.gl2 import (
     Mat2,
     MatrixGroup,
-    UnipotentProduct,
     _image_list,
     borel,
     closure,
@@ -39,6 +38,7 @@ from gl2orbits.orbits import (
 )
 from gl2orbits.sweep import (
     _sample_diagonal_group,
+    _times_unit_shears,
     enumerate_diagonal_subgroups,
     enumerate_upper_triangular_subgroups,
 )
@@ -194,7 +194,7 @@ def test_line_kernel_matches_oracle_on_diagonal_groups_and_products():
     for p in [q for q in range(2, 32) if is_prime(q)]:
         for D in enumerate_diagonal_subgroups(PrimeModulus(p)):
             assert_partition_matches_oracle(D)
-            assert_partition_matches_oracle(UnipotentProduct(D))
+            assert_partition_matches_oracle(_times_unit_shears(D))
 
 
 def test_line_kernel_matches_oracle_on_standard_groups():
@@ -220,7 +220,7 @@ def test_line_kernel_matches_oracle_at_large_primes(p):
     rng = Random(p)
     m = PrimeModulus(p)
     D = _sample_diagonal_group(rng, m)
-    groups = [D, UnipotentProduct(D), nonsplit_cartan(m)]
+    groups = [D, _times_unit_shears(D), nonsplit_cartan(m)]
     groups += [Generated(m, random_generator_set(rng, p)) for _ in range(3)]
     for G in groups:
         assert_partition_matches_oracle(G)
@@ -484,9 +484,10 @@ def test_orbit_size_map_cached_per_equal_group(monkeypatch):
     assert len(calls) == 2
 
 
-def test_repeated_partition_lookup_never_compares_codes():
-    # A cache hit on the group itself must not compare its codes with
-    # themselves element by element.
+def test_repeated_partition_lookup_never_compares_codes(monkeypatch):
+    # A cache hit, on the group itself or on an equal group with other
+    # generators, must not compare codes element by element; only an equal
+    # group's generators are sifted.
     class CountingCodes(frozenset):
         calls = 0
 
@@ -497,14 +498,28 @@ def test_repeated_partition_lookup_never_compares_codes():
         __hash__ = frozenset.__hash__
 
     B = borel(PrimeModulus(67))
-    G = MatrixGroup(B.modulus, CountingCodes(B.codes), B.generators)
+    G = MatrixGroup(B.modulus, B.generators)
+    object.__setattr__(G, "codes", CountingCodes(B.codes))
     orbits._PARTITIONS.pop(G, None)
     first = orbits.orbit_partition(G)
+    sifted = []
+    chain_type = type(G._chain)
+    sifts = chain_type.sifts
+
+    def recording(chain, code):
+        sifted.append(code)
+        return sifts(chain, code)
+
+    monkeypatch.setattr(chain_type, "sifts", recording)
     CountingCodes.calls = 0
     for _ in range(3):
         assert orbits.orbit_partition(G) is first
         assert orbit_size_map(G) is first.sizes
-    assert CountingCodes.calls == 0
+    assert CountingCodes.calls == 0 and sifted == []
+    reordered = MatrixGroup(B.modulus, B.generators[::-1])
+    assert orbits.orbit_partition(reordered) is first
+    assert CountingCodes.calls == 0 and "codes" not in vars(reordered)
+    assert len(sifted) <= len(B.generators)
 
 
 def test_orbit_size_map_is_read_only():

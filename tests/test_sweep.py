@@ -14,6 +14,7 @@ import pytest
 from gl2orbits import divchain, gl2, orbits, sweep
 from gl2orbits.divchain import Case1Scenario, Case2Scenario, DegreeParameter
 from gl2orbits.gl2 import (
+    ClosureBudgetError,
     Mat2,
     MatrixGroup,
     borel,
@@ -33,7 +34,6 @@ from gl2orbits.sweep import (
     _random_triangular_tuple,
     _sample_triangular_group,
     _scenario_rng,
-    _triangular_closure_order,
     enumerate_diagonal_subgroups,
     enumerate_upper_triangular_subgroups,
     run,
@@ -485,14 +485,11 @@ def test_triangular_closure_order_matches_closure(p):
         [Mat2(*_random_triangular_tuple(rng, p), m) for _ in range(k)]
         for k in rng.choices([1, 2, 3], k=150)
     ]
-    # Commuting diagonalizable pairs and repeated-eigenvalue shears, which
-    # random draws rarely hit at the larger primes.
-    for a in range(1, p):
-        draws.append([Mat2(a, 0, 0, 1, m), Mat2(1, 0, 0, a, m)])
-        draws.append([Mat2(a, 1, 0, a, m)])
-        draws.append([Mat2(a, a, 0, 1, m), Mat2(a, 0, 0, a, m)])
+    # The order that decides the sampler's budget fallback, read off the
+    # stabilizer chain, against the tuple closure.
     for gens in draws:
-        assert _triangular_closure_order(gens, m) == closure(gens, m).order
+        tuples = [g.as_tuple() for g in gens]
+        assert closure(gens, m).order == len(breadth_first_closure(tuples, p))
 
 
 def test_over_budget_draw_falls_back_without_closing_it(monkeypatch):
@@ -505,21 +502,27 @@ def test_over_budget_draw_falls_back_without_closing_it(monkeypatch):
         for _ in range(rng.choice([1, 2, 3]))
     ]
     assert len(gens) == 3
-    assert _triangular_closure_order(gens, m) == 1_132_500 > SAMPLED_CLOSURE_BUDGET
+    assert MatrixGroup(m, tuple(gens)).order == 1_132_500 > SAMPLED_CLOSURE_BUDGET
 
     sizes = []
     original = gl2._close
 
     def recording_close(*args, **kwargs):
-        sizes.append(None)  # stays None if the closure overruns its budget
         closed = original(*args, **kwargs)
-        sizes[-1] = len(closed)
+        sizes.append(len(closed))
         return closed
 
     monkeypatch.setattr(gl2, "_close", recording_close)
+    # The budget is read off the order: the overrun raises before any code
+    # is built, and so does the sampler's fallback.
+    with pytest.raises(ClosureBudgetError):
+        closure(gens, m, budget=SAMPLED_CLOSURE_BUDGET)
     G = _sample_triangular_group(_scenario_rng(2024, "lemma31", 151, 0), m)
+    assert sizes == [] and "codes" not in vars(G)
     assert G == closure(gens[:1], m)
-    assert sizes and None not in sizes and max(sizes) <= 150 * 150
+    # Its codes, when read, are the first generator's cyclic group.
+    assert len(G.codes) == G.order <= 150 * 150
+    assert sizes == [G.order]
 
 
 def test_sweeps_never_build_matrix_sets(monkeypatch):
@@ -944,17 +947,18 @@ def test_forged_failure_rows_pinned(monkeypatch, forge, cfg, json_pin, csv_pin):
 
 def test_certificate_round_builds_no_unipotent_product(monkeypatch):
     # The benchmark's certificates round. Every D·U has order divisible by
-    # l; no other group of the certificate path does, so no group built
-    # may have such an order.
+    # l; no other group of the certificate path does, so no code set built
+    # may have such a size. Every code set, listed by a construction or
+    # built on first read, passes MatrixGroup._checked.
     built = []
-    make_group = gl2._make_group
+    checked = MatrixGroup._checked
 
-    def recording(modulus, codes, generator_tuples):
-        group = make_group(modulus, codes, generator_tuples)
-        built.append((modulus.ell, group.order))
-        return group
+    def recording(group, codes):
+        codes = checked(group, codes)
+        built.append((group.modulus.ell, len(codes)))
+        return codes
 
-    monkeypatch.setattr(gl2, "_make_group", recording)
+    monkeypatch.setattr(MatrixGroup, "_checked", recording)
     cfg = SweepConfig(
         primes=tuple(p for p in range(37, 68) if is_prime(p)),
         sample_count=16,
@@ -965,11 +969,12 @@ def test_certificate_round_builds_no_unipotent_product(monkeypatch):
     report = run(cfg)
     assert report.total_failures == 0
     assert all(e["pass"] == e["total"] for e in report.suites)
-    assert built and not [(ell, order) for ell, order in built if order % ell == 0]
-    # The same recorder sees a descriptor materialize.
+    assert not [(ell, order) for ell, order in built if order % ell == 0]
+    # The same recorder sees the codes of a D·U built when they are read.
     scenarios = sample_scenarios(cfg, "case1")
-    G = next(s.G for s in scenarios if isinstance(s.G, gl2.UnipotentProduct))
-    G.materialize()
+    G = next(s.G for s in scenarios if not s.G.is_diagonal)
+    assert "codes" not in vars(G)
+    G.codes
     assert built[-1] == (G.modulus.ell, G.order)
 
 
@@ -991,3 +996,41 @@ def test_tracer_layer_names_resolve():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def test_benchmark_checks_pass_on_generator_held_groups():
+    # bench/run.py's deep check reads G.generator_tuples() and G.elements of
+    # every certificate scenario, and the nonsplit Cartan's elements; here
+    # at l <= 13, on scenario groups held only by their generators.
+    import importlib.util
+
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    cfg = SweepConfig(
+        primes=(3, 5, 7, 11, 13),
+        sample_count=20,
+        suites=("case1", "case2"),
+        seed=864,
+        degrees=(1, 2, 3, 6, 12),
+    )
+    problems = []
+    held = 0
+    for kind in cfg.suites:
+        for scenario in sample_scenarios(cfg, kind):
+            G = scenario.G
+            ell = G.modulus.ell
+            held += "codes" not in vars(G)
+            orbits = checks.orbits_from_generators(G.generator_tuples(), ell)
+            e1_orbit = frozenset((g.a, g.c) for g in G.elements)
+            problems += checks.certificate_orbit_problems(
+                ell, G.order, scenario.degree.d, orbits, e1_orbit
+            )
+    assert held == 40
+    for ell in cfg.primes:
+        program = {g.as_tuple() for g in gl2.nonsplit_cartan(PrimeModulus(ell)).elements}
+        problems += checks.nonsplit_problems(ell, program)
+        if program != checks.nonsplit_cartan_tuples(ell):
+            problems.append(f"l={ell}: the program's nonsplit Cartan differs")
+    assert problems == []
