@@ -11,8 +11,11 @@ Equality and containment sift generators through the chain, so no element
 set is compared.
 
 The element set is the frozenset ``codes`` of integer codes
-a*l^3 + b*l^2 + c*l + d, built on first read; ``Mat2`` objects are built
-only at the API edge (``elements``, iteration, generators and witnesses).
+a*l^3 + b*l^2 + c*l + d, built on first read and refused with
+ClosureBudgetError above ``CLOSURE_BUDGET`` elements before anything is
+built; ``random_element`` draws from the chain without it. ``Mat2``
+objects are built only at the API edge (``elements``, iteration,
+generators and witnesses).
 Constructions that list their elements directly (the Borel, the nonsplit
 Cartan) hand their codes to ``_make_group``. Either way the codes pass
 the same checks, the last of which is that they number |G|.
@@ -43,6 +46,7 @@ from functools import cached_property, lru_cache
 from itertools import chain, repeat
 from math import gcd
 from operator import add, mod
+from random import Random
 from typing import Iterable, Iterator
 
 from .modarith import PrimeModulus, least_primitive_root, prime_factors
@@ -56,7 +60,7 @@ MatTuple = tuple[int, int, int, int]
 
 
 class ClosureBudgetError(ValueError):
-    """A closure generated more elements than its budget allows."""
+    """A group's code set would hold more than ``CLOSURE_BUDGET`` elements."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -284,8 +288,9 @@ class MatrixGroup:
     a*l^3 + b*l^2 + c*l + d (see ``Mat2.encode``); every entry is below l,
     so ascending codes are ascending (a, b, c, d) tuples. It is built on
     first read, from the Hermite form for diagonal generators and by
-    ``_close`` otherwise, unless ``_make_group`` supplied it. Instances are
-    immutable and safe for concurrent reads.
+    ``_close`` otherwise, unless ``_make_group`` supplied it; a group of
+    more than ``CLOSURE_BUDGET`` elements raises ClosureBudgetError from its
+    order instead. Instances are immutable and safe for concurrent reads.
     """
 
     modulus: PrimeModulus
@@ -305,6 +310,11 @@ class MatrixGroup:
 
     @cached_property
     def codes(self) -> frozenset[int]:
+        # The identity alone never overruns the budget.
+        if self.order > max(CLOSURE_BUDGET, 1):
+            raise ClosureBudgetError(
+                f"closure exceeded element budget {CLOSURE_BUDGET}"
+            )
         if self.is_diagonal:
             codes = _diagonal_codes(self.modulus, *self._chain.lattice)
         else:
@@ -372,10 +382,6 @@ class MatrixGroup:
     def elements(self) -> frozenset[Mat2]:
         return frozenset(self)
 
-    def element_tuples(self) -> Iterator[MatTuple]:
-        ell = self.modulus.ell
-        return (decode_tuple(code, ell) for code in self.codes)
-
     def __contains__(self, m: Mat2) -> bool:
         return m.modulus == self.modulus and self._chain.sifts(m.encode())
 
@@ -398,12 +404,9 @@ class MatrixGroup:
     def contains_codes(self, codes: Iterable[int]) -> bool:
         return all(map(self._chain.sifts, codes))
 
-    def contains_unsheared(self, codes: Iterable[int]) -> bool:
-        """Whether every code less its b part b*l^2 is a code of this group;
-        for [[a, b], [0, d]] that difference is the code of diag(a, d)."""
-        ell = self.modulus.ell
-        l2 = ell * ell
-        return all(code - code // l2 % ell * l2 in self.codes for code in codes)
+    def random_element(self, rng: Random) -> Mat2:
+        """A uniformly random element, drawn from the chain; no code set is built."""
+        return Mat2(*self._chain.random_tuple(rng), self.modulus)
 
     # A group has a property below exactly when its generators have it.
 
@@ -604,6 +607,25 @@ class _StabilizerChain:
             return False
         return self.shear is None or b == self.shear * (d - a) % ell
 
+    def random_tuple(self, rng: Random) -> MatTuple:
+        """A uniformly random element of G as a tuple.
+
+        G is the disjoint union of the cosets t_L * S over the lines L of
+        the orbit, so t_L * s is uniform for a uniform L and a uniform s in
+        S. s has diagonal exponents x*(d1, 0) + y*(c, d2), one lattice
+        point of D per x < n/d1 and y < n/d2 (n = l - 1), and b uniform
+        when U <= S, else b = x0 * (d - a).
+        """
+        ell = self.modulus.ell
+        n = ell - 1
+        d1, d2, c = self.lattice
+        x, y = rng.randrange(n // d1), rng.randrange(n // d2)
+        pow_g = _primitive_root_powers(self.modulus)
+        a, d = pow_g[(x * d1 + y * c) % n], pow_g[y * d2 % n]
+        b = rng.randrange(ell) if self.shear is None else self.shear * (d - a) % ell
+        t_inv = self.inverses[rng.choice(list(self.inverses))]
+        return _mul_t(_inverse_t(t_inv, ell), (a, b, 0, d), ell)
+
 
 def _stabilizer_chain(gens: Iterable[MatTuple], m: PrimeModulus) -> _StabilizerChain:
     """One-level Schreier–Sims chain of the group the generators generate.
@@ -649,26 +671,20 @@ def _stabilizer_chain(gens: Iterable[MatTuple], m: PrimeModulus) -> _StabilizerC
 
 
 def closure(
-    generators: Iterable[Mat2],
-    modulus: PrimeModulus | None = None,
-    budget: int = CLOSURE_BUDGET,
+    generators: Iterable[Mat2], modulus: PrimeModulus | None = None
 ) -> MatrixGroup:
     """Subgroup generated by the given invertible matrices.
 
     An empty generator list needs an explicit modulus and yields the
-    trivial group. Raises ClosureBudgetError when the group's order
-    exceeds the budget (the identity alone never does), read off the
-    stabilizer chain before any element is built.
+    trivial group. Nothing is built here; reading ``codes`` of a group
+    larger than ``CLOSURE_BUDGET`` raises ClosureBudgetError.
     """
     gens = tuple(generators)
     if modulus is None:
         if not gens:
             raise ValueError("empty generator list needs an explicit modulus")
         modulus = gens[0].modulus
-    group = MatrixGroup(modulus, gens)
-    if group.order > max(budget, 1):
-        raise ClosureBudgetError(f"closure exceeded element budget {budget}")
-    return group
+    return MatrixGroup(modulus, gens)
 
 
 def trivial_group(m: PrimeModulus) -> MatrixGroup:

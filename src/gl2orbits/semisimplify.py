@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .gl2 import Mat2, MatrixGroup, _mul_t
+from .gl2 import Mat2, MatrixGroup, conjugate
 from .modarith import FpUnit
 
 
@@ -68,7 +68,7 @@ class SemisimplificationResult:
 
     contained_in_G is False with a diagonalizer; with the transvection
     witness it is True when the diagonal-parts group was verified to sit
-    inside G element by element.
+    inside G.
     cases_matched records every case predicate that held, in priority
     order, for audit; the witness realizes the first of them.
     """
@@ -104,16 +104,14 @@ def _unit_shear(G: MatrixGroup, n: int) -> Mat2:
 
 
 def _case_flags(G: MatrixGroup) -> tuple[Mat2 | None, bool, bool]:
-    """(smallest repeated-eigenvalue non-diagonal element, non-abelian, diagonalizable)."""
-    ell = G.modulus.ell
-    l2, l3 = ell * ell, ell * ell * ell
-    # b != 0 and a == d, read off the code.
-    repeated = [
-        code
-        for code in G.codes
-        if code // l2 % ell != 0 and code // l3 == code % ell
-    ]
-    candidate = G.decode(min(repeated)) if repeated else None
+    """(least repeated-eigenvalue non-diagonal element, non-abelian, diagonalizable).
+
+    A non-diagonal [[a, b], [0, a]] has a nontrivial shear as its
+    (l-1)-th power, so G holds such an element exactly when it holds the
+    unit shears, and then the least one by code is [[1, 1], [0, 1]].
+    """
+    shear = _unit_shear(G, 1)
+    candidate = shear if shear in G else None
     nonabelian = not G.is_abelian
     diagonalizable = candidate is None and not nonabelian
     return candidate, nonabelian, diagonalizable
@@ -132,18 +130,20 @@ def _transvection_witness(G: MatrixGroup, gamma: Mat2) -> TransvectionWitness:
 
 
 def _diagonalizer_witness(G: MatrixGroup) -> DiagonalizerWitness:
-    """Basis change from the eigenvectors of one non-diagonal element.
+    """Basis change to the line that every element of G fixes besides e1's.
 
-    e1 is an eigenvector of every upper-triangular matrix; the second basis
-    vector is the other eigenvector of the chosen element, normalized to
-    second coordinate 1. A fully diagonal group gets P = I.
+    Called for a G without the unit shears. Then a matrix [[a, b], [0, d]]
+    of G with b != 0 has a != d, and it fixes the line (x0, 1) for
+    x0 = b / (d - a). Every element of G fixes that one line: two elements
+    of the Borel that fix different such lines do not commute, and their
+    commutator is a nontrivial shear. So x0 is read off the first
+    generator with b != 0, and P = [[1, x0], [0, 1]] carries e2 onto that
+    line. Diagonal generators get P = I.
     """
     ell = G.modulus.ell
-    l2 = ell * ell
-    sheared = [code for code in G.codes if code // l2 % ell != 0]
-    if not sheared:
+    chosen = next((g for g in G.generators if g.b), None)
+    if chosen is None:
         return DiagonalizerWitness(Mat2.identity(G.modulus))
-    chosen = G.decode(min(sheared))
     x = (chosen.b * pow(chosen.d - chosen.a, -1, ell)) % ell
     return DiagonalizerWitness(Mat2(1, x, 0, 1, G.modulus))
 
@@ -152,9 +152,9 @@ def classify_semisimplification(G: MatrixGroup) -> SemisimplificationResult:
     """Classify an upper-triangular group and build the matching witness.
 
     A group with a repeated-eigenvalue shear gets a transvection witness,
-    and the containment of the diagonal-parts group in G is established
-    constructively by shearing every element, not by set comparison. Every
-    other group gets a diagonalizer. A non-abelian group always has such a
+    and the containment of the diagonal-parts group in G is checked by
+    sifting its generators through G's stabilizer chain. Every other group
+    gets a diagonalizer. A non-abelian group always has such a
     shear (see the module docstring), so "noncommutative" is only recorded
     in cases_matched, after "repeated_eigenvalue".
     """
@@ -175,8 +175,8 @@ def classify_semisimplification(G: MatrixGroup) -> SemisimplificationResult:
         witness = _transvection_witness(G, candidate)
         # [[a, b], [0, d]] * [[1, n], [0, 1]] = [[a, an + b], [0, d]] is
         # diag(a, d) for n = -b * a^-1, so G, which holds all unit shears,
-        # holds diag(a, d) when G holds [[a, b], [0, d]].
-        contained = G.contains_unsheared(G.codes)
+        # holds every diagonal part.
+        contained = gss.is_subgroup_of(G)
     else:
         witness = _diagonalizer_witness(G)
         contained = False
@@ -237,14 +237,8 @@ def _verify_commutator(G: MatrixGroup, w: CommutatorWitness) -> bool:
 
 
 def _verify_diagonalizer(G: MatrixGroup, w: DiagonalizerWitness) -> bool:
-    P = w.basis_change
-    if P.modulus != G.modulus:
+    # Diagonal matrices form a group, so P^-1 G P is diagonal exactly when
+    # every conjugated generator is.
+    if w.basis_change.modulus != G.modulus:
         return False
-    ell = G.modulus.ell
-    p = P.as_tuple()
-    p_inv = P.inverse().as_tuple()
-    for t in G.element_tuples():
-        _, b, c, _ = _mul_t(_mul_t(p_inv, t, ell), p, ell)
-        if b != 0 or c != 0:
-            return False
-    return True
+    return conjugate(G, w.basis_change).is_diagonal

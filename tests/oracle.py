@@ -4,6 +4,9 @@
 walked integer codes, and ``breadth_first_partition`` the orbit partition it
 used before it walked lines. They multiply entry by entry and share no code
 with ``gl2orbits``, so the code and line kernels are checked against them.
+``large_group_order`` reads the order of a group too large to close off its
+structure, and the lemma 3.1 derivations below read a group's element codes
+where the library reads its generators.
 """
 
 from collections import deque
@@ -59,6 +62,104 @@ def breadth_first_codes(gen_tuples, ell, budget=None):
     """Codes of ``breadth_first_closure``, as a frozenset."""
     closed = breadth_first_closure(gen_tuples, ell, budget)
     return frozenset(encode(t, ell) for t in closed)
+
+
+def _fixes_a_line(gens, ell):
+    """Whether every generator maps some one line of the plane to itself."""
+    for t in [*range(ell), None]:
+        # The line through (t, 1), or the axis through (1, 0) for None.
+        x, y = (1, 0) if t is None else (t, 1)
+        if all((a * x + b * y) * y % ell == (c * x + d * y) * x % ell
+               for a, b, c, d in gens):
+            return True
+    return False
+
+
+def large_group_order(gen_tuples, ell, search=100_000):
+    """The order of a group of order divisible by l, from its structure.
+
+    For groups too large to close. A breadth-first walk of products finds
+    a non-scalar element with a repeated eigenvalue, so l divides |G|; the
+    walk fails if it ends first. Then:
+    - an upper-triangular G holds the unit shears U, since that element's
+      (l-1)-th power is a nontrivial shear and |U| = l is prime. So |G| is
+      l times the order of its group of diagonal parts, closed here;
+    - any other G must fix no line. A subgroup of GL2(l), l >= 5, whose
+      order l divides either fixes a line or contains SL2(l) (Dickson), so
+      |G| = l(l^2 - 1) * |det G|, the image closed here.
+    """
+    gens = list(dict.fromkeys(gen_tuples))
+    seen = {IDENTITY}
+    queue = deque(seen)
+    while True:
+        if not queue or len(seen) > search:
+            raise AssertionError("no non-scalar element with a repeated eigenvalue")
+        a, b, c, d = x = queue.popleft()
+        if (b or c or a != d) and ((a - d) ** 2 + 4 * b * c) % ell == 0:
+            break
+        for g in gens:
+            y = mul(x, g, ell)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    if all(c == 0 for _, _, c, _ in gens):
+        parts = [(a, 0, 0, d) for a, _, _, d in gens]
+        return ell * len(breadth_first_closure(parts, ell))
+    assert ell >= 5 and not _fixes_a_line(gens, ell)
+    dets = {1}
+    for a, b, c, d in gens:
+        det = a * d - b * c
+        dets = {v * pow(det, k, ell) % ell for v in dets for k in range(ell - 1)}
+    return ell * (ell * ell - 1) * len(dets)
+
+
+def decode(code, ell):
+    """The reduced 4-tuple of a code a*l^3 + b*l^2 + c*l + d."""
+    code, d = divmod(code, ell)
+    code, c = divmod(code, ell)
+    a, b = divmod(code, ell)
+    return a, b, c, d
+
+
+# The elementwise lemma 3.1 derivations the library used before it read
+# generators and the stabilizer chain. Each takes a group's code set.
+
+
+def least_repeated_eigenvalue_code(codes, ell):
+    """The least code of a non-diagonal [[a, b], [0, a]], or None."""
+    repeated = []
+    for code in codes:
+        a, b, c, d = decode(code, ell)
+        if b and not c and a == d:
+            repeated.append(code)
+    return min(repeated, default=None)
+
+
+def least_sheared_x(codes, ell):
+    """b / (d - a) of the least code with b != 0, or None when there is none."""
+    sheared = [code for code in codes if decode(code, ell)[1]]
+    if not sheared:
+        return None
+    a, b, _, d = decode(min(sheared), ell)
+    return b * pow(d - a, -1, ell) % ell
+
+
+def contains_unsheared(codes, ell):
+    """Whether the diagonal part diag(a, d) of every [[a, b], [0, d]] is a code."""
+    l2 = ell * ell
+    return all(code - decode(code, ell)[1] * l2 in codes for code in codes)
+
+
+def diagonalizes(p, codes, ell):
+    """Whether P^-1 x P is diagonal for every code x, P a reduced 4-tuple."""
+    a, b, c, d = p
+    r = pow(a * d - b * c, -1, ell)
+    p_inv = (d * r % ell, -b * r % ell, -c * r % ell, a * r % ell)
+    for code in codes:
+        _, b, c, _ = mul(mul(p_inv, decode(code, ell), ell), p, ell)
+        if b or c:
+            return False
+    return True
 
 
 def power_codes(g, n, ell):

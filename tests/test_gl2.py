@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl2orbits import gl2
 from gl2orbits.gl2 import (
     ClosureBudgetError,
     Mat2,
@@ -38,7 +39,12 @@ from gl2orbits.sweep import (
     enumerate_upper_triangular_subgroups,
     sample_scenarios,
 )
-from oracle import breadth_first_closure, breadth_first_codes, power_codes
+from oracle import (
+    breadth_first_closure,
+    breadth_first_codes,
+    large_group_order,
+    power_codes,
+)
 
 SMALL_PRIMES = [3, 5, 7, 11, 13]
 M5 = PrimeModulus(5)
@@ -260,9 +266,11 @@ def test_group_equality_ignores_generators():
     assert a.generators != b.generators
 
 
-def test_closure_budget_guard():
+def test_closure_budget_guard(monkeypatch):
+    monkeypatch.setattr(gl2, "CLOSURE_BUDGET", 4)
+    G = closure([Mat2(1, 1, 0, 1, PrimeModulus(13))])
     with pytest.raises(ClosureBudgetError):
-        closure([Mat2(1, 1, 0, 1, PrimeModulus(13))], budget=4)
+        G.codes
     # A generic ValueError, such as mixed moduli, is not a budget overrun.
     with pytest.raises(ValueError) as excinfo:
         closure([Mat2(1, 1, 0, 1, PrimeModulus(13)), Mat2(1, 1, 0, 1, M5)])
@@ -507,9 +515,10 @@ def test_diagonal_closure_matches_breadth_first_on_random_sets():
         assert G.generators == tuple(gens)
 
 
-def test_diagonal_closure_budget_matches_breadth_first():
-    # closure raises at exactly the budgets where the tuple closure does,
-    # diagonal sets or not, from the order and before any code is built.
+def test_diagonal_closure_budget_matches_breadth_first(monkeypatch):
+    # Reading codes raises at exactly the budgets where the tuple closure
+    # does, diagonal sets or not, from the order and before any code is
+    # built; closure itself never raises.
     for p, gens in [
         (2, []),
         (3, [(2, 0, 0, 1)]),
@@ -532,19 +541,23 @@ def test_diagonal_closure_budget_matches_breadth_first():
                 expected = False
             except ClosureBudgetError:
                 expected = True
+            monkeypatch.setattr(gl2, "CLOSURE_BUDGET", budget)
+            G = closure(mats, m)
+            assert G.order == order
             if expected:
                 with pytest.raises(ClosureBudgetError, match=f"budget {budget}$"):
-                    closure(mats, m, budget)
+                    G.codes
+                assert "codes" not in vars(G)
             else:
-                G = closure(mats, m, budget)
-                assert G.order == order and "codes" not in vars(G)
                 assert G.codes == breadth_first_codes(gens, p)
     # l = 199: the full diagonal group has 198^2 = 39,204 elements.
     m = PrimeModulus(199)
     cartan = split_cartan(m).generators
+    monkeypatch.setattr(gl2, "CLOSURE_BUDGET", 39_203)
     with pytest.raises(ClosureBudgetError):
-        closure(cartan, m, budget=39_203)
-    assert closure(cartan, m, budget=39_204) == split_cartan(m)
+        closure(cartan, m).codes
+    monkeypatch.setattr(gl2, "CLOSURE_BUDGET", 39_204)
+    assert len(closure(cartan, m).codes) == 39_204
 
 
 def _random_generator_sets(rng, p, count):
@@ -571,23 +584,24 @@ def _random_generator_sets(rng, p, count):
     return sets
 
 
-def test_code_closure_matches_breadth_first_on_random_sets():
-    # The code closure against the tuple closure; closure with the same
-    # budget raises exactly where the tuple closure overruns it.
+def test_code_closure_matches_breadth_first_on_random_sets(monkeypatch):
+    # The code closure against the tuple closure; with the same budget,
+    # reading codes raises exactly where the tuple closure overruns it.
     rng = Random(3131)
     budget = 6_000
+    monkeypatch.setattr(gl2, "CLOSURE_BUDGET", budget)
     for p in [q for q in range(2, 32) if is_prime(q)]:
         m = PrimeModulus(p)
         for gens in _random_generator_sets(rng, p, 12):
             tuples = [g.as_tuple() for g in gens]
+            G = closure(gens, m)
             try:
                 expected = breadth_first_codes(tuples, p, budget)
             except ClosureBudgetError:
                 with pytest.raises(ClosureBudgetError):
-                    closure(gens, m, budget)
+                    G.codes
                 continue
             assert _close(tuples, p) == expected
-            G = closure(gens, m, budget)
             assert G.codes == expected and G.generators == tuple(gens)
 
 
@@ -710,11 +724,33 @@ def test_stabilizer_chain_matches_breadth_first_oracle(p):
         assert "codes" not in vars(G)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_random_elements_lie_in_and_cover_the_group(p):
+    # Every draw from the chain is a code of the tuple closure, and 40 * |G|
+    # draws reach every element of a group of at most 400.
+    m = PrimeModulus(p)
+    rng = Random(4004 + p)
+    for gens in _chain_draws(rng, p, 120) + _hand_picked_draws(p):
+        G = MatrixGroup(m, tuple(Mat2(*t, m) for t in gens))
+        expected = breadth_first_codes(gens, p)
+        count = 40 * len(expected) if len(expected) <= 400 else 400
+        drawn = {G.random_element(rng).encode() for _ in range(count)}
+        assert drawn <= expected
+        if len(expected) <= 400:
+            assert drawn == expected
+        assert "codes" not in vars(G)
+
+
 @pytest.mark.parametrize("p", [151, 199])
 def test_stabilizer_chain_order_on_sampled_draws(p):
-    # The groups of the sampled lemma31 and lemma33 draws, against the
-    # code closure.
+    # The groups of the sampled lemma31 and lemma33 draws: against the code
+    # closure up to 40,000 elements, which every draw that is neither
+    # triangular nor all of GL2 stays under (the nonsplit Cartan has at most
+    # 39,600), and above that against the order read off the group's
+    # structure. Closing every draw up to CLOSURE_BUDGET would mean about
+    # 12M codes here.
     m = PrimeModulus(p)
+    large = 0
     for seed in (864, 2024):
         for index in range(8):
             groups = [
@@ -722,7 +758,13 @@ def test_stabilizer_chain_order_on_sampled_draws(p):
                 *_sample_nested_pair(_scenario_rng(seed, "lemma33", p, index), m),
             ]
             for G in groups:
-                assert G.order == len(_close(G.generator_tuples(), p))
+                gens = G.generator_tuples()
+                if G.order <= 40_000:
+                    assert G.order == len(_close(gens, p))
+                else:
+                    large += 1
+                    assert G.order == large_group_order(gens, p)
+    assert large > 10
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gl2orbits import gl2
 from gl2orbits.gl2 import (
     Mat2,
-    _make_group,
     borel,
     closure,
     conjugate,
@@ -22,7 +22,17 @@ from gl2orbits.semisimplify import (
 )
 from gl2orbits.sweep import (
     _check_triangular_group,
+    _sample_triangular_group,
+    _scenario_rng,
     enumerate_upper_triangular_subgroups,
+)
+from oracle import (
+    breadth_first_codes,
+    contains_unsheared,
+    diagonalizes,
+    least_repeated_eigenvalue_code,
+    least_sheared_x,
+    mul,
 )
 
 M5 = PrimeModulus(5)
@@ -169,23 +179,26 @@ def test_noncommutative_groups_lead_with_a_repeated_eigenvalue(p):
             assert isinstance(result.witness, TransvectionWitness)
 
 
-def test_shear_containment_fails_without_a_diagonal_part():
-    # D·U for D = <diag(4, 1)> mod 5, with diag(4, 1) swapped for diag(1, 4)
-    # to keep ten elements: the set holds every unit shear and [[4, 1], [0, 1]],
+def test_shear_containment_fails_without_a_diagonal_part(monkeypatch):
+    # D·U for D = <diag(4, 1)> mod 5, with membership forged to refuse
+    # diag(4, 1): the group still holds every unit shear and [[4, 1], [0, 1]],
     # but not that element's diagonal part.
-    unit_shears = [(1, b, 0, 1) for b in range(5)]
-    forged_tuples = unit_shears + [(4, b, 0, 1) for b in range(1, 5)] + [(1, 0, 0, 4)]
-    codes = [Mat2(*t, M5).encode() for t in forged_tuples]
-    forged = _make_group(M5, codes, [(1, 1, 0, 1), (4, 1, 0, 1)])
-    result = classify_semisimplification(forged)
+    G = closure([Mat2(1, 1, 0, 1, M5), Mat2(4, 1, 0, 1, M5)])
+    assert G.order == 10 and classify_semisimplification(G).contained_in_G
+    diagonal_part = Mat2(4, 0, 0, 1, M5).encode()
+    sifts = gl2._StabilizerChain.sifts
+    monkeypatch.setattr(
+        gl2._StabilizerChain,
+        "sifts",
+        lambda chain, code: code != diagonal_part and sifts(chain, code),
+    )
+    assert Mat2(4, 1, 0, 1, M5) in G and Mat2(1, 1, 0, 1, M5) in G
+    result = classify_semisimplification(G)
     assert isinstance(result.witness, TransvectionWitness)
-    assert verify_witness(forged, result.witness)
+    assert verify_witness(G, result.witness)
     assert not result.contained_in_G
-    status, failure = _check_triangular_group(forged)
+    status, failure = _check_triangular_group(G)
     assert (status, failure["scenario"]["note"]) == ("fail", "shear containment failed")
-    genuine = closure([Mat2(1, 1, 0, 1, M5), Mat2(4, 1, 0, 1, M5)])
-    assert genuine.order == 10
-    assert classify_semisimplification(genuine).contained_in_G
 
 
 def test_classify_diagonalizer_case():
@@ -275,3 +288,56 @@ def test_diagonalizable_case_hypotheses(G):
         for g in G.elements:
             if not g.is_diagonal:
                 assert g.a != g.d
+
+
+def _lattice_and_sampled_groups():
+    """Every Borel subgroup at l <= 11, and sampled lemma31 draws at l = 17, 31."""
+    for p in (2, 3, 5, 7, 11):
+        yield from enumerate_upper_triangular_subgroups(PrimeModulus(p))
+    for p in (17, 31):
+        m = PrimeModulus(p)
+        for seed in (864, 2024):
+            for index in range(15):
+                rng = _scenario_rng(seed, "lemma31", p, index)
+                yield _sample_triangular_group(rng, m)
+
+
+def test_classification_matches_the_elementwise_derivation():
+    # The witness, containment flag, cases and verifier verdicts read off
+    # generators and the chain, against the elementwise derivations of
+    # tests/oracle.py on the group's codes. Two more basis changes per
+    # group, I and the witness's shear plus one, are judged by the verifier
+    # and by the elementwise check alike.
+    groups = 0
+    for G in _lattice_and_sampled_groups():
+        groups += 1
+        ell = G.modulus.ell
+        gens = G.generator_tuples()
+        codes = breadth_first_codes(gens, ell)
+        least = least_repeated_eigenvalue_code(codes, ell)
+        nonabelian = any(mul(x, y, ell) != mul(y, x, ell) for x in gens for y in gens)
+        cases = [
+            name
+            for name, holds in (
+                ("repeated_eigenvalue", least is not None),
+                ("noncommutative", nonabelian),
+                ("diagonalizable", least is None and not nonabelian),
+            )
+            if holds
+        ]
+        result = classify_semisimplification(G)
+        assert result.cases_matched == tuple(cases)
+        assert verify_witness(G, result.witness)
+        if least is not None:
+            assert result.witness.gamma.encode() == least
+            assert result.contained_in_G == contains_unsheared(codes, ell)
+            x = 0
+        else:
+            x = least_sheared_x(codes, ell) or 0
+            assert result.witness.basis_change == Mat2(1, x, 0, 1, G.modulus)
+            assert not result.contained_in_G
+        for t in (0, x + 1):
+            P = Mat2(1, t, 0, 1, G.modulus)
+            expected = diagonalizes(P.as_tuple(), codes, ell)
+            assert verify_witness(G, DiagonalizerWitness(P)) == expected
+    assert groups == 812

@@ -14,7 +14,6 @@ import pytest
 from gl2orbits import divchain, gl2, orbits, sweep
 from gl2orbits.divchain import Case1Scenario, Case2Scenario, DegreeParameter
 from gl2orbits.gl2 import (
-    ClosureBudgetError,
     Mat2,
     MatrixGroup,
     borel,
@@ -27,7 +26,6 @@ from gl2orbits.gl2 import (
 from gl2orbits.modarith import PrimeModulus, divisors, is_prime
 from gl2orbits.orbits import OrbitPartition, predict_diagonal_orbits
 from gl2orbits.sweep import (
-    SAMPLED_CLOSURE_BUDGET,
     SUITE_NAMES,
     ConfigError,
     SweepConfig,
@@ -155,7 +153,7 @@ def test_diagonal_lattice_matches_join_fixpoint():
         m = PrimeModulus(p)
         cartan = split_cartan(m)
         cyclics = {
-            frozenset(breadth_first_closure([t], p)) for t in cartan.element_tuples()
+            frozenset(breadth_first_closure([g.as_tuple()], p)) for g in cartan
         }
         subgroups = set(cyclics)
         worklist = list(subgroups)
@@ -169,7 +167,7 @@ def test_diagonal_lattice_matches_join_fixpoint():
                     subgroups.add(joined)
                     worklist.append(joined)
         enumerated = {
-            frozenset(G.element_tuples()) for G in enumerate_diagonal_subgroups(m)
+            frozenset(g.as_tuple() for g in G) for G in enumerate_diagonal_subgroups(m)
         }
         assert enumerated == subgroups
 
@@ -485,16 +483,17 @@ def test_triangular_closure_order_matches_closure(p):
         [Mat2(*_random_triangular_tuple(rng, p), m) for _ in range(k)]
         for k in rng.choices([1, 2, 3], k=150)
     ]
-    # The order that decides the sampler's budget fallback, read off the
-    # stabilizer chain, against the tuple closure.
+    # The order of a sampled triangular draw, read off the stabilizer chain,
+    # against the tuple closure.
     for gens in draws:
         tuples = [g.as_tuple() for g in gens]
         assert closure(gens, m).order == len(breadth_first_closure(tuples, p))
 
 
-def test_over_budget_draw_falls_back_without_closing_it(monkeypatch):
+def test_large_triangular_draw_keeps_its_group():
     # Under sweep seed 2024, the lemma31 draw at l = 151 has three generators
-    # whose group has 151 * 7500 = 1,132,500 elements, over the budget.
+    # whose group has 151 * 7500 = 1,132,500 elements. The sampler keeps
+    # that group, its row passes, and no code set is built for it.
     m = PrimeModulus(151)
     rng = _scenario_rng(2024, "lemma31", 151, 0)
     gens = [
@@ -502,27 +501,10 @@ def test_over_budget_draw_falls_back_without_closing_it(monkeypatch):
         for _ in range(rng.choice([1, 2, 3]))
     ]
     assert len(gens) == 3
-    assert MatrixGroup(m, tuple(gens)).order == 1_132_500 > SAMPLED_CLOSURE_BUDGET
-
-    sizes = []
-    original = gl2._close
-
-    def recording_close(*args, **kwargs):
-        closed = original(*args, **kwargs)
-        sizes.append(len(closed))
-        return closed
-
-    monkeypatch.setattr(gl2, "_close", recording_close)
-    # The budget is read off the order: the overrun raises before any code
-    # is built, and so does the sampler's fallback.
-    with pytest.raises(ClosureBudgetError):
-        closure(gens, m, budget=SAMPLED_CLOSURE_BUDGET)
     G = _sample_triangular_group(_scenario_rng(2024, "lemma31", 151, 0), m)
-    assert sizes == [] and "codes" not in vars(G)
-    assert G == closure(gens[:1], m)
-    # Its codes, when read, are the first generator's cyclic group.
-    assert len(G.codes) == G.order <= 150 * 150
-    assert sizes == [G.order]
+    assert G.generators == tuple(gens) and G.order == 1_132_500
+    assert sweep._check_triangular_group(G) == sweep.PASS
+    assert "codes" not in vars(G)
 
 
 def test_sweeps_never_build_matrix_sets(monkeypatch):
@@ -718,8 +700,8 @@ def test_report_bytes_pinned():
     # lemma32 lattices. The next is the benchmark's large_primes round, whose
     # sampled groups include closures of diagonal generator sets. The next is
     # a reduced stage 4 (case1/case2) above the benchmark's l <= 67. The next
-    # is a reduced stage 3 (lemma33), whose "general" draws include ten
-    # closures that overrun their budget. The next is a reduced stage 5
+    # is a reduced stage 3 (lemma33), whose "general" draws keep groups up to
+    # all of GL2(l), held by their generators. The next is a reduced stage 5
     # (inert, nonsplit), l = 2 included. The last puts l = 2 in the
     # certificate suites, whose rows there are invalid.
     pinned = [
@@ -920,8 +902,8 @@ def _forge_inert_and_nonsplit_checks(monkeypatch):
         (
             _forge_transfer_down,
             SweepConfig(primes=(5, 7), sample_count=4, suites=("lemma33",), seed=3),
-            "88d44147f5e1de2b27c09a15c96614ffa60e79a1d5b3056d46725f02d07cb9d6",
-            "92f73ddc2bdc18ba443dcef9c83874fc8cc0cde41b6e3d3ebc58754be5001583",
+            "a113f248bd5fbde294b8b5be87ff6aaf8fd8540b0fa7afe3fc1b918fbdde12e1",
+            "08aa58d4ed061380e02ec91712e3070e9b81f1bf8afa210c71973265bfb96c31",
         ),
         (
             _forge_inert_and_nonsplit_checks,
@@ -976,6 +958,30 @@ def test_certificate_round_builds_no_unipotent_product(monkeypatch):
     assert "codes" not in vars(G)
     G.codes
     assert built[-1] == (G.modulus.ell, G.order)
+
+
+def test_large_prime_samples_build_no_code_set(monkeypatch):
+    # Sampled lemma31 and lemma33 at l >= 131 read generators and the
+    # stabilizer chain only: every row passes and no group's code set is
+    # built, the largest of all GL2(199) (order 1,560,319,200).
+    built = []
+    checked = MatrixGroup._checked
+
+    def recording(group, codes):
+        built.append(group)
+        return checked(group, codes)
+
+    monkeypatch.setattr(MatrixGroup, "_checked", recording)
+    for seed in (864, 2024):
+        cfg = SweepConfig(
+            primes=(131, 151, 199),
+            sample_count=24,
+            suites=("lemma31", "lemma33"),
+            seed=seed,
+        )
+        report = run(cfg)
+        assert all(e["pass"] == e["total"] == 8 for e in report.suites)
+    assert built == []
 
 
 def test_tracer_layer_names_resolve():
