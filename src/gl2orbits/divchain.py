@@ -13,7 +13,9 @@ Three arguments are verified computationally:
     same conclusion follows with intermediate constant 36.
   * the inert exclusion: divisor arithmetic forcing l + 1 to divide
     12 * w * f whenever the two divisibility hypotheses are satisfiable,
-    alongside the simply-transitive orbit facts of the nonsplit Cartan.
+    alongside the simply-transitive orbit facts of the nonsplit Cartan,
+    read off its generator, its stabilizer chain and its line orbits
+    without listing an element.
 
 Both chains share one skeleton: the triangular prefix of validation, the
 lift into G (lower <= G^ss <= G, then the transfer up) and the finish,
@@ -26,14 +28,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import add, mul
 from typing import Mapping
 
 from .gl2 import (
     MatrixGroup,
-    MatTuple,
-    _row_table,
+    _primitive_root_powers,
     image_order,
     kth_power_subgroup,
     nonsplit_cartan,
@@ -474,53 +473,37 @@ def inert_bound_check(
     return (12 * w * f) % (ell.ell + 1) == 0
 
 
-def _walk(table: list[int], start: int, n: int) -> list[int]:
-    """start, table[start], table[table[start]], ...: n entries."""
-    walk = [start]
-    for _ in range(n - 1):
-        start = table[start]
-        walk.append(start)
-    return walk
-
-
-def _power_codes(g: MatTuple, n: int, ell: int) -> list[int]:
-    """Codes of g^0, g^1, ..., g^(n-1), walked on the row table of g.
-
-    Row i of g^(k+1) is row i of g^k times g, so the first rows follow g's
-    row table T from the identity's first row (1, 0), code l, and the
-    second rows follow it from (0, 1), code 1.
-    """
-    table = _row_table(g, ell)
-    high = _walk(table, ell, n)
-    low = _walk(table, 1, n)
-    return list(map(add, map(mul, high, repeat(ell * ell)), low))
-
-
 def nonsplit_orbit_check(ell: PrimeModulus) -> bool:
     """Transitivity facts for the nonsplit Cartan and all of its subgroups.
 
-    True when the nonsplit Cartan acts with a single orbit of size
-    n = l^2 - 1 and every subgroup (one per divisor d of n, the group being
-    cyclic) has order d and all orbits of size exactly d.
+    True when the nonsplit Cartan C acts with a single orbit of size
+    n = l^2 - 1 and every subgroup (one per divisor d of n, C being cyclic)
+    has order d and all orbits of size exactly d.
 
-    One power table of the Cartan generator g serves every divisor: the
-    subgroup of order d is generated by g^(n/d), so it is every (n/d)-th
-    entry of the table. One check covers them all: the n entries must be
-    the n codes of the Cartan. Then g has order n, and every slice
-    codes[::n/d] holds d distinct Cartan codes, so it is the cyclic
-    subgroup of order d; a check per slice could never decide otherwise.
-    No orbit of a subgroup is walked: an orbit of size n = |Cartan| means,
-    by orbit-stabilizer, that the Cartan's stabilizers are trivial, and a
-    subgroup inherits trivial stabilizers, so every orbit of the subgroup
-    of order d has size d.
+    Three gates on C = <g>, g = [[a, b], [c, d]], read no element:
+
+      (i) containment: a = d and b = eps*c mod l, eps the least primitive
+          root, so g lies in the unit group {[[x, y*eps], [y, x]] != 0} of
+          F_l(sqrt(eps)), a group of order n;
+      (ii) order: |<g>| = n, read off the stabilizer chain, so <g> is that
+          whole unit group;
+      (iii) one orbit: the line kernel finds a single orbit on V*.
+
+    By orbit-stabilizer, (iii) makes every stabilizer of C trivial, and a
+    subgroup inherits trivial stabilizers, so every orbit of the cyclic
+    subgroup of order d has size d.
     """
     ell.require_odd("nonsplit_orbit_check")
     cns = nonsplit_cartan(ell)
-    n = ell.ell * ell.ell - 1
-    if len(orbit_partition(cns).orbits) != 1:
-        return False
-    codes = _power_codes(cns.generators[0].as_tuple(), n, ell.ell)
-    return frozenset(codes) == cns.codes
+    p = ell.ell
+    ((a, b, c, d),) = cns.generator_tuples()
+    eps = _primitive_root_powers(ell)[1]
+    return (
+        a == d
+        and b == eps * c % p
+        and cns.order == p * p - 1
+        and len(orbit_partition(cns).orbits) == 1
+    )
 
 
 def replay_certificate(

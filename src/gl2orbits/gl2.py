@@ -15,23 +15,16 @@ a*l^3 + b*l^2 + c*l + d, built on first read and refused with
 ClosureBudgetError above ``CLOSURE_BUDGET`` elements before anything is
 built; ``random_element`` draws from the chain without it. ``Mat2``
 objects are built only at the API edge (``elements``, iteration,
-generators and witnesses).
-Constructions that list their elements directly (the Borel, the nonsplit
-Cartan) hand their codes to ``_make_group``. Either way the codes pass
-the same checks, the last of which is that they number |G|.
+generators and witnesses). Every code set is closed breadth-first by
+``_close``, except the Borel's, which ``borel`` lists directly and hands
+to ``_make_group`` under the same budget. Either way the codes pass the
+same checks, the last of which is that they number |G|.
 
-A set of diagonal generators is closed from its exponent lattice. With g
-the least primitive root, diag(g^u, g^w) has exponents (u, w), and the
-group generated by such matrices is a lattice L with (l-1)Z^2 <= L <= Z^2.
-L has one Hermite form [[d1, c], [0, d2]], columns (d1, 0) and (c, d2),
-with d1 and d2 dividing l - 1 and 0 <= c < d1; the group has order
-(l-1)^2 / (d1 * d2) and is built from the form. Every other generator set
-is closed breadth-first over element codes. Right multiplication by a
-generator h acts on each row of a matrix on its own, so one table T_h of
-the l^2 row codes gives code(X * h) = T_h[code // l^2] * l^2 +
-T_h[code % l^2]. T_h is the image list of [[d, b], [c, a]] for
-h = [[a, b], [c, d]], built by ``_image_list``; the powers of one matrix
-(the nonsplit Cartan's power table) are walked on the same table.
+``_close`` walks element codes. Right multiplication by a generator h
+acts on each row of a matrix on its own, so one table T_h of the l^2 row
+codes gives code(X * h) = T_h[code // l^2] * l^2 + T_h[code % l^2]. T_h
+is the image list of [[d, b], [c, a]] for h = [[a, b], [c, d]], built by
+``_image_list``.
 
 Every code is checked for nonsingularity. An upper-triangular set is
 checked at C speed from its low halves code % l^2 = c*l + d: when they all
@@ -51,9 +44,6 @@ from typing import Iterable, Iterator
 
 from .modarith import PrimeModulus, least_primitive_root, prime_factors
 
-# The Borel at l = 97 holds 97 * 96^2 = 893,952 elements; above that the
-# explicit-element-set representation stops being comfortable.
-BOREL_PRIME_CAP = 97
 CLOSURE_BUDGET = 2_000_000
 
 MatTuple = tuple[int, int, int, int]
@@ -61,6 +51,13 @@ MatTuple = tuple[int, int, int, int]
 
 class ClosureBudgetError(ValueError):
     """A group's code set would hold more than ``CLOSURE_BUDGET`` elements."""
+
+
+def _require_budget(order: int) -> None:
+    """Raise ClosureBudgetError when a code set of this size is over budget."""
+    # The identity alone never overruns the budget.
+    if order > max(CLOSURE_BUDGET, 1):
+        raise ClosureBudgetError(f"closure exceeded element budget {CLOSURE_BUDGET}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -194,8 +191,7 @@ def _image_list(g: MatTuple, ell: int) -> list[int]:
     """The code of g * v at index code(v), for every column vector v = (x, y).
 
     A vector's code is y*l + x. This is the one table builder:
-    ``_row_table`` reads one as right multiplication on rows, for closures
-    and power tables.
+    ``_row_table`` reads one as right multiplication on rows, for closures.
 
     Built one row y at a time. With the doubled table A[x] = a*x mod l,
     x' = a*x + b*y = A[x + s] for the offset s = b*y/a, so the row's x'
@@ -238,8 +234,6 @@ def _row_table(h: MatTuple, ell: int) -> list[int]:
     """
     a, b, c, d = h
     return _image_list((d, b, c, a), ell)
-
-
 
 
 def _close(gen_tuples: Iterable[MatTuple], ell: int) -> set[int]:
@@ -287,10 +281,9 @@ class MatrixGroup:
     ``codes`` is the element set as canonical integer encodings
     a*l^3 + b*l^2 + c*l + d (see ``Mat2.encode``); every entry is below l,
     so ascending codes are ascending (a, b, c, d) tuples. It is built on
-    first read, from the Hermite form for diagonal generators and by
-    ``_close`` otherwise, unless ``_make_group`` supplied it; a group of
-    more than ``CLOSURE_BUDGET`` elements raises ClosureBudgetError from its
-    order instead. Instances are immutable and safe for concurrent reads.
+    first read by ``_close``, unless ``_make_group`` supplied it; a group
+    of more than ``CLOSURE_BUDGET`` elements raises ClosureBudgetError from
+    its order instead. Instances are immutable and safe for concurrent reads.
     """
 
     modulus: PrimeModulus
@@ -310,16 +303,8 @@ class MatrixGroup:
 
     @cached_property
     def codes(self) -> frozenset[int]:
-        # The identity alone never overruns the budget.
-        if self.order > max(CLOSURE_BUDGET, 1):
-            raise ClosureBudgetError(
-                f"closure exceeded element budget {CLOSURE_BUDGET}"
-            )
-        if self.is_diagonal:
-            codes = _diagonal_codes(self.modulus, *self._chain.lattice)
-        else:
-            codes = _close(self.generator_tuples(), self.modulus.ell)
-        return self._checked(codes)
+        _require_budget(self.order)
+        return self._checked(_close(self.generator_tuples(), self.modulus.ell))
 
     def _checked(self, codes: Iterable[int]) -> frozenset[int]:
         """The codes as a frozenset, once they pass every check.
@@ -443,7 +428,9 @@ def _make_group(
 ) -> MatrixGroup:
     """The group of reduced generator tuples, with its codes listed directly.
 
-    The codes are read once and pass every check of ``MatrixGroup.codes``.
+    For a construction that knows its elements (``borel``); the caller
+    keeps to the budget. The codes are read once and pass every check of
+    ``MatrixGroup.codes``.
     """
     gens = []
     for t in generator_tuples:
@@ -525,24 +512,6 @@ def _diagonal_hnf(
         d1 = gcd(d1, d2 // e * u - w // e * c)
         c, d2 = (s * c + t * u) % d1, e
     return d1, d2, c
-
-
-def _diagonal_codes(m: PrimeModulus, d1: int, d2: int, c: int) -> list[int]:
-    """Codes of the diagonal group with exponent Hermite form [[d1, c], [0, d2]].
-
-    Its elements are diag(g^(x*d1 + y*c), g^(y*d2)) for x < n/d1 and
-    y < n/d2. Each y gives one row: the stride-d1 slice at offset y*c of
-    the doubled table g^k * l^3, plus the code g^(y*d2) of the lower entry.
-    """
-    n = m.ell - 1
-    pow_g = _primitive_root_powers(m)
-    l3 = m.ell**3
-    high = [p * l3 for p in pow_g] * 2
-    codes: list[int] = []
-    for y in range(n // d2):
-        s = y * c % n
-        codes += map(add, high[s : s + n : d1], repeat(pow_g[y * d2 % n]))
-    return codes
 
 
 def _diagonal_group_from_hnf(m: PrimeModulus, d1: int, d2: int, c: int) -> MatrixGroup:
@@ -691,11 +660,14 @@ def trivial_group(m: PrimeModulus) -> MatrixGroup:
     return MatrixGroup(m, ())
 
 
-def borel(m: PrimeModulus, cap: int = BOREL_PRIME_CAP) -> MatrixGroup:
-    """Full upper-triangular subgroup, order l(l-1)^2."""
+def borel(m: PrimeModulus) -> MatrixGroup:
+    """Full upper-triangular subgroup, order l(l-1)^2, with its codes listed.
+
+    Raises ClosureBudgetError before listing anything when the order
+    exceeds ``CLOSURE_BUDGET``.
+    """
     ell = m.ell
-    if ell > cap:
-        raise ValueError(f"borel({ell}) exceeds the prime cap {cap}")
+    _require_budget(ell * (ell - 1) ** 2)
     l2, l3 = ell * ell, ell * ell * ell
     elems = [
         a * l3 + b * l2 + d
@@ -773,11 +745,10 @@ def nonsplit_cartan(m: PrimeModulus) -> MatrixGroup:
     """Matrices [[a, b*eps], [b, a]] with eps the least primitive root mod l.
 
     This is the unit group of the quadratic extension of Z/lZ in matrix
-    form: it is cyclic of order l^2 - 1, and the returned group's single
-    generator, the least code of that order, generates it. Rejects l = 2.
+    form: it is cyclic of order l^2 - 1, and it is the group its generator,
+    the least code of that order, generates. Rejects l = 2.
     """
-    gen = _nonsplit_generator(m)
-    return _make_group(m, _nonsplit_codes(m), [gen.as_tuple()])
+    return MatrixGroup(m, (_nonsplit_generator(m),))
 
 
 def kth_power_subgroup(G: MatrixGroup, k: int) -> MatrixGroup:

@@ -22,7 +22,8 @@ from gl2orbits.divchain import (
 )
 from gl2orbits.gl2 import (
     Mat2,
-    _mul_t,
+    _close,
+    _nonsplit_codes,
     borel,
     closure,
     kth_power_subgroup,
@@ -359,10 +360,9 @@ def test_nonsplit_subgroup_orbits_match_order():
 def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
     # Each control breaks one gate and leaves the other two passing.
     assert nonsplit_orbit_check(M7)
-    n = 7 * 7 - 1
-    power_codes = divchain._power_codes
+    (g,) = nonsplit_cartan(M7).generators
 
-    # A single Cartan orbit: a cached Cartan partition that puts (1, 0) in an
+    # (iii) one orbit: a cached Cartan partition that puts (1, 0) in an
     # orbit of its own.
     cns = nonsplit_cartan(M7)
     (whole,) = orbits.orbit_partition(cns).orbits
@@ -371,58 +371,81 @@ def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
     assert not nonsplit_orbit_check(M7)
     monkeypatch.undo()
 
-    # Subgroup orders: a table of the squared generator repeats itself
-    # after n/2 steps, so every even-order slice has too few elements,
-    # while all of them stay inside the Cartan.
-    def squared(g, n, ell):
-        codes = power_codes(_mul_t(g, g, ell), n, ell)
-        assert set(codes) <= nonsplit_cartan(M7).codes
-        return codes
-
-    monkeypatch.setattr(divchain, "_power_codes", squared)
+    # (ii) order: <g^2> keeps the Cartan form but has order 24. A group of
+    # that form with one orbit on V* has order 48, so the single orbit must
+    # be forged for this control to leave (iii) passing.
+    a, b, c, d = (g * g).as_tuple()
+    assert a == d and b == 3 * c % 7  # 3 is the least primitive root mod 7
+    half = closure([g * g], M7)
+    assert half.order == 24
+    monkeypatch.setitem(orbits._PARTITIONS, half, _partition_of((whole,), 7))
+    monkeypatch.setattr(divchain, "nonsplit_cartan", lambda m: half)
+    assert len(orbits.orbit_partition(half).orbits) == 1
     assert not nonsplit_orbit_check(M7)
     monkeypatch.undo()
 
-    # Containment: diag(-1, 1) in place of -I = g^(n/2) keeps every slice at
-    # its full size; it fixes (0, 1) and lies outside the Cartan, and only
-    # the containment gate can see that.
-    def reflection_for_order_two(g, n, ell):
-        codes = power_codes(g, n, ell)
-        assert codes[n // 2] == Mat2(ell - 1, 0, 0, ell - 1, M7).encode()
-        codes[n // 2] = Mat2(ell - 1, 0, 0, 1, M7).encode()
-        assert len(set(codes)) == n
-        return codes
-
-    monkeypatch.setattr(divchain, "_power_codes", reflection_for_order_two)
+    # (i) containment: the conjugate of <g> by u = [[1, 1], [0, 1]] has
+    # order 48 and one orbit, but its generator is not of the Cartan form.
+    u = Mat2(1, 1, 0, 1, M7)
+    moved = closure([u.inverse() * g * u], M7)
+    assert moved.order == 48 and len(orbit_partition(moved).orbits) == 1
+    monkeypatch.setattr(divchain, "nonsplit_cartan", lambda m: moved)
     assert not nonsplit_orbit_check(M7)
+    # Each half of (i) alone: [[2, 3], [1, 3]] has b = 3c but a != d, and
+    # the conjugate of g by diag(1, 2) has a = d but b = 5c.
+    t = Mat2(1, 0, 0, 2, M7)
+    for h in (Mat2(2, 3, 1, 3, M7), t.inverse() * g * t):
+        skew = closure([h], M7)
+        assert skew.order == 48 and len(orbit_partition(skew).orbits) == 1
+        monkeypatch.setattr(divchain, "nonsplit_cartan", lambda m: skew)
+        assert not nonsplit_orbit_check(M7)
 
 
 def test_power_codes_match_tuple_powers():
-    # The row-table walk against one tuple product per power, for the
-    # Cartan generator at every odd l <= 31 and its square at l = 7.
+    # Matrix powers and one-generator closures against one tuple product
+    # per power, for the Cartan generator at every odd l <= 31 and its
+    # square at l = 7.
     for p in [q for q in range(3, 32) if is_prime(q)]:
         n = p * p - 1
         (gen,) = nonsplit_cartan(PrimeModulus(p)).generators
-        g = gen.as_tuple()
-        assert divchain._power_codes(g, n, p) == power_codes(g, n, p)
-    g7 = _mul_t(*[nonsplit_cartan(M7).generators[0].as_tuple()] * 2, 7)
-    assert divchain._power_codes(g7, 48, 7) == power_codes(g7, 48, 7)
+        codes = power_codes(gen.as_tuple(), n, p)
+        assert [(gen**k).encode() for k in range(n)] == codes
+        assert set(codes) == _close([gen.as_tuple()], p)
+    (gen,) = nonsplit_cartan(M7).generators
+    codes = power_codes((gen * gen).as_tuple(), 48, 7)
+    assert [(gen ** (2 * k)).encode() for k in range(48)] == codes
+    assert codes[24:] == codes[:24]
 
 
 def test_nonsplit_power_table_slices_are_the_cyclic_subgroups():
-    # Each slice of the table equals the closure of its generator, and that
-    # subgroup's orbits all have its order.
+    # Each slice of the tuple power table equals the closure of its
+    # generator, and that subgroup's orbits all have its order.
     for p in (3, 5, 7, 11):
         m = PrimeModulus(p)
         n = p * p - 1
         cns = nonsplit_cartan(m)
         gen = cns.generators[0]
-        codes = divchain._power_codes(gen.as_tuple(), n, p)
+        codes = power_codes(gen.as_tuple(), n, p)
         assert frozenset(codes) == cns.codes
         for d in divisors(n):
             sub = closure([gen ** (n // d)], m)
             assert sub.codes == frozenset(codes[:: n // d])
             assert set(orbit_size_map(sub).values()) == {d}
+
+
+def test_nonsplit_cartan_is_its_generators_power_table():
+    # The elementwise form of nonsplit_orbit_check's gates (i) and (ii), at
+    # every prime of the full verification's nonsplit stage: the n powers
+    # of the generator are n distinct codes, the listed Cartan's.
+    for p in [q for q in range(3, 200) if is_prime(q)]:
+        m = PrimeModulus(p)
+        n = p * p - 1
+        (gen,) = nonsplit_cartan(m).generators
+        powers = set(power_codes(gen.as_tuple(), n, p))
+        assert len(powers) == n
+        assert powers == set(_nonsplit_codes(m))
+        if p <= 31:
+            assert nonsplit_cartan(m).codes == powers
 
 
 def _case1_checks(down1, down2, up, twelfth, assembled):

@@ -277,10 +277,25 @@ def test_closure_budget_guard(monkeypatch):
     assert not isinstance(excinfo.value, ClosureBudgetError)
 
 
-def test_borel_prime_cap():
-    with pytest.raises(ValueError):
-        borel(PrimeModulus(101))
-    assert borel(PrimeModulus(101), cap=101).order == 101 * 100 * 100
+def test_borel_budget(monkeypatch):
+    # borel lists its codes only within CLOSURE_BUDGET and refuses a larger
+    # order before it hands anything to _make_group.
+    def refuse(*args):
+        raise AssertionError("_make_group called over budget")
+
+    monkeypatch.setattr(gl2, "CLOSURE_BUDGET", 80)
+    assert len(borel(M5).codes) == 80
+    monkeypatch.setattr(gl2, "CLOSURE_BUDGET", 100)
+    assert len(borel(M5).codes) == 80
+    monkeypatch.setattr(gl2, "_make_group", refuse)
+    with pytest.raises(ClosureBudgetError):
+        borel(PrimeModulus(7))
+    monkeypatch.undo()
+    monkeypatch.setattr(gl2, "_make_group", refuse)
+    # 127 * 126^2 = 2,016,252 elements, over the default budget.
+    assert 127 * 126**2 > gl2.CLOSURE_BUDGET
+    with pytest.raises(ClosureBudgetError):
+        borel(PrimeModulus(127))
 
 
 def test_lagrange_in_gl2():
@@ -622,10 +637,7 @@ def test_row_table_matches_tuple_products():
 
 
 def test_one_image_list_builder(monkeypatch):
-    # The closure's row tables and divchain's power table are both built by
-    # _image_list, through _row_table.
-    from gl2orbits import divchain, gl2
-
+    # The closure's row tables are built by _image_list, through _row_table.
     built = []
 
     def spy(g, ell):
@@ -636,7 +648,7 @@ def test_one_image_list_builder(monkeypatch):
     h = (2, 1, 0, 3)
     assert _row_table(h, 5) == _image_list((3, 1, 0, 2), 5)
     assert built == [((3, 1, 0, 2), 5)]
-    assert divchain._power_codes(h, 4, 5) == power_codes(h, 4, 5)
+    assert _close([h], 5) == set(power_codes(h, 4, 5))
     assert built == [((3, 1, 0, 2), 5)] * 2
 
 

@@ -961,9 +961,10 @@ def test_certificate_round_builds_no_unipotent_product(monkeypatch):
 
 
 def test_large_prime_samples_build_no_code_set(monkeypatch):
-    # Sampled lemma31 and lemma33 at l >= 131 read generators and the
-    # stabilizer chain only: every row passes and no group's code set is
-    # built, the largest of all GL2(199) (order 1,560,319,200).
+    # Sampled lemma31 and lemma33 at l >= 131, and the nonsplit check, read
+    # generators, the stabilizer chain and line orbits only: every row
+    # passes and no group's code set is built, the largest of all GL2(199)
+    # (order 1,560,319,200).
     built = []
     checked = MatrixGroup._checked
 
@@ -981,6 +982,18 @@ def test_large_prime_samples_build_no_code_set(monkeypatch):
         )
         report = run(cfg)
         assert all(e["pass"] == e["total"] == 8 for e in report.suites)
+    # The benchmark's large-primes round.
+    cfg = SweepConfig(
+        primes=(151, 199),
+        sample_count=2,
+        suites=("lemma31", "lemma33", "nonsplit"),
+        seed=2024,
+    )
+    report = run(cfg)
+    rows = [(e["name"], e["prime"], e["pass"], e["total"]) for e in report.suites]
+    assert rows == [
+        (suite, p, 1, 1) for suite in cfg.suites for p in cfg.primes
+    ]
     assert built == []
 
 
