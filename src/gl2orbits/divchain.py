@@ -44,6 +44,7 @@ from .orbits import (
     TransferVerdict,
     Vector2,
     _first_violation,
+    _orbit_lengths,
     _orbit_partition,
     orbit_partition,
     uniform_divisibility_transfer,
@@ -127,12 +128,13 @@ class ValidationReport:
 class DivisibilityCertificate:
     """A validated scenario's verified divisibility conclusion.
 
-    partition is G's orbit partition, which the checks read; orbit_sizes
-    maps every nonzero vector encoding to its G-orbit size, derived from it
-    on first read. factors records the multiplicative chain; verdict is
-    True only when every recorded check passed, including the direct final
-    check that l - 1 divides final_constant * d * (orbit size) for all
-    vectors.
+    partition is G's orbit partition, held by its line walk; the checks
+    read its size view, and only a failing check's counterexample reads
+    its orbit codes. orbit_sizes maps every nonzero vector encoding to its
+    G-orbit size, built from the partition's codes on first read. factors
+    records the multiplicative chain; verdict is True only when every
+    recorded check passed, including the direct final check that l - 1
+    divides final_constant * d * (orbit size) for every G-orbit.
     """
 
     kind: str
@@ -164,7 +166,7 @@ def _divisibility_check(
 ) -> tuple[CheckRecord, dict | None]:
     """Whether l - 1 divides multiplier * (every orbit size), and where not."""
     divisor = modulus.ell - 1
-    codes = _first_violation(partition.orbits, multiplier, divisor)
+    codes = _first_violation(partition, multiplier, divisor)
     if codes is None:
         return CheckRecord(name, True), None
     v = Vector2.decode(codes[0], modulus)
@@ -329,7 +331,7 @@ def verify_case1_chain(s: Case1Scenario) -> DivisibilityCertificate:
     index_cartan = (n * n) // s.Gp.order
     index_twelfth = s.Gp.order // g12.order
 
-    orbit_multiset = sorted(map(len, orbit_partition(cartan).orbits))
+    orbit_multiset = sorted(_orbit_lengths(orbit_partition(cartan).size_counts))
     checks = [
         CheckRecord(
             "cartan_three_orbits",
@@ -395,7 +397,7 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
     n_r = image_order((g.a for g in gss.generators), gss.modulus)
     n_chi = report.det_image_order
     r6 = power_image_order(n_r, 6)
-    sixth_lengths = set(map(len, orbit_partition(sixth).orbits))
+    sixth_lengths = {size for size, _ in orbit_partition(sixth).size_counts}
     checks = [
         CheckRecord("sixth_power_scalar", sixth.is_scalar, f"order {sixth.order}"),
         CheckRecord(
@@ -502,7 +504,7 @@ def nonsplit_orbit_check(ell: PrimeModulus) -> bool:
         a == d
         and b == eps * c % p
         and cns.order == p * p - 1
-        and len(orbit_partition(cns).orbits) == 1
+        and orbit_partition(cns).size_counts == ((p * p - 1, 1),)
     )
 
 

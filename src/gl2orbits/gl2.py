@@ -22,9 +22,8 @@ same checks, the last of which is that they number |G|.
 
 ``_close`` walks element codes. Right multiplication by a generator h
 acts on each row of a matrix on its own, so one table T_h of the l^2 row
-codes gives code(X * h) = T_h[code // l^2] * l^2 + T_h[code % l^2]. T_h
-is the image list of [[d, b], [c, a]] for h = [[a, b], [c, d]], built by
-``_image_list``.
+codes, built by ``_row_table``, gives
+code(X * h) = T_h[code // l^2] * l^2 + T_h[code % l^2].
 
 Every code is checked for nonsingularity. An upper-triangular set is
 checked at C speed from its low halves code % l^2 = c*l + d: when they all
@@ -187,53 +186,42 @@ def _pow_t(x: MatTuple, k: int, ell: int) -> MatTuple:
     return result
 
 
-def _image_list(g: MatTuple, ell: int) -> list[int]:
-    """The code of g * v at index code(v), for every column vector v = (x, y).
-
-    A vector's code is y*l + x. This is the one table builder:
-    ``_row_table`` reads one as right multiplication on rows, for closures.
-
-    Built one row y at a time. With the doubled table A[x] = a*x mod l,
-    x' = a*x + b*y = A[x + s] for the offset s = b*y/a, so the row's x'
-    values are the slice A[s : s + l]; likewise l*y' = l*(c*x + d*y) is a
-    slice of the doubled table l*(c*x mod l) at offset d*y/c. A zero a or
-    c makes that part constant along the row; g is invertible, so a and c
-    are not both zero.
-    """
-    a, b, c, d = g
-    xs = range(2 * ell)
-    a_table = [a * x % ell for x in xs]
-    c_table = [c * x % ell * ell for x in xs]
-    a_inv = pow(a, -1, ell) if a else 0
-    c_inv = pow(c, -1, ell) if c else 0
-    image: list[int] = []
-    for y in range(ell):
-        if a:
-            s = b * y * a_inv % ell
-            low = a_table[s : s + ell]
-        else:
-            low = repeat(b * y % ell)
-        if c:
-            t = d * y * c_inv % ell
-            high = c_table[t : t + ell]
-        else:
-            high = repeat(d * y % ell * ell)
-        image += map(add, low, high)
-    return image
-
-
 def _row_table(h: MatTuple, ell: int) -> list[int]:
     """Right multiplication by h on the row codes x*l + y of a matrix's rows.
 
-    The row (x, y) times h = [[a, b], [c, d]] is (a*x + c*y, b*x + d*y).
-    Read as the column vector (y, x), whose code is x*l + y, that is the
-    column vector [[d, b], [c, a]] * (y, x). So the table is that matrix's
-    image list, and a matrix code splits into its two row codes as
+    The row (x, y) times h = [[a, b], [c, d]] is (a*x + c*y, b*x + d*y),
+    so entry x*l + y of the table is (a*x + c*y)*l + (b*x + d*y), reduced.
+    A matrix code splits into its two row codes as
     code = (code // l^2) * l^2 + code % l^2, giving
     code(X * h) = T[code // l^2] * l^2 + T[code % l^2].
+
+    Built one run of fixed x at a time. With the doubled table D[y] = d*y
+    mod l, b*x + d*y = D[y + s] for the offset s = b*x/d, so the run's low
+    digits are the slice D[s : s + l]; likewise l*(a*x + c*y) is a slice
+    of the doubled table l*(c*y mod l) at offset a*x/c. A zero d or c makes
+    that digit constant along the run; h is invertible, so c and d are not
+    both zero.
     """
     a, b, c, d = h
-    return _image_list((d, b, c, a), ell)
+    ys = range(2 * ell)
+    d_table = [d * y % ell for y in ys]
+    c_table = [c * y % ell * ell for y in ys]
+    d_inv = pow(d, -1, ell) if d else 0
+    c_inv = pow(c, -1, ell) if c else 0
+    table: list[int] = []
+    for x in range(ell):
+        if d:
+            s = b * x * d_inv % ell
+            low = d_table[s : s + ell]
+        else:
+            low = repeat(b * x % ell)
+        if c:
+            t = a * x * c_inv % ell
+            high = c_table[t : t + ell]
+        else:
+            high = repeat(a * x % ell * ell)
+        table += map(add, low, high)
+    return table
 
 
 def _close(gen_tuples: Iterable[MatTuple], ell: int) -> set[int]:

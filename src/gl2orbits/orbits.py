@@ -4,17 +4,22 @@ The action is left multiplication on column vectors; a vector (x, y) is
 encoded as y*l + x, and the punctured plane V* has the l^2 - 1 codes
 1 .. l^2 - 1. A group's orbits come from its generators' action on the
 l + 1 lines through the origin, which suffices in a finite group: every
-G-orbit lies over one orbit of lines, and on a line of that orbit it is a
-coset of the scalars by which the line's stabilizer acts (Schreier's
-lemma gives them from one walk over the orbit's lines). So each orbit is
-a set of stride slices of the lines' codes, listed per prime in
-primitive-root order, and no orbit is walked code by code. The resulting
-``OrbitPartition`` holds only the orbits and the label of every code, and
-is cached once per group; ``orbit``, ``orbit_decomposition``,
-``coset_orbit_refinement`` and the divisibility checks read orbit lengths
-from it, and ``refinement_violation`` checks that one partition refines
-another in one pass over the codes. The per-code size map that
-``orbit_size_map`` returns is derived from the orbits on first read.
+G-orbit lies over one orbit W of lines, and on a line of W it is a coset
+of the scalars g^(kZ) by which the line's stabilizer acts (Schreier's
+lemma gives k from one walk over W's lines, g the least primitive root).
+So over W there are k orbits, each of |W| * (l - 1) / k codes.
+
+The resulting ``OrbitPartition`` holds that walk and nothing per vector:
+each orbit of lines with its k, and every line's offset. Its size view,
+one (size, count) per orbit of lines, answers every reader that needs only
+sizes: the divisibility checks and transfers, lemma32's prediction, the
+lemma33 constants and the nonsplit check. The code views (the orbits as
+code tuples, the label of every code and the per-code size map) are built
+on first read, as stride slices of the lines' codes listed per prime in
+primitive-root order; ``orbit``, ``orbit_decomposition``, the refinements
+(``refinement_violation`` checks that one partition refines another in one
+pass over the codes) and a failing check's counterexample read them. The
+partition is cached once per group.
 """
 
 from __future__ import annotations
@@ -117,17 +122,68 @@ class DiagonalOrbitPrediction:
 
 @dataclass(frozen=True)
 class OrbitPartition:
-    """A group's orbits on the punctured plane, on vector codes.
+    """A group's orbits on the punctured plane, held by its line walk.
 
-    orbits holds each orbit's codes in ascending order, the orbits ordered
-    by smallest member; label[code] is the index in orbits of the orbit
-    holding code (-1 for the zero vector). These are the only data:
-    sizes, the read-only orbit size map keyed by nonzero code, is derived
-    from the orbits on first read and kept.
+    walks holds one (lines, k) per orbit W of the l + 1 lines, its lines in
+    the order the walk reached them (see ``_line_orbits``), and offset[L]
+    is the log of line L's tree-vector scale. These are the only data.
+    size_counts, one (size, count) per orbit of lines, says that count = k
+    orbits of size |W| * (l - 1) / k lie over W.
+
+    The code views are built on first read and kept: orbits holds each
+    orbit's codes in ascending order, the orbits ordered by smallest
+    member; label[code] is the index in orbits of the orbit holding code
+    (-1 for the zero vector); sizes is the read-only orbit size map keyed
+    by nonzero code.
     """
 
-    orbits: tuple[tuple[int, ...], ...]
-    label: tuple[int, ...]
+    modulus: PrimeModulus
+    walks: tuple[tuple[tuple[int, ...], int], ...]
+    offset: tuple[int, ...]
+
+    @cached_property
+    def size_counts(self) -> tuple[tuple[int, int], ...]:
+        units = self.modulus.ell - 1
+        return tuple((len(lines) * units // k, k) for lines, k in self.walks)
+
+    @cached_property
+    def orbits(self) -> tuple[tuple[int, ...], ...]:
+        """Over each orbit of lines the root's spanning vector w_0 has
+        stabilizer scalars g^(kZ), so the orbit of g^j * w_0 meets line L
+        in g^(j + offset[L] + kZ) times L's spanning vector: k orbits, each
+        a stride-k slice of every line's codes, sorted. When every line is
+        its own orbit with k = l - 1 (a group with no non-identity
+        generator), every nonzero code is its own orbit and no line is read.
+        """
+        ell = self.modulus.ell
+        if len(self.walks) == ell + 1 and all(k == ell - 1 for _, k in self.walks):
+            return tuple(zip(range(1, ell * ell)))
+        lines = _line_codes(self.modulus)
+        orbits: list[tuple[int, ...]] = []
+        for walk, k in self.walks:
+            # Each line rotated by its offset: orbit j is every entry at a
+            # position j mod k, as k divides l - 1.
+            flat: list[int] = []
+            for line in walk:
+                r = self.offset[line] % k
+                flat += lines[line][r:]
+                flat += lines[line][:r]
+            orbits += [tuple(sorted(flat[j::k])) for j in range(k)]
+        # Disjoint orbits compare by their smallest members.
+        orbits.sort()
+        return tuple(orbits)
+
+    @cached_property
+    def label(self) -> tuple[int, ...]:
+        n = self.modulus.ell ** 2
+        if len(self.orbits) == n - 1:
+            # Singleton orbits, sorted: code c is orbit c - 1.
+            return tuple(range(-1, n - 1))
+        label = [-1] * n
+        for index, members in enumerate(self.orbits):
+            for code in members:
+                label[code] = index
+        return tuple(label)
 
     @cached_property
     def sizes(self) -> Mapping[int, int]:
@@ -135,6 +191,11 @@ class OrbitPartition:
         for members in self.orbits:
             sizes.update(dict.fromkeys(members, len(members)))
         return MappingProxyType(sizes)
+
+
+def _orbit_lengths(size_counts: Iterable[tuple[int, int]]) -> list[int]:
+    """One size per orbit, in the order of the size view's entries."""
+    return [size for size, count in size_counts for _ in range(count)]
 
 
 # Kept for every prime, like the primitive-root tables: each workload's
@@ -157,7 +218,7 @@ def _line_codes(m: PrimeModulus) -> tuple[array, ...]:
 
 def _line_orbits(
     gens: Collection[tuple[int, int, int, int]], m: PrimeModulus
-) -> tuple[list[tuple[list[int], int]], list[int]]:
+) -> tuple[tuple[tuple[tuple[int, ...], int], ...], tuple[int, ...]]:
     """The orbits of the generators on the l + 1 lines, by one walk each.
 
     Each walk goes breadth-first from its root line, the least line not yet
@@ -198,47 +259,15 @@ def _line_orbits(
                     walk.append(nxt)
                 else:
                     k = gcd(k, e - offset[nxt])
-        line_orbits.append((walk, k))
-    return line_orbits, offset
+        line_orbits.append((tuple(walk), k))
+    return tuple(line_orbits), tuple(offset)
 
 
 def _orbit_partition(G: MatrixGroup) -> OrbitPartition:
-    """The uncached partition, from G's action on the l + 1 lines.
-
-    Over each orbit of lines (``_line_orbits``) the root's spanning vector
-    w_0 has stabilizer scalars g^(kZ), so the orbit of g^j * w_0 meets line
-    L in g^(j + offset[L] + kZ) times L's spanning vector: k orbits, each
-    a stride-k slice of every line's codes, sorted. A group with no
-    non-identity generator needs no walk: every nonzero code is its own
-    orbit.
-    """
-    m = G.modulus
-    ell = m.ell
-    n = ell * ell
+    """The uncached partition: G's generators walked over the l + 1 lines."""
     gens = dict.fromkeys(G.generator_tuples())
     gens.pop((1, 0, 0, 1), None)
-    if not gens:
-        # Code k is orbit k - 1; the zero code keeps label -1.
-        return OrbitPartition(tuple(zip(range(1, n))), tuple(range(-1, n - 1)))
-    line_orbits, offset = _line_orbits(gens, m)
-    lines = _line_codes(m)
-    orbits: list[tuple[int, ...]] = []
-    for walk, k in line_orbits:
-        # Each line rotated by its offset: orbit j is every entry at a
-        # position j mod k, as k divides l - 1.
-        flat: list[int] = []
-        for line in walk:
-            r = offset[line] % k
-            flat += lines[line][r:]
-            flat += lines[line][:r]
-        orbits += [tuple(sorted(flat[j::k])) for j in range(k)]
-    # Disjoint orbits compare by their smallest members.
-    orbits.sort()
-    label = [-1] * n
-    for index, members in enumerate(orbits):
-        for code in members:
-            label[code] = index
-    return OrbitPartition(tuple(orbits), tuple(label))
+    return OrbitPartition(G.modulus, *_line_orbits(gens, G.modulus))
 
 
 # Orbit partitions by group. Equal groups share one entry, and an entry is
@@ -314,6 +343,7 @@ def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     if not Gp.is_diagonal:
         raise ValueError("diagonal orbit prediction needs a diagonal group")
     n = Gp.modulus.ell - 1
+    order = Gp.order
     im1 = image_order((g.a for g in Gp.generators), Gp.modulus)
     im2 = image_order((g.d for g in Gp.generators), Gp.modulus)
     return DiagonalOrbitPrediction(
@@ -321,8 +351,8 @@ def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
         index2=n // im2,
         axis1_size=im1,
         axis2_size=im2,
-        mixed_orbit_size=Gp.order,
-        mixed_count=(n * n) // Gp.order,
+        mixed_orbit_size=order,
+        mixed_count=(n * n) // order,
         modulus=Gp.modulus,
     )
 
@@ -429,19 +459,19 @@ class TransferVerdict:
 
 
 def _first_violation(
-    orbits: tuple[tuple[int, ...], ...], multiplier: int, divisor: int
+    partition: OrbitPartition, multiplier: int, divisor: int
 ) -> tuple[int, ...] | None:
     """The orbit holding the smallest code whose orbit size s fails
     divisor | multiplier * s, if any.
 
-    orbits are ordered by smallest member, so that orbit is the first
-    failing one, and the code is its first member.
+    The sizes come from the size view; only a failure reads the orbits,
+    which are ordered by smallest member, so the first one of a failing
+    size is that orbit, and the code is its first member.
     """
-    lengths = set(map(len, orbits))
-    bad = {s for s in lengths if (multiplier * s) % divisor != 0}
+    bad = {s for s, _ in partition.size_counts if multiplier * s % divisor}
     if not bad:
         return None
-    return next(codes for codes in orbits if len(codes) in bad)
+    return next(codes for codes in partition.orbits if len(codes) in bad)
 
 
 def uniform_divisibility_transfer(
@@ -456,8 +486,9 @@ def uniform_divisibility_transfer(
     direction "up": if M divides c * (every H-orbit size) then M divides
     c * (every G-orbit size), with the same constant. direction "down":
     if M divides c * (every G-orbit size) then M divides
-    c * [G:H] * (every H-orbit size). Both checks are run exhaustively
-    over the punctured plane and the verdict records any counterexample.
+    c * [G:H] * (every H-orbit size). Both checks read every orbit size
+    of each group from its partition's size view; the verdict records the
+    smallest vector of a failing orbit as the counterexample.
     """
     if M < 1 or c < 1:
         raise ValueError("divisor and constant must be positive")
@@ -466,14 +497,14 @@ def uniform_divisibility_transfer(
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
     index = G.order // H.order
-    h_orbits = orbit_partition(H).orbits
-    g_orbits = orbit_partition(G).orbits
+    h = orbit_partition(H)
+    g = orbit_partition(G)
     if direction == "up":
-        hyp = _first_violation(h_orbits, c, M)
-        ccl = _first_violation(g_orbits, c, M)
+        hyp = _first_violation(h, c, M)
+        ccl = _first_violation(g, c, M)
     else:
-        hyp = _first_violation(g_orbits, c, M)
-        ccl = _first_violation(h_orbits, c * index, M)
+        hyp = _first_violation(g, c, M)
+        ccl = _first_violation(h, c * index, M)
     hyp_bad = None if hyp is None else Vector2.decode(hyp[0], G.modulus)
     ccl_bad = None if ccl is None else Vector2.decode(ccl[0], G.modulus)
     return TransferVerdict(

@@ -61,6 +61,8 @@ from .gl2 import (
 )
 from .modarith import PrimeModulus, divisors, is_prime
 from .orbits import (
+    OrbitPartition,
+    _orbit_lengths,
     minimal_uniform_constant,
     orbit_partition,
     predict_diagonal_orbits,
@@ -545,30 +547,42 @@ def _check_triangular_group(G: MatrixGroup) -> Verdict:
     return PASS
 
 
+def _axis_classes(partition: OrbitPartition) -> tuple[list[tuple[int, int]], ...]:
+    """The size view's (size, count) entries on axis 1, on axis 2 and mixed.
+
+    Each orbit of lines is classified by its lines: the one holding line l
+    (the axis y = 0) is axis 1, the one holding line 0 (x = 0) axis 2, and
+    any other mixed. Each orbit over it meets every one of its lines, so
+    for a diagonal group this is the split by smallest code: below l on
+    axis 1, a multiple of l on axis 2.
+    """
+    ell = partition.modulus.ell
+    classes: tuple[list[tuple[int, int]], ...] = ([], [], [])
+    for (lines, _), size_count in zip(partition.walks, partition.size_counts):
+        classes[0 if ell in lines else 1 if 0 in lines else 2].append(size_count)
+    return classes
+
+
 def _check_diagonal_prediction(Gp: MatrixGroup) -> Verdict:
     ell = Gp.modulus.ell
-    parts = orbit_partition(Gp).orbits
-    if sum(map(len, parts)) != ell * ell - 1:
+    partition = orbit_partition(Gp)
+    if sum(size * count for size, count in partition.size_counts) != ell * ell - 1:
         return _group_failure(Gp, "orbits do not partition the punctured plane")
     pred = predict_diagonal_orbits(Gp)
-    # Each orbit is classified by its smallest code c = y*l + x: on axis 1
-    # (y = 0) when c < l, on axis 2 (x = 0) when l divides c, else mixed.
-    axis1: list[int] = []
-    axis2: list[int] = []
-    mixed: list[int] = []
-    for codes in parts:
-        c = codes[0]
-        (axis1 if c < ell else axis2 if c % ell == 0 else mixed).append(len(codes))
-    if len(axis1) != pred.index1 or any(s != pred.axis1_size for s in axis1):
-        return _group_failure(Gp, f"axis-1 orbits {axis1} vs {pred}")
-    if len(axis2) != pred.index2 or any(s != pred.axis2_size for s in axis2):
-        return _group_failure(Gp, f"axis-2 orbits {axis2} vs {pred}")
+    axis1, axis2, mixed = _axis_classes(partition)
+    for name, parts, count, size in (
+        ("axis-1", axis1, pred.index1, pred.axis1_size),
+        ("axis-2", axis2, pred.index2, pred.axis2_size),
+    ):
+        if sum(c for _, c in parts) != count or any(s != size for s, _ in parts):
+            note = f"{name} orbits {_orbit_lengths(parts)} vs {pred}"
+            return _group_failure(Gp, note)
     # diag(a, d) fixes (x, y) with xy != 0 only when a = d = 1, so Gp acts
     # freely off the axes and every mixed orbit has size |Gp|.
-    if any(s != Gp.order for s in mixed):
-        return _group_failure(
-            Gp, f"mixed orbits {mixed} vs free action of order {Gp.order}"
-        )
+    order = Gp.order
+    if any(s != order for s, _ in mixed):
+        note = f"mixed orbits {_orbit_lengths(mixed)} vs free action of order {order}"
+        return _group_failure(Gp, note)
     return PASS
 
 
@@ -594,7 +608,7 @@ def _check_nested_pair(G: MatrixGroup, H: MatrixGroup) -> Verdict:
         ("up", h_partition, g_partition),
         ("down", g_partition, h_partition),
     ):
-        c = minimal_uniform_constant(map(len, hypothesis.orbits), M)
+        c = minimal_uniform_constant((s for s, _ in hypothesis.size_counts), M)
         verdict = uniform_divisibility_transfer(M, c, G, H, direction)
         if not verdict.hypothesis_holds:
             return failure("minimal constant failed its own hypothesis")

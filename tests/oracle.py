@@ -6,10 +6,12 @@ used before it walked lines. They multiply entry by entry and share no code
 with ``gl2orbits``, so the code and line kernels are checked against them.
 ``large_group_order`` reads the order of a group too large to close off its
 structure, and the lemma 3.1 derivations below read a group's element codes
-where the library reads its generators.
+where the library reads its generators. ``CodePartition`` stands in for an
+orbit partition given by its codes, to forge code-level faults.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 from gl2orbits.gl2 import ClosureBudgetError
 
@@ -200,3 +202,29 @@ def breadth_first_partition(gen_tuples, ell):
                     queue.append(image)
         orbits.append(tuple(sorted(members)))
     return tuple(orbits), tuple(label)
+
+
+@dataclass(frozen=True)
+class CodePartition:
+    """An orbit partition given by its codes, for forging code-level faults.
+
+    orbits and label are read like ``OrbitPartition``'s code views, and
+    may be made inconsistent on purpose. The size view is derived from the
+    orbits: one (size, 1) per orbit.
+    """
+
+    orbits: tuple
+    label: tuple
+
+    @property
+    def size_counts(self):
+        return tuple((len(codes), 1) for codes in self.orbits)
+
+
+def partition_of(parts, ell):
+    """A CodePartition holding parts, with the label they imply."""
+    label = [-1] * (ell * ell)
+    for index, codes in enumerate(parts):
+        for code in codes:
+            label[code] = index
+    return CodePartition(tuple(parts), tuple(label))

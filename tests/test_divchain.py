@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 
 import pytest
@@ -33,7 +34,7 @@ from gl2orbits.gl2 import (
     trivial_group,
 )
 from gl2orbits.modarith import PrimeModulus, divisors, is_prime, power_image_order
-from gl2orbits.orbits import OrbitPartition, orbit_partition, orbit_size_map
+from gl2orbits.orbits import orbit_partition, orbit_size_map
 from gl2orbits.semisimplify import semisimplification
 from gl2orbits.sweep import _times_unit_shears
 from oracle import breadth_first_partition, power_codes
@@ -43,13 +44,9 @@ M7 = PrimeModulus(7)
 M13 = PrimeModulus(13)
 
 
-def _partition_of(parts, ell):
-    """An OrbitPartition holding parts, with the label they imply."""
-    label = [-1] * (ell * ell)
-    for index, codes in enumerate(parts):
-        for code in codes:
-            label[code] = index
-    return OrbitPartition(tuple(parts), tuple(label))
+def _with_walks(partition, *walks):
+    """partition with its line walks replaced by walks, offsets kept."""
+    return dataclasses.replace(partition, walks=walks)
 
 
 def checks_by_name(report_or_cert):
@@ -362,12 +359,15 @@ def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
     assert nonsplit_orbit_check(M7)
     (g,) = nonsplit_cartan(M7).generators
 
-    # (iii) one orbit: a cached Cartan partition that puts (1, 0) in an
-    # orbit of its own.
+    # (iii) one orbit: a cached Cartan partition whose walk over all eight
+    # lines finds k = 2, so two orbits of size 24.
     cns = nonsplit_cartan(M7)
-    (whole,) = orbits.orbit_partition(cns).orbits
-    assert whole[0] == 1
-    monkeypatch.setitem(orbits._PARTITIONS, cns, _partition_of(((1,), whole[1:]), 7))
+    true = orbits.orbit_partition(cns)
+    ((lines, k),) = true.walks
+    assert k == 1 and sorted(lines) == list(range(8))
+    forged = _with_walks(true, (lines, 2))
+    assert forged.size_counts == ((24, 2),)
+    monkeypatch.setitem(orbits._PARTITIONS, cns, forged)
     assert not nonsplit_orbit_check(M7)
     monkeypatch.undo()
 
@@ -378,9 +378,13 @@ def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
     assert a == d and b == 3 * c % 7  # 3 is the least primitive root mod 7
     half = closure([g * g], M7)
     assert half.order == 24
-    monkeypatch.setitem(orbits._PARTITIONS, half, _partition_of((whole,), 7))
+    # Its true walks are two orbits of four lines; forged, all lines are in
+    # one walk with k = 1.
+    assert orbits.orbit_partition(half).size_counts == ((24, 1), (24, 1))
+    forged = _with_walks(orbits.orbit_partition(half), (tuple(range(8)), 1))
+    monkeypatch.setitem(orbits._PARTITIONS, half, forged)
     monkeypatch.setattr(divchain, "nonsplit_cartan", lambda m: half)
-    assert len(orbits.orbit_partition(half).orbits) == 1
+    assert orbits.orbit_partition(half).size_counts == ((48, 1),)
     assert not nonsplit_orbit_check(M7)
     monkeypatch.undo()
 
@@ -388,7 +392,7 @@ def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
     # order 48 and one orbit, but its generator is not of the Cartan form.
     u = Mat2(1, 1, 0, 1, M7)
     moved = closure([u.inverse() * g * u], M7)
-    assert moved.order == 48 and len(orbit_partition(moved).orbits) == 1
+    assert moved.order == 48 and orbit_partition(moved).size_counts == ((48, 1),)
     monkeypatch.setattr(divchain, "nonsplit_cartan", lambda m: moved)
     assert not nonsplit_orbit_check(M7)
     # Each half of (i) alone: [[2, 3], [1, 3]] has b = 3c but a != d, and
@@ -396,7 +400,7 @@ def test_nonsplit_orbit_check_gates_can_fail(monkeypatch):
     t = Mat2(1, 0, 0, 2, M7)
     for h in (Mat2(2, 3, 1, 3, M7), t.inverse() * g * t):
         skew = closure([h], M7)
-        assert skew.order == 48 and len(orbit_partition(skew).orbits) == 1
+        assert skew.order == 48 and orbit_partition(skew).size_counts == ((48, 1),)
         monkeypatch.setattr(divchain, "nonsplit_cartan", lambda m: skew)
         assert not nonsplit_orbit_check(M7)
 
@@ -607,15 +611,15 @@ def test_invalid_scenarios_record_every_check_in_order():
 
 
 def test_replay_detects_tampered_orbit_sizes():
-    # The sizes are derived from the stored partition, so it is tampered.
+    # The sizes are derived from the stored partition, so it is tampered:
+    # the axis walk (line 5, the axis y = 0) with k = 2 cuts the axis orbit
+    # in two.
     s = Case1Scenario(split_cartan(M5), split_cartan(M5), DegreeParameter(1))
     cert = verify_case1_chain(s)
-    first, *rest = cert.partition.orbits
-    tampered = _partition_of(((first[0],), first[1:], *rest), 5)
-    from dataclasses import replace
-
-    bad = replace(cert, partition=tampered)
-    assert bad.orbit_sizes[first[0]] == 1 != cert.orbit_sizes[first[0]]
+    walks = [(lines, 2 if lines == (5,) else k) for lines, k in cert.partition.walks]
+    assert walks != list(cert.partition.walks)
+    bad = dataclasses.replace(cert, partition=_with_walks(cert.partition, *walks))
+    assert bad.orbit_sizes[1] == 2 != cert.orbit_sizes[1]
     assert not replay_certificate(bad, s)
     assert replay_certificate(cert, s)
 
@@ -627,10 +631,11 @@ def test_replay_ignores_a_corrupted_orbit_cache():
     G = borel(m)
     assert G.order > 20_000
     s = Case1Scenario(G, split_cartan(m), DegreeParameter(1))
-    # Code 1 split off the axis orbit: its cached orbit size becomes 1.
-    axis, *rest = orbits.orbit_partition(G).orbits
-    assert axis[0] == 1 and len(axis) > 1
-    corrupted = _partition_of(((1,), axis[1:], *rest), 31)
+    # The axis walk (line 31 alone, the axis y = 0) forged to k = 30: every
+    # axis code is its own orbit, and code 1's cached orbit size becomes 1.
+    true = orbits.orbit_partition(G)
+    assert true.walks[-1] == ((31,), 1) and true.sizes[1] == 30
+    corrupted = _with_walks(true, *true.walks[:-1], ((31,), 30))
     assert corrupted.sizes[1] == 1
     orbits._PARTITIONS[G] = corrupted
     try:
@@ -688,8 +693,8 @@ def test_chains_leave_descriptors_unmaterialized():
         cert = chain(s)
         assert cert.verdict
         assert "codes" not in vars(s.G)
-        # The certificate holds the partition; the size map is not built.
-        assert "sizes" not in vars(cert.partition)
+        # The certificate holds the partition; no code view is built.
+        assert not {"orbits", "label", "sizes"} & vars(cert.partition).keys()
     assert all("codes" not in vars(s.G) for s in scenarios)
     # The partition of D·U is the oracle's, walked from its generators.
     G = descriptors[0]

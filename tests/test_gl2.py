@@ -12,7 +12,6 @@ from gl2orbits.gl2 import (
     MatrixGroup,
     _close,
     _diagonal_group_from_hnf,
-    _image_list,
     _make_group,
     _mul_t,
     _row_table,
@@ -637,19 +636,21 @@ def test_row_table_matches_tuple_products():
 
 
 def test_one_image_list_builder(monkeypatch):
-    # The closure's row tables are built by _image_list, through _row_table.
+    # The closure's tables come from _row_table, the one table builder:
+    # one table per distinct generator.
     built = []
 
-    def spy(g, ell):
-        built.append((g, ell))
-        return _image_list(g, ell)
+    def spy(h, ell):
+        built.append((h, ell))
+        return _row_table(h, ell)
 
-    monkeypatch.setattr(gl2, "_image_list", spy)
+    monkeypatch.setattr(gl2, "_row_table", spy)
     h = (2, 1, 0, 3)
-    assert _row_table(h, 5) == _image_list((3, 1, 0, 2), 5)
-    assert built == [((3, 1, 0, 2), 5)]
     assert _close([h], 5) == set(power_codes(h, 4, 5))
-    assert built == [((3, 1, 0, 2), 5)] * 2
+    assert built == [(h, 5)]
+    u = (1, 1, 0, 1)
+    assert _close([h, u, h], 5) == _close([u, h], 5)
+    assert built == [(h, 5), (h, 5), (u, 5), (u, 5), (h, 5)]
 
 
 def test_nonsplit_cartan_codes_and_least_generator():

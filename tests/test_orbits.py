@@ -1,16 +1,20 @@
 import gc
 import itertools
+from math import gcd
 from random import Random
+from weakref import WeakKeyDictionary
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2orbits import orbits
+from gl2orbits import orbits, sweep
 from gl2orbits.gl2 import (
     Mat2,
     MatrixGroup,
-    _image_list,
+    _discrete_logs,
+    _primitive_root_powers,
+    _row_table,
     borel,
     closure,
     conjugate,
@@ -42,7 +46,7 @@ from gl2orbits.sweep import (
     enumerate_diagonal_subgroups,
     enumerate_upper_triangular_subgroups,
 )
-from oracle import breadth_first_partition
+from oracle import CodePartition, breadth_first_partition, partition_of
 
 M5 = PrimeModulus(5)
 M13 = PrimeModulus(13)
@@ -148,10 +152,40 @@ class Generated:
         return self.gens
 
 
+CODE_VIEWS = {"orbits", "label", "sizes"}
+
+
+def orbit_lengths(size_counts):
+    """The sorted orbit sizes a size view lists, one per orbit."""
+    return sorted(size for size, count in size_counts for _ in range(count))
+
+
 def assert_partition_matches_oracle(G):
+    """The line kernel's partition of G against the breadth-first oracle's.
+
+    The size view, read first and with no code view built, lists at most
+    one entry per line and the oracle's orbit lengths; then the code views
+    equal the oracle's (orbits, label). Returns the partition and the
+    oracle's orbits.
+    """
     partition = orbits._orbit_partition(G)
-    expected = breadth_first_partition(G.generator_tuples(), G.modulus.ell)
+    ell = G.modulus.ell
+    expected = breadth_first_partition(G.generator_tuples(), ell)
+    assert len(partition.size_counts) <= ell + 1
+    assert orbit_lengths(partition.size_counts) == sorted(map(len, expected[0]))
+    assert not CODE_VIEWS & vars(partition).keys()
     assert (partition.orbits, partition.label) == expected
+    return partition, expected[0]
+
+
+def smallest_code_classes(orbit_codes, ell):
+    """Sorted orbit sizes on axis 1, on axis 2 and mixed, each orbit by its
+    smallest code c = y*l + x: below l on axis 1, a multiple of l on axis 2."""
+    classes = ([], [], [])
+    for codes in orbit_codes:
+        c = codes[0]
+        classes[0 if c < ell else 1 if c % ell == 0 else 2].append(len(codes))
+    return [sorted(sizes) for sizes in classes]
 
 
 def random_generator(rng, p, kind):
@@ -191,10 +225,16 @@ def test_line_kernel_matches_oracle_on_the_borel_lattice(p):
 
 def test_line_kernel_matches_oracle_on_diagonal_groups_and_products():
     # Every diagonal subgroup at l <= 31, and its product with the shears.
+    # lemma32 classifies each orbit of lines by the axis lines it holds; on
+    # both groups that is the classification of each orbit by smallest code.
     for p in [q for q in range(2, 32) if is_prime(q)]:
         for D in enumerate_diagonal_subgroups(PrimeModulus(p)):
-            assert_partition_matches_oracle(D)
-            assert_partition_matches_oracle(_times_unit_shears(D))
+            for G in (D, _times_unit_shears(D)):
+                partition, orbit_codes = assert_partition_matches_oracle(G)
+                walk_classes = [
+                    orbit_lengths(c) for c in sweep._axis_classes(partition)
+                ]
+                assert walk_classes == smallest_code_classes(orbit_codes, p)
 
 
 def test_line_kernel_matches_oracle_on_standard_groups():
@@ -227,21 +267,22 @@ def test_line_kernel_matches_oracle_at_large_primes(p):
 
 
 def test_image_list_matches_apply():
-    # Every matrix of GL2(l), l in {2, 3, 5}: the a = 0, c = 0, c != 0 and
-    # shear rows of the row builder all occur.
+    # The row table of every matrix h of GL2(l), l in {2, 3, 5}, against
+    # Mat2.apply: the row (x, y) times h is h's transpose applied to the
+    # column (x, y). The builder's d = 0, c = 0 and general runs all occur.
     for p, count in ((2, 6), (3, 48), (5, 480)):
         m = PrimeModulus(p)
         seen = 0
         for a, b, c, d in itertools.product(range(p), repeat=4):
             if (a * d - b * c) % p == 0:
                 continue
-            g = Mat2(a, b, c, d, m)
-            image = _image_list(g.as_tuple(), p)
-            assert len(image) == p * p
-            for y in range(p):
-                for x in range(p):
-                    gx, gy = g.apply(x, y)
-                    assert image[y * p + x] == gy * p + gx
+            transpose = Mat2(a, c, b, d, m)
+            table = _row_table((a, b, c, d), p)
+            assert len(table) == p * p
+            for x in range(p):
+                for y in range(p):
+                    u, v = transpose.apply(x, y)
+                    assert table[x * p + y] == u * p + v
             seen += 1
         assert seen == count
 
@@ -532,6 +573,8 @@ def test_orbit_size_map_is_read_only():
 
 
 def test_orbit_readers_leave_the_size_map_unbuilt():
+    # lemma32's check, the transfers and the nonsplit check read the size
+    # view of each partition and build none of its code views.
     from gl2orbits import divchain, sweep
 
     def cached(G):
@@ -550,11 +593,11 @@ def test_orbit_readers_leave_the_size_map_unbuilt():
     assert divchain.nonsplit_orbit_check(m7)
     for X, partition in zip((Gp, G, H, cns), partitions):
         assert orbits._PARTITIONS[X] is partition
-    assert not any("sizes" in vars(p) for p in partitions)
+    assert not any(CODE_VIEWS & vars(p).keys() for p in partitions)
 
     # The first read derives the map once; later reads return it.
     sizes = orbit_size_map(G)
-    assert "sizes" in vars(partitions[1])
+    assert CODE_VIEWS - {"label"} <= vars(partitions[1]).keys()
     assert orbit_size_map(G) is sizes
     assert dict(sizes) == {c: len(o) for o in partitions[1].orbits for c in o}
 
@@ -568,11 +611,7 @@ def test_corrupted_h_partition_fails_the_refinement(monkeypatch):
     # orbit meets two G-orbits.
     assert true.orbits[0] == (1, 2, 3, 4) and true.orbits[1] == (5, 10, 15, 20)
     bad_orbits = (true.orbits[0] + true.orbits[1],) + true.orbits[2:]
-    label = [-1] * 25
-    for index, codes in enumerate(bad_orbits):
-        for code in codes:
-            label[code] = index
-    orbits._PARTITIONS[H] = orbits.OrbitPartition(bad_orbits, tuple(label))
+    orbits._PARTITIONS[H] = partition_of(bad_orbits, 5)
     try:
         with pytest.raises(RuntimeError, match="H-orbit escapes the G-orbit"):
             coset_orbit_refinement(G, H, e1(M5))
@@ -590,9 +629,7 @@ def test_corrupted_h_partition_fails_the_refinement(monkeypatch):
 
     # An H-orbit that lost a member still lies in the G-orbit, but the
     # parts no longer cover it.
-    orbits._PARTITIONS[H] = orbits.OrbitPartition(
-        ((1, 2, 3),) + true.orbits[1:], true.label
-    )
+    orbits._PARTITIONS[H] = CodePartition(((1, 2, 3),) + true.orbits[1:], true.label)
     try:
         with pytest.raises(RuntimeError, match="do not partition the G-orbit"):
             coset_orbit_refinement(G, H, e1(M5))
@@ -646,7 +683,7 @@ def _forge(rng, h, kinds):
     for code, left in dropped:
         kept = [index for index, p in enumerate(parts) if p is left]
         label[code] = kept[0] if kept else rng.randrange(len(parts))
-    return orbits.OrbitPartition(tuple(tuple(sorted(p)) for p in parts), tuple(label))
+    return CodePartition(tuple(tuple(sorted(p)) for p in parts), tuple(label))
 
 
 def test_emptied_h_orbit_escapes_in_both_checks():
@@ -654,9 +691,7 @@ def test_emptied_h_orbit_escapes_in_both_checks():
     # orbit is left empty while the code still points to it, and both
     # checks report an escape.
     g = orbits.orbit_partition(scalars(M5))
-    h = orbits.OrbitPartition(
-        ((),) + tuple((c,) for c in range(2, 25)), tuple(range(-1, 24))
-    )
+    h = CodePartition(((),) + tuple((c,) for c in range(2, 25)), tuple(range(-1, 24)))
     assert refinement_violation(g, h) == ESCAPES_G_ORBIT
     assert _per_orbit_verdict(g, h) == ESCAPES_G_ORBIT
 
@@ -699,3 +734,116 @@ def test_one_pass_refinement_matches_per_orbit_loop_on_forgeries():
     assert ("merge", ESCAPES_G_ORBIT) in single
     assert ("move", ESCAPES_G_ORBIT) in single
     assert ("drop", MISSES_G_ORBIT) in single
+
+
+LINE_KERNEL_MUTATIONS = ("tree_offset", "rotation", "no_schreier", "root_schreier")
+
+
+def mutant_line_orbits(mutation):
+    """``orbits._line_orbits`` with one fault, for monkeypatching; with
+    mutation None, a copy of it.
+
+    tree_offset: a line reached by a tree edge takes the edge's own scale,
+    dropping its parent's offset. rotation: every line but a walk's root is
+    rotated one step too far. no_schreier: every non-tree edge is skipped,
+    so k = l - 1. root_schreier: the non-tree edges into the root are
+    skipped.
+    """
+    assert mutation in (None, *LINE_KERNEL_MUTATIONS)
+
+    def line_orbits(gens, m):
+        ell = m.ell
+        units = ell - 1
+        pow_g = _primitive_root_powers(m)
+        log = _discrete_logs(m)
+        offset = [-1] * (ell + 1)
+        walks = []
+        for root in range(ell + 1):
+            if offset[root] >= 0:
+                continue
+            offset[root] = 0
+            walk = [root]
+            k = units
+            for line in walk:
+                x, y = (line, 1) if line < ell else (1, 0)
+                for a, b, c, d in gens:
+                    u = (a * x + b * y) % ell
+                    v = (c * x + d * y) % ell
+                    nxt = u * pow_g[-log[v] % units] % ell if v else ell
+                    e = log[v] if v else log[u]
+                    if mutation != "tree_offset" or offset[nxt] >= 0:
+                        e += offset[line]
+                    if offset[nxt] < 0:
+                        offset[nxt] = e % units
+                        walk.append(nxt)
+                    elif mutation == "no_schreier":
+                        continue
+                    elif mutation == "root_schreier" and nxt == root:
+                        continue
+                    else:
+                        k = gcd(k, e - offset[nxt])
+            if mutation == "rotation":
+                for line in walk[1:]:
+                    offset[line] += 1
+            walks.append((tuple(walk), k))
+        return tuple(walks), tuple(offset)
+
+    return line_orbits
+
+
+def test_unmutated_kernel_copy_is_the_kernel():
+    # The copy the mutants are made from gives the kernel's walks and offsets.
+    rng = Random(4)
+    copy = mutant_line_orbits(None)
+    for p in (2, 3, 7, 13):
+        m = PrimeModulus(p)
+        for _ in range(40):
+            gens = random_generator_set(rng, p)
+            assert copy(gens, m) == orbits._line_orbits(gens, m)
+
+
+# The sweeps each mutation must turn red. A wrong offset or a missed
+# Schreier generator changes some k, so some orbit size, and the exhaustive
+# lemma32 lattice at l = 7 fails rows; a missed Schreier generator also
+# fails certificates. A rotation off by one moves codes between the orbits
+# over a walk but keeps every size, so no reader of sizes alone can see it;
+# lemma33's refinement reads codes and fails rows.
+_LEMMA32_7 = sweep.SweepConfig(primes=(7,), mode="exhaustive", suites=("lemma32",))
+_CERTIFICATES = sweep.SweepConfig(
+    primes=(5, 7, 13), sample_count=24, degrees=(1, 2, 3, 6, 12),
+    suites=("case1", "case2"), seed=864,
+)
+_LEMMA33_7 = sweep.SweepConfig(
+    primes=(7,), sample_count=12, suites=("lemma33",), seed=5
+)
+MUTATION_SWEEPS = {
+    "tree_offset": (_LEMMA32_7,),
+    "rotation": (_LEMMA33_7,),
+    "no_schreier": (_LEMMA32_7, _CERTIFICATES),
+    "root_schreier": (_LEMMA32_7, _CERTIFICATES),
+}
+
+
+@pytest.mark.parametrize("mutation", LINE_KERNEL_MUTATIONS)
+def test_line_kernel_mutations_turn_oracle_and_sweeps_red(monkeypatch, mutation):
+    for cfg in MUTATION_SWEEPS[mutation]:
+        assert sweep.run(cfg).total_failures == 0
+    monkeypatch.setattr(orbits, "_line_orbits", mutant_line_orbits(mutation))
+    monkeypatch.setattr(orbits, "_PARTITIONS", WeakKeyDictionary())
+    groups = [
+        G
+        for p in (5, 7)
+        for D in enumerate_diagonal_subgroups(PrimeModulus(p))
+        for G in (D, _times_unit_shears(D))
+    ]
+    sizes_wrong = codes_wrong = 0
+    for G in groups:
+        partition = orbits._orbit_partition(G)
+        expected = breadth_first_partition(G.generator_tuples(), G.modulus.ell)
+        lengths = sorted(map(len, expected[0]))
+        sizes_wrong += orbit_lengths(partition.size_counts) != lengths
+        codes_wrong += (partition.orbits, partition.label) != expected
+    assert codes_wrong > 0
+    assert (sizes_wrong > 0) == (mutation != "rotation")
+    for cfg in MUTATION_SWEEPS[mutation]:
+        assert sweep.run(cfg).total_failures > 0

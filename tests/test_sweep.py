@@ -1,10 +1,12 @@
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import deque
 from pathlib import Path
 from random import Random
@@ -37,7 +39,7 @@ from gl2orbits.sweep import (
     run,
     sample_scenarios,
 )
-from oracle import breadth_first_closure, mul
+from oracle import breadth_first_closure, mul, partition_of
 
 M3 = PrimeModulus(3)
 M5 = PrimeModulus(5)
@@ -556,20 +558,21 @@ def _lemma32_config(ell):
     return SweepConfig(primes=(ell,), mode="exhaustive", suites=("lemma32",))
 
 
-def _partition_of(parts, ell):
-    """An OrbitPartition holding parts, with the label they imply."""
-    label = [-1] * (ell * ell)
-    for index, codes in enumerate(parts):
-        for code in codes:
-            label[code] = index
-    return OrbitPartition(tuple(parts), tuple(label))
+def _forged_walks(G, *new):
+    """G's partition with the orbits of lines that new's lines meet replaced
+    by new, each a (lines, k), as a faulty line walk would give them: walks
+    ordered by least line, offsets kept."""
+    true = orbits.orbit_partition(G)
+    touched = set().union(*(lines for lines, _ in new))
+    kept = [walk for walk in true.walks if touched.isdisjoint(walk[0])]
+    walks = sorted(kept + list(new), key=lambda walk: min(walk[0]))
+    return OrbitPartition(true.modulus, tuple(walks), true.offset)
 
 
-def _lemma32_notes_with_orbits(monkeypatch, G, parts):
+def _lemma32_notes_with_walks(monkeypatch, G, *new):
     """Notes of the failing exhaustive lemma32 rows at G's prime, with G's
-    cached partition replaced by parts."""
-    tampered = _partition_of(parts, G.modulus.ell)
-    monkeypatch.setitem(orbits._PARTITIONS, G, tampered)
+    cached partition's walks forged by new."""
+    monkeypatch.setitem(orbits._PARTITIONS, G, _forged_walks(G, *new))
     (entry,) = run(_lemma32_config(G.modulus.ell)).suites
     monkeypatch.undo()
     return [f["scenario"]["note"] for f in entry["failures"]]
@@ -585,86 +588,82 @@ def _recut(G, *new):
 
 
 def test_lemma32_gates_can_fail(monkeypatch):
-    # Each tampered partition of a diagonal group at l = 7 breaks one gate
-    # and makes exactly that group's row fail with the matching note.
+    # Each forged line walk of a diagonal group at l = 7 breaks one gate and
+    # makes exactly that group's row fail with the matching note. Line 7 is
+    # the axis y = 0 (axis 1), line 0 the axis x = 0 (axis 2), and lines
+    # 1..6 are mixed; over a walk W with scalar index k lie k orbits of
+    # size |W| * 6 / k.
     m = PrimeModulus(7)
     assert run(_lemma32_config(7)).total_failures == 0
-    C = split_cartan(m)  # orbits: axis 1, axis 2, one mixed
-    S = scalars(m)  # orbits: axis 1, axis 2, six mixed, all of size 6
-    Q = closure([Mat2(2, 0, 0, 2, m)])  # two orbits per axis, twelve mixed
-    s_parts = orbits.orbit_partition(S).orbits
-    assert s_parts[2] == (8, 16, 24, 32, 40, 48)
-    mixed_merged = tuple(sorted(s_parts[3] + s_parts[4]))
+    C = split_cartan(m)  # walks: axis 2, mixed lines 1..6, axis 1; all k = 1
+    S = scalars(m)  # every line its own walk with k = 1: orbits of size 6
+    Q = closure([Mat2(2, 0, 0, 2, m)], m)  # every line alone with k = 2
+    assert [k for _, k in orbits.orbit_partition(C).walks] == [1, 1, 1]
+    assert [len(w) for w, _ in orbits.orbit_partition(C).walks] == [1, 6, 1]
+    assert orbits.orbit_partition(S).size_counts == ((6, 1),) * 8
+    assert orbits.orbit_partition(Q).size_counts == ((3, 2),) * 8
     cases = [
         # An axis orbit split in two.
-        (C, [(1, 2, 3), (4, 5, 6)], "axis-1 orbits [3, 3]"),
-        (C, [(7, 14, 21), (28, 35, 42)], "axis-2 orbits [3, 3]"),
-        # Two orbits of the right size on one axis: the axis orbit trades
-        # half its codes with the orbit of (1, 1).
-        (S, [(1, 2, 3, 8, 16, 24), (4, 5, 6, 32, 40, 48)], "axis-1 orbits [6, 6]"),
-        (
-            S,
-            [(7, 8, 14, 16, 21, 24), (28, 32, 35, 40, 42, 48)],
-            "axis-2 orbits [6, 6]",
-        ),
+        (C, [((7,), 2)], "axis-1 orbits [3, 3]"),
+        (C, [((0,), 2)], "axis-2 orbits [3, 3]"),
+        # Two orbits of the right size on one axis: the axis walk takes in
+        # the line of (1, 1) and halves its scalars.
+        (S, [((1, 7), 2)], "axis-1 orbits [6, 6]"),
+        (S, [((0, 1), 2)], "axis-2 orbits [6, 6]"),
         # The right number of axis orbits with the wrong sizes.
-        (Q, [(1, 2), (3, 4, 5, 6)], "axis-1 orbits [2, 4]"),
-        (Q, [(7, 14), (21, 28, 35, 42)], "axis-2 orbits [2, 4]"),
-        # Two mixed orbits merged, and re-cut with the wrong sizes.
-        (S, [mixed_merged], "mixed orbits [6, 12, 6, 6, 6]"),
-        (
-            S,
-            [mixed_merged[:4], mixed_merged[4:]],
-            "mixed orbits [6, 4, 6, 6, 6, 8]",
-        ),
+        (Q, [((1, 7), 2)], "axis-1 orbits [6, 6]"),
+        (Q, [((0, 1), 2)], "axis-2 orbits [6, 6]"),
+        # Two mixed lines in one walk: their orbits merge, and re-cut with
+        # the wrong sizes.
+        (S, [((2, 3), 1)], "mixed orbits [6, 12, 6, 6, 6]"),
+        (S, [((2, 3), 3)], "mixed orbits [6, 4, 4, 4, 6, 6, 6]"),
     ]
     for G, new, prefix in cases:
-        notes = _lemma32_notes_with_orbits(monkeypatch, G, _recut(G, *new))
+        notes = _lemma32_notes_with_walks(monkeypatch, G, *new)
         assert len(notes) == 1 and notes[0].startswith(prefix + " vs ")
         if prefix.startswith("axis"):
             assert "DiagonalOrbitPrediction(" in notes[0]
         else:
             assert notes[0].endswith(" vs free action of order 6")
 
-    # A code dropped: the sizes no longer sum to l^2 - 1.
-    *head, mixed = orbits.orbit_partition(C).orbits
-    notes = _lemma32_notes_with_orbits(monkeypatch, C, (*head, mixed[:-1]))
+    # A line dropped from the mixed walk: the sizes no longer sum to l^2 - 1.
+    notes = _lemma32_notes_with_walks(monkeypatch, C, ((1, 2, 3, 4, 5), 1))
     assert notes == ["orbits do not partition the punctured plane"]
 
-    monkeypatch.undo()
-
-    # The orbit of (1, 1), code l + 1, cut to 5 codes: the prediction reads
-    # no orbit, so it still expects one mixed orbit of size |C| = 36, and
-    # the free-action gate fails.
-    assert mixed[0] == 8
+    # The mixed lines of C cut into two walks of 2 and 4 lines: the
+    # prediction reads no orbit, so it still expects one mixed orbit of size
+    # |C| = 36, and the free-action gate fails.
     pred = predict_diagonal_orbits(C)
-    cut = _recut(C, mixed[:5], mixed[5:])
-    notes = _lemma32_notes_with_orbits(monkeypatch, C, cut)
-    assert notes == ["mixed orbits [5, 31] vs free action of order 36"]
-    monkeypatch.setitem(orbits._PARTITIONS, C, _partition_of(cut, 7))
+    cut = (((1, 2), 1), ((3, 4, 5, 6), 1))
+    notes = _lemma32_notes_with_walks(monkeypatch, C, *cut)
+    assert notes == ["mixed orbits [12, 24] vs free action of order 36"]
+    monkeypatch.setitem(orbits._PARTITIONS, C, _forged_walks(C, *cut))
     assert predict_diagonal_orbits(C) == pred
     assert (pred.mixed_orbit_size, pred.mixed_count) == (36, 1)
 
 
 def test_lemma32_free_action_gate_catches_halved_mixed_orbits(monkeypatch):
-    # Every mixed orbit cut in half. The axis orbits are untouched, so only
-    # the gate that compares mixed orbits with |Gp| can fail. The prediction
-    # reads no orbit: it keeps |Gp| and (l - 1)^2 / |Gp|.
+    # Every mixed walk's k doubled, so each mixed orbit is cut in half. The
+    # axis orbits are untouched, so only the gate that compares mixed orbits
+    # with |Gp| can fail. The prediction reads no orbit: it keeps |Gp| and
+    # (l - 1)^2 / |Gp|.
     m = PrimeModulus(7)
     for G in (split_cartan(m), scalars(m)):
         ell = G.modulus.ell
-        parts = orbits.orbit_partition(G).orbits
-        mixed = [p for p in parts if p[0] >= ell and p[0] % ell]
-        halves = [h for p in mixed for h in (p[: len(p) // 2], p[len(p) // 2 :])]
-        forged = _partition_of(_recut(G, *halves), ell)
+        mixed = [
+            (lines, k)
+            for lines, k in orbits.orbit_partition(G).walks
+            if 0 not in lines and ell not in lines
+        ]
+        forged = _forged_walks(G, *((lines, 2 * k) for lines, k in mixed))
         monkeypatch.setitem(orbits._PARTITIONS, G, forged)
         pred = predict_diagonal_orbits(G)
         assert pred.mixed_orbit_size == G.order
-        assert pred.mixed_count == len(mixed) == len(halves) // 2
+        assert pred.mixed_count == sum(k for _, k in mixed)
         (entry,) = run(_lemma32_config(ell)).suites
         monkeypatch.undo()
         notes = [f["scenario"]["note"] for f in entry["failures"]]
-        sizes = [G.order // 2] * len(halves)
+        sizes = [G.order // 2] * (2 * pred.mixed_count)
         assert notes == [f"mixed orbits {sizes} vs free action of order {G.order}"]
 
 
@@ -826,24 +825,21 @@ def _forge_witness_check(monkeypatch):
 
 
 def _forge_diagonal_partitions(monkeypatch):
-    # An axis orbit of the split Cartan split in two, and two mixed orbits of
-    # the scalars merged; both leave the orbit of (1, 1) whole.
+    # The split Cartan's axis-1 walk with k = 2, which splits that axis
+    # orbit in two, and two of the scalars' mixed lines in one walk, which
+    # merges their orbits; both leave the orbit of (1, 1) whole.
     m = PrimeModulus(7)
     C, S = split_cartan(m), scalars(m)
-    s_parts = orbits.orbit_partition(S).orbits
-    forged = {
-        C: _recut(C, (1, 2, 3), (4, 5, 6)),
-        S: _recut(S, tuple(sorted(s_parts[3] + s_parts[4]))),
-    }
-    for G, parts in forged.items():
-        monkeypatch.setitem(orbits._PARTITIONS, G, _partition_of(parts, 7))
+    forged = {C: _forged_walks(C, ((7,), 2)), S: _forged_walks(S, ((2, 3), 1))}
+    for G, partition in forged.items():
+        monkeypatch.setitem(orbits._PARTITIONS, G, partition)
 
 
 def _forge_trivial_partition(monkeypatch):
     # The trivial group's orbits with (1, 0) and (0, 1) in one orbit, which
     # escapes the G-orbits of every G that keeps the line of (1, 0).
     T = trivial_group(PrimeModulus(7))
-    monkeypatch.setitem(orbits._PARTITIONS, T, _partition_of(_recut(T, (1, 7)), 7))
+    monkeypatch.setitem(orbits._PARTITIONS, T, partition_of(_recut(T, (1, 7)), 7))
 
 
 def _forge_transfer_down(monkeypatch):
@@ -995,6 +991,54 @@ def test_large_prime_samples_build_no_code_set(monkeypatch):
         (suite, p, 1, 1) for suite in cfg.suites for p in cfg.primes
     ]
     assert built == []
+
+
+def test_size_readers_build_no_code_view(monkeypatch):
+    # The benchmark's certificates round and its lattices round (exhaustive
+    # lemma31 at l <= 7 and lemma32 at l <= 31) read only the size view of
+    # every partition: no partition lists its orbits' codes, from which its
+    # label and size map are built too. The same spy sees lemma33's
+    # refinement build them.
+    built = []
+    codes = OrbitPartition.orbits
+
+    def recording(partition):
+        built.append(partition.modulus.ell)
+        return codes.func(partition)
+
+    spy = functools.cached_property(recording)
+    spy.__set_name__(OrbitPartition, "orbits")
+    monkeypatch.setattr(OrbitPartition, "orbits", spy)
+    monkeypatch.setattr(orbits, "_PARTITIONS", weakref.WeakKeyDictionary())
+    walked = []
+    walk = orbits._orbit_partition
+
+    def walking(G):
+        walked.append(G)
+        return walk(G)
+
+    monkeypatch.setattr(orbits, "_orbit_partition", walking)
+    size_readers = [
+        SweepConfig(
+            primes=tuple(p for p in range(37, 68) if is_prime(p)),
+            sample_count=16,
+            suites=("case1", "case2"),
+            seed=864,
+            degrees=(1, 2, 3, 6, 12),
+        ),
+        SweepConfig(primes=(3, 5, 7), mode="exhaustive", suites=("lemma31",)),
+        SweepConfig(
+            primes=tuple(p for p in range(3, 32) if is_prime(p)),
+            mode="exhaustive",
+            suites=("lemma32",),
+        ),
+    ]
+    for cfg in size_readers:
+        report = run(cfg)
+        assert report.total_failures == 0 and report.suites
+    assert len(walked) > 800 and built == []
+    report = run(SweepConfig(primes=(7,), sample_count=12, suites=("lemma33",), seed=5))
+    assert report.total_failures == 0 and built and set(built) == {7}
 
 
 def test_tracer_layer_names_resolve():
