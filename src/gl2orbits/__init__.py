@@ -59,7 +59,6 @@ from .orbits import (
     uniform_divisibility_transfer,
 )
 from .semisimplify import (
-    CommutatorWitness,
     DiagonalizerWitness,
     SemisimplificationResult,
     TransvectionWitness,

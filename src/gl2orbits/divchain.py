@@ -46,6 +46,7 @@ from .orbits import (
     _first_violation,
     _orbit_lengths,
     _orbit_partition,
+    _size_map,
     orbit_partition,
     uniform_divisibility_transfer,
 )
@@ -129,12 +130,12 @@ class DivisibilityCertificate:
     """A validated scenario's verified divisibility conclusion.
 
     partition is G's orbit partition, held by its line walk; the checks
-    read its size view, and only a failing check's counterexample reads
-    its orbit codes. orbit_sizes maps every nonzero vector encoding to its
-    G-orbit size, built from the partition's codes on first read. factors
-    records the multiplicative chain; verdict is True only when every
-    recorded check passed, including the direct final check that l - 1
-    divides final_constant * d * (orbit size) for every G-orbit.
+    and a failing check's counterexample read only its walks and size
+    view. orbit_sizes maps every nonzero vector encoding to its G-orbit
+    size, listed from the partition on each read. factors records the
+    multiplicative chain; verdict is True only when every recorded check
+    passed, including the direct final check that l - 1 divides
+    final_constant * d * (orbit size) for every G-orbit.
     """
 
     kind: str
@@ -149,7 +150,7 @@ class DivisibilityCertificate:
 
     @property
     def orbit_sizes(self) -> Mapping[int, int]:
-        return self.partition.sizes
+        return _size_map(self.partition)
 
 
 @lru_cache(maxsize=None)
@@ -166,11 +167,11 @@ def _divisibility_check(
 ) -> tuple[CheckRecord, dict | None]:
     """Whether l - 1 divides multiplier * (every orbit size), and where not."""
     divisor = modulus.ell - 1
-    codes = _first_violation(partition, multiplier, divisor)
-    if codes is None:
+    violation = _first_violation(partition, multiplier, divisor)
+    if violation is None:
         return CheckRecord(name, True), None
-    v = Vector2.decode(codes[0], modulus)
-    size = len(codes)
+    code, size = violation
+    v = Vector2.decode(code, modulus)
     detail = f"{divisor} does not divide {multiplier} * {size} at {v!r}"
     counterexample = {
         "vector": [v.x, v.y],
@@ -521,7 +522,7 @@ def replay_certificate(
     """
     G = scenario.G
     ell = G.modulus.ell
-    fresh = _orbit_partition(G).sizes
+    fresh = _size_map(_orbit_partition(G))
     if dict(cert.orbit_sizes) != fresh:
         return False
     n = ell - 1

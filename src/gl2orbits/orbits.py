@@ -12,24 +12,22 @@ So over W there are k orbits, each of |W| * (l - 1) / k codes.
 The resulting ``OrbitPartition`` holds that walk and nothing per vector:
 each orbit of lines with its k, and every line's offset. Its size view,
 one (size, count) per orbit of lines, answers every reader that needs only
-sizes: the divisibility checks and transfers, lemma32's prediction, the
-lemma33 constants and the nonsplit check. The code views (the orbits as
-code tuples, the label of every code and the per-code size map) are built
-on first read, as stride slices of the lines' codes listed per prime in
-primitive-root order; ``orbit``, ``orbit_decomposition``, the refinements
-(``refinement_violation`` checks that one partition refines another in one
-pass over the codes) and a failing check's counterexample read them. The
-partition is cached once per group.
+sizes: the divisibility checks and transfers with their counterexamples,
+lemma32's prediction, the lemma33 constants and the nonsplit check.
+lemma33's refinement compares two walks line by line
+(``refinement_violation``). Codes are read through two helpers:
+``OrbitPartition.locate`` names the orbit holding a code, and
+``OrbitPartition.orbit_codes``, the one place codes are listed, lists an
+orbit's. ``orbit``, ``orbit_decomposition``, ``orbit_size_map`` and
+``coset_orbit_refinement`` build their results from them on each call.
+The partition is cached once per group.
 """
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import repeat
+from functools import cached_property
 from math import gcd
-from operator import ne
 from types import MappingProxyType
 from typing import Collection, Iterable, Literal, Mapping
 from weakref import WeakKeyDictionary
@@ -126,15 +124,17 @@ class OrbitPartition:
 
     walks holds one (lines, k) per orbit W of the l + 1 lines, its lines in
     the order the walk reached them (see ``_line_orbits``), and offset[L]
-    is the log of line L's tree-vector scale. These are the only data.
-    size_counts, one (size, count) per orbit of lines, says that count = k
-    orbits of size |W| * (l - 1) / k lie over W.
+    is the log of line L's tree-vector scale. These are the only data; the
+    views derived from them have at most l + 1 entries. size_counts, one
+    (size, count) per orbit of lines, says that count = k orbits of size
+    |W| * (l - 1) / k lie over W; walk_of[L] is the index in walks of the
+    orbit of lines holding line L, or -1 when no walk holds L.
 
-    The code views are built on first read and kept: orbits holds each
-    orbit's codes in ascending order, the orbits ordered by smallest
-    member; label[code] is the index in orbits of the orbit holding code
-    (-1 for the zero vector); sizes is the read-only orbit size map keyed
-    by nonzero code.
+    Orbit j over walks[w] meets each line L of it in g^e times L's
+    spanning vector, (t, 1) for line t < l and (1, 0) for line l, for
+    every e = j + offset[L] mod k: the root's spanning vector has
+    stabilizer scalars g^(kZ), and the walk carries it to g^offset[L]
+    times L's. ``locate`` and ``orbit_codes`` read that rule both ways.
     """
 
     modulus: PrimeModulus
@@ -147,73 +147,64 @@ class OrbitPartition:
         return tuple((len(lines) * units // k, k) for lines, k in self.walks)
 
     @cached_property
-    def orbits(self) -> tuple[tuple[int, ...], ...]:
-        """Over each orbit of lines the root's spanning vector w_0 has
-        stabilizer scalars g^(kZ), so the orbit of g^j * w_0 meets line L
-        in g^(j + offset[L] + kZ) times L's spanning vector: k orbits, each
-        a stride-k slice of every line's codes, sorted. When every line is
-        its own orbit with k = l - 1 (a group with no non-identity
-        generator), every nonzero code is its own orbit and no line is read.
+    def walk_of(self) -> tuple[int, ...]:
+        walk_of = [-1] * (self.modulus.ell + 1)
+        for index, (lines, _) in enumerate(self.walks):
+            for line in lines:
+                walk_of[line] = index
+        return tuple(walk_of)
+
+    def locate(self, code: int) -> tuple[int, int]:
+        """(w, j) of the orbit holding a nonzero code: orbit j over walks[w].
+
+        (x, y) with y != 0 is y times (x/y, 1), on line x/y with e = log y;
+        (x, 0) is x times (1, 0), on line l with e = log x. Then
+        j = (e - offset[L]) mod k. w is -1 when no walk holds the line.
         """
         ell = self.modulus.ell
-        if len(self.walks) == ell + 1 and all(k == ell - 1 for _, k in self.walks):
-            return tuple(zip(range(1, ell * ell)))
-        lines = _line_codes(self.modulus)
-        orbits: list[tuple[int, ...]] = []
-        for walk, k in self.walks:
-            # Each line rotated by its offset: orbit j is every entry at a
-            # position j mod k, as k divides l - 1.
-            flat: list[int] = []
-            for line in walk:
-                r = self.offset[line] % k
-                flat += lines[line][r:]
-                flat += lines[line][:r]
-            orbits += [tuple(sorted(flat[j::k])) for j in range(k)]
-        # Disjoint orbits compare by their smallest members.
-        orbits.sort()
-        return tuple(orbits)
+        x, y = code % ell, code // ell
+        log = _discrete_logs(self.modulus)
+        line, e = (x * pow(y, -1, ell) % ell, log[y]) if y else (ell, log[x])
+        w = self.walk_of[line]
+        return w, (e - self.offset[line]) % self.walks[w][1]
 
-    @cached_property
-    def label(self) -> tuple[int, ...]:
-        n = self.modulus.ell ** 2
-        if len(self.orbits) == n - 1:
-            # Singleton orbits, sorted: code c is orbit c - 1.
-            return tuple(range(-1, n - 1))
-        label = [-1] * n
-        for index, members in enumerate(self.orbits):
-            for code in members:
-                label[code] = index
-        return tuple(label)
+    def orbit_codes(self, w: int, j: int) -> tuple[int, ...]:
+        """The codes of orbit j over walks[w], ascending: on each line L of
+        the walk, every k-th power of g from j + offset[L]."""
+        # Computed from the cached powers of g, with no per-prime table of
+        # line codes: no sweep lists codes, so no table would be reused.
+        ell = self.modulus.ell
+        pow_g = _primitive_root_powers(self.modulus)
+        lines, k = self.walks[w]
+        codes: list[int] = []
+        for line in lines:
+            powers = pow_g[(j + self.offset[line]) % k :: k]
+            if line < ell:
+                powers = [p * ell + p * line % ell for p in powers]
+            codes += powers
+        return tuple(sorted(codes))
 
-    @cached_property
-    def sizes(self) -> Mapping[int, int]:
-        sizes: dict[int, int] = {}
-        for members in self.orbits:
-            sizes.update(dict.fromkeys(members, len(members)))
-        return MappingProxyType(sizes)
+
+def _listed_orbits(partition: OrbitPartition) -> list[tuple[int, ...]]:
+    """Every orbit's codes, walk by walk."""
+    return [
+        partition.orbit_codes(w, j)
+        for w, (_, k) in enumerate(partition.walks)
+        for j in range(k)
+    ]
+
+
+def _size_map(partition: OrbitPartition) -> Mapping[int, int]:
+    """The read-only orbit size of every nonzero code, listed orbit by orbit."""
+    sizes: dict[int, int] = {}
+    for codes in _listed_orbits(partition):
+        sizes.update(dict.fromkeys(codes, len(codes)))
+    return MappingProxyType(sizes)
 
 
 def _orbit_lengths(size_counts: Iterable[tuple[int, int]]) -> list[int]:
     """One size per orbit, in the order of the size view's entries."""
     return [size for size, count in size_counts for _ in range(count)]
-
-
-# Kept for every prime, like the primitive-root tables: each workload's
-# rounds revisit the same few primes, and one prime's tables hold l^2 - 1
-# codes.
-@lru_cache(maxsize=None)
-def _line_codes(m: PrimeModulus) -> tuple[array, ...]:
-    """The codes of every line of the plane less zero, in primitive-root order.
-
-    Line t < l is spanned by (t, 1) and line l, the axis y = 0, by (1, 0).
-    Entry j of a line's array is the code of g^j times its spanning vector,
-    g the least primitive root. Stored as compact arrays.
-    """
-    ell = m.ell
-    pow_g = _primitive_root_powers(m)
-    lines = [array("l", [p * ell + p * t % ell for p in pow_g]) for t in range(ell)]
-    lines.append(array("l", pow_g))
-    return tuple(lines)
 
 
 def _line_orbits(
@@ -224,10 +215,11 @@ def _line_orbits(
     Each walk goes breadth-first from its root line, the least line not yet
     reached, and carries the root's spanning vector to a tree vector
     w_L = g^offset[L] * (L's spanning vector) on every line L it reaches
-    (see ``_line_codes``). An edge (L, h) whose target is already reached is a
-    Schreier generator of the root's stabilizer, which scales the root's
-    spanning vector by the ratio of h * w_L to w_hL; k is the gcd of l - 1
-    and the logs of those ratios. Returns every (walk, k), and the offsets.
+    (see ``OrbitPartition``). An edge (L, h) whose target is already
+    reached is a Schreier generator of the root's stabilizer, which scales
+    the root's spanning vector by the ratio of h * w_L to w_hL; k is the gcd
+    of l - 1 and the logs of those ratios. Returns every (walk, k), and the
+    offsets.
     """
     ell = m.ell
     units = ell - 1
@@ -287,10 +279,10 @@ def orbit_partition(G: MatrixGroup) -> OrbitPartition:
 def orbit_size_map(G: MatrixGroup) -> Mapping[int, int]:
     """Orbit size for every nonzero vector, keyed by vector encoding.
 
-    Derived from the cached partition's orbits on the first call for a
-    group and kept with the partition; the returned mapping is read-only.
+    Listed from the cached partition on each call; the returned mapping is
+    read-only.
     """
-    return orbit_partition(G).sizes
+    return _size_map(orbit_partition(G))
 
 
 def _orbit_from_codes(codes: tuple[int, ...], modulus: PrimeModulus) -> Orbit:
@@ -305,7 +297,7 @@ def orbit(G: MatrixGroup, v: Vector2) -> Orbit:
     if v.modulus != G.modulus:
         raise ValueError("mixed moduli")
     partition = orbit_partition(G)
-    codes = partition.orbits[partition.label[v.encode()]]
+    codes = partition.orbit_codes(*partition.locate(v.encode()))
     if G.order % len(codes) != 0:
         raise RuntimeError("orbit size does not divide group order")
     return _orbit_from_codes(codes, G.modulus)
@@ -314,9 +306,9 @@ def orbit(G: MatrixGroup, v: Vector2) -> Orbit:
 def orbit_decomposition(G: MatrixGroup) -> OrbitDecomposition:
     """All orbits on the punctured plane, ordered by smallest representative."""
     ell = G.modulus.ell
-    orbits = tuple(
-        _orbit_from_codes(codes, G.modulus) for codes in orbit_partition(G).orbits
-    )
+    # Disjoint orbits compare by their smallest members.
+    listed = sorted(_listed_orbits(orbit_partition(G)))
+    orbits = tuple(_orbit_from_codes(codes, G.modulus) for codes in listed)
     total = sum(o.size for o in orbits)
     if total != ell * ell - 1:
         raise RuntimeError("orbits do not partition the punctured plane")
@@ -361,50 +353,26 @@ ESCAPES_G_ORBIT = "H-orbit escapes the G-orbit"
 MISSES_G_ORBIT = "H-orbits do not partition the G-orbit"
 
 
-def refine_orbit_codes(
-    g: OrbitPartition, index: int, h: OrbitPartition
-) -> list[tuple[int, ...]]:
-    """The H-orbits partitioning G's orbit number index, as code tuples.
-
-    g and h are the partitions of G and of a subgroup H. The G-orbit's
-    codes are scanned in ascending order and each H-orbit is taken from h
-    when first met, so the parts come ordered by smallest member.
-    """
-    g_codes = g.orbits[index]
-    met: set[int] = set()
-    parts = []
-    for code in g_codes:
-        k = h.label[code]
-        if k in met:
-            continue
-        met.add(k)
-        part = h.orbits[k]
-        if set(map(g.label.__getitem__, part)) != {index}:
-            raise RuntimeError(ESCAPES_G_ORBIT)
-        parts.append(part)
-    if sum(map(len, parts)) != len(g_codes):
-        raise RuntimeError(MISSES_G_ORBIT)
-    return parts
-
-
 def refinement_violation(g: OrbitPartition, h: OrbitPartition) -> str | None:
-    """Whether H's orbits refine every orbit of G, in one pass over the plane.
+    """Whether H's orbits refine every orbit of G, read off the two walks.
 
-    g and h are the partitions of G and of a subgroup H. A code is flagged
-    when its G-label differs from that of the first member of its H-orbit
-    (label -1, the zero code's, for an orbit with no members): an H-orbit
-    with a flagged member meets two G-orbits. Returns ESCAPES_G_ORBIT when
-    a code is flagged, else MISSES_G_ORBIT when the H-orbits hold fewer
-    than the l^2 - 1 nonzero codes, else None. That is the verdict of
-    ``refine_orbit_codes`` over all of G's orbits; with two faults in
-    different G-orbits the loop may report the other one first.
+    g and h are the partitions of G and of a subgroup H. H's orbit j over
+    an H-walk W_H meets each line L of it in the powers g^e of L's spanning
+    vector with e = j + off_H(L) mod k_H, and G puts each of them in its
+    orbit (e - off_G(L)) mod k_G over L's G-walk. So every H-orbit over
+    W_H lies in one G-orbit exactly when W_H lies in one G-walk, k_G
+    divides k_H, and off_H(L) - off_G(L) is constant mod k_G over W_H.
+    Returns ESCAPES_G_ORBIT when some H-walk fails that, else
+    MISSES_G_ORBIT when h's orbit sizes do not sum to l^2 - 1, else None.
     """
-    n = len(g.label)
-    heads = map(next, map(iter, h.orbits), repeat(0))
-    first = list(map(g.label.__getitem__, heads))
-    if any(map(ne, map(first.__getitem__, h.label[1:]), g.label[1:])):
-        return ESCAPES_G_ORBIT
-    if sum(map(len, h.orbits)) != n - 1:
+    for lines, k_h in h.walks:
+        w = g.walk_of[lines[0]]
+        k_g = g.walks[w][1]
+        shifts = {(h.offset[line] - g.offset[line]) % k_g for line in lines}
+        if k_h % k_g or len(shifts) > 1 or any(g.walk_of[line] != w for line in lines):
+            return ESCAPES_G_ORBIT
+    ell = g.modulus.ell
+    if sum(size * count for size, count in h.size_counts) != ell * ell - 1:
         return MISSES_G_ORBIT
     return None
 
@@ -416,7 +384,11 @@ def coset_orbit_refinement(
 
     H must be a subgroup of G; the G-orbit is H-stable, so the returned
     orbits are pairwise disjoint, cover it exactly, and their sizes sum to
-    its size. Ordered by smallest representative encoding.
+    its size. The G-orbit's codes are scanned in ascending order and each
+    H-orbit is listed from H's partition when first met, so the parts come
+    ordered by smallest member. A faulty partition raises RuntimeError:
+    ESCAPES_G_ORBIT when a part leaves the G-orbit, MISSES_G_ORBIT when
+    the parts do not cover it.
     """
     if not H.is_subgroup_of(G):
         raise ValueError("H is not a subgroup of G")
@@ -424,8 +396,22 @@ def coset_orbit_refinement(
         raise ValueError("orbit of the zero vector is excluded")
     if v.modulus != G.modulus:
         raise ValueError("mixed moduli")
-    g = orbit_partition(G)
-    parts = refine_orbit_codes(g, g.label[v.encode()], orbit_partition(H))
+    g, h = orbit_partition(G), orbit_partition(H)
+    target = g.locate(v.encode())
+    g_codes = g.orbit_codes(*target)
+    met: set[tuple[int, int]] = set()
+    parts = []
+    for code in g_codes:
+        found = h.locate(code)
+        if found[0] < 0 or found in met:
+            continue
+        met.add(found)
+        part = h.orbit_codes(*found)
+        if any(g.locate(c) != target for c in part):
+            raise RuntimeError(ESCAPES_G_ORBIT)
+        parts.append(part)
+    if sum(map(len, parts)) != len(g_codes):
+        raise RuntimeError(MISSES_G_ORBIT)
     return tuple(_orbit_from_codes(part, G.modulus) for part in parts)
 
 
@@ -460,18 +446,21 @@ class TransferVerdict:
 
 def _first_violation(
     partition: OrbitPartition, multiplier: int, divisor: int
-) -> tuple[int, ...] | None:
-    """The orbit holding the smallest code whose orbit size s fails
+) -> tuple[int, int] | None:
+    """(code, s) for the smallest code whose orbit size s fails
     divisor | multiplier * s, if any.
 
-    The sizes come from the size view; only a failure reads the orbits,
-    which are ordered by smallest member, so the first one of a failing
-    size is that orbit, and the code is its first member.
+    Every orbit over a walk W has W's size, and the least code on W's
+    lines is 1, that of (1, 0), when W holds the axis (line l), else
+    l + min W, that of (min W, 1).
     """
-    bad = {s for s, _ in partition.size_counts if multiplier * s % divisor}
-    if not bad:
-        return None
-    return next(codes for codes in partition.orbits if len(codes) in bad)
+    ell = partition.modulus.ell
+    failing = [
+        (1 if ell in lines else ell + min(lines), size)
+        for (lines, _), (size, _) in zip(partition.walks, partition.size_counts)
+        if multiplier * size % divisor
+    ]
+    return min(failing, default=None)
 
 
 def uniform_divisibility_transfer(

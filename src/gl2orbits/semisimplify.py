@@ -11,11 +11,12 @@ two machine-checkable witnesses for this trichotomy:
     diagonal part inside G.
   * DiagonalizerWitness: a basis change P with P^-1 G P diagonal.
 
-The third case of the trichotomy, a non-abelian G, is subsumed by the
-first: two non-commuting elements of the Borel have a nontrivial shear as
-their commutator, so G holds every unit shear, and the unit shear
-[[1, 1], [0, 1]] is a repeated-eigenvalue candidate. A CommutatorWitness,
-such a pair with its commutator, is still checked by ``verify_witness``.
+The third case of the trichotomy, a non-abelian G, needs no witness of
+its own: two non-commuting elements of the Borel have a nontrivial shear
+as their commutator, so G holds every unit shear, and the unit shear
+[[1, 1], [0, 1]] is a repeated-eigenvalue candidate. A non-abelian G gets
+the transvection witness, and "noncommutative" is recorded only among the
+matched cases.
 """
 
 from __future__ import annotations
@@ -38,23 +39,13 @@ class TransvectionWitness:
 
 
 @dataclass(frozen=True)
-class CommutatorWitness:
-    """Evidence built from a non-commuting pair in G."""
-
-    gamma1: Mat2
-    gamma2: Mat2
-    lam: FpUnit
-    transvection: Mat2
-
-
-@dataclass(frozen=True)
 class DiagonalizerWitness:
     """A basis change P such that P^-1 G P is diagonal."""
 
     basis_change: Mat2
 
 
-TrichotomyWitness = Union[TransvectionWitness, CommutatorWitness, DiagonalizerWitness]
+TrichotomyWitness = Union[TransvectionWitness, DiagonalizerWitness]
 
 # Classification order: the shear case is tried before diagonalization.
 CASE_REPEATED_EIGENVALUE = "repeated_eigenvalue"
@@ -192,8 +183,6 @@ def verify_witness(G: MatrixGroup, witness: TrichotomyWitness) -> bool:
     try:
         if isinstance(witness, TransvectionWitness):
             return _verify_transvection(G, witness)
-        if isinstance(witness, CommutatorWitness):
-            return _verify_commutator(G, witness)
         if isinstance(witness, DiagonalizerWitness):
             return _verify_diagonalizer(G, witness)
     except ValueError:
@@ -218,22 +207,6 @@ def _verify_transvection(G: MatrixGroup, w: TransvectionWitness) -> bool:
     expected = gamma ** ((ell - 1) * w.lam_inverse)
     unit_shear = Mat2(1, 1, 0, 1, G.modulus)
     return w.transvection == expected == unit_shear and unit_shear in G
-
-
-def _verify_commutator(G: MatrixGroup, w: CommutatorWitness) -> bool:
-    ell = G.modulus.ell
-    if w.gamma1.modulus != G.modulus or w.gamma2.modulus != G.modulus:
-        return False
-    if w.gamma1 not in G or w.gamma2 not in G:
-        return False
-    comm = w.gamma1 * w.gamma2 * w.gamma1.inverse() * w.gamma2.inverse()
-    if comm.a != 1 or comm.d != 1 or comm.c != 0 or comm.b == 0:
-        return False
-    if w.lam.value != comm.b:
-        return False
-    unit_shear = Mat2(1, 1, 0, 1, G.modulus)
-    derived = comm ** pow(comm.b, -1, ell)
-    return w.transvection == derived == unit_shear and unit_shear in G
 
 
 def _verify_diagonalizer(G: MatrixGroup, w: DiagonalizerWitness) -> bool:

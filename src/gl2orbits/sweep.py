@@ -617,7 +617,8 @@ def _check_nested_pair(G: MatrixGroup, H: MatrixGroup) -> Verdict:
             bad = verdict.conclusion_counterexample
             if bad is None:
                 return failure(note)
-            size = len(conclusion.orbits[conclusion.label[bad.encode()]])
+            w, _ = conclusion.locate(bad.encode())
+            size = conclusion.size_counts[w][0]
             return failure(note, [bad.x, bad.y], M, verdict.conclusion_constant * size)
     return PASS
 

@@ -6,14 +6,15 @@ used before it walked lines. They multiply entry by entry and share no code
 with ``gl2orbits``, so the code and line kernels are checked against them.
 ``large_group_order`` reads the order of a group too large to close off its
 structure, and the lemma 3.1 derivations below read a group's element codes
-where the library reads its generators. ``CodePartition`` stands in for an
-orbit partition given by its codes, to forge code-level faults.
+where the library reads its generators. ``refinement_violation`` is the
+lemma 3.3 refinement check on codes, which the library now reads off the
+line walks.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 from gl2orbits.gl2 import ClosureBudgetError
+from gl2orbits.orbits import ESCAPES_G_ORBIT, MISSES_G_ORBIT
 
 IDENTITY = (1, 0, 0, 1)
 
@@ -204,27 +205,19 @@ def breadth_first_partition(gen_tuples, ell):
     return tuple(orbits), tuple(label)
 
 
-@dataclass(frozen=True)
-class CodePartition:
-    """An orbit partition given by its codes, for forging code-level faults.
+def refinement_violation(g_label, h_orbits):
+    """Whether H's orbits refine every orbit of G, in one pass over the codes.
 
-    orbits and label are read like ``OrbitPartition``'s code views, and
-    may be made inconsistent on purpose. The size view is derived from the
-    orbits: one (size, 1) per orbit.
+    g_label is the label of G's partition as ``breadth_first_partition``
+    gives it, and h_orbits H's orbits, each a tuple of codes. A code is
+    flagged when its G-label differs from that of the first member of its
+    H-orbit: an H-orbit with a flagged member meets two G-orbits. Returns
+    ESCAPES_G_ORBIT when a code is flagged, else MISSES_G_ORBIT when the
+    H-orbits hold other than the l^2 - 1 nonzero codes, else None.
     """
-
-    orbits: tuple
-    label: tuple
-
-    @property
-    def size_counts(self):
-        return tuple((len(codes), 1) for codes in self.orbits)
-
-
-def partition_of(parts, ell):
-    """A CodePartition holding parts, with the label they imply."""
-    label = [-1] * (ell * ell)
-    for index, codes in enumerate(parts):
-        for code in codes:
-            label[code] = index
-    return CodePartition(tuple(parts), tuple(label))
+    for codes in h_orbits:
+        if any(g_label[code] != g_label[codes[0]] for code in codes):
+            return ESCAPES_G_ORBIT
+    if sum(map(len, h_orbits)) != len(g_label) - 1:
+        return MISSES_G_ORBIT
+    return None

@@ -101,7 +101,7 @@ def test_case1_chain_cartan_as_own_image():
     s = Case1Scenario(split_cartan(M5), split_cartan(M5), DegreeParameter(1))
     cert = verify_case1_chain(s)
     assert cert.verdict
-    assert sorted(map(len, orbit_partition(s.G).orbits)) == [4, 4, 16]
+    assert sorted(orbits._orbit_lengths(orbit_partition(s.G).size_counts)) == [4, 4, 16]
 
 
 def test_case1_chain_monotone_in_degree():
@@ -634,13 +634,13 @@ def test_replay_ignores_a_corrupted_orbit_cache():
     # The axis walk (line 31 alone, the axis y = 0) forged to k = 30: every
     # axis code is its own orbit, and code 1's cached orbit size becomes 1.
     true = orbits.orbit_partition(G)
-    assert true.walks[-1] == ((31,), 1) and true.sizes[1] == 30
+    assert true.walks[-1] == ((31,), 1) and orbits._size_map(true)[1] == 30
     corrupted = _with_walks(true, *true.walks[:-1], ((31,), 30))
-    assert corrupted.sizes[1] == 1
+    assert orbits._size_map(corrupted)[1] == 1
     orbits._PARTITIONS[G] = corrupted
     try:
         cert = verify_case1_chain(s)
-        assert dict(cert.orbit_sizes) == dict(corrupted.sizes)
+        assert cert.partition is corrupted and cert.orbit_sizes[1] == 1
         assert not replay_certificate(cert, s)
     finally:
         del orbits._PARTITIONS[G]
@@ -693,13 +693,14 @@ def test_chains_leave_descriptors_unmaterialized():
         cert = chain(s)
         assert cert.verdict
         assert "codes" not in vars(s.G)
-        # The certificate holds the partition; no code view is built.
-        assert not {"orbits", "label", "sizes"} & vars(cert.partition).keys()
+        # The certificate holds the partition: its walk and per-line views.
+        views = {"modulus", "walks", "offset", "size_counts", "walk_of"}
+        assert vars(cert.partition).keys() <= views
     assert all("codes" not in vars(s.G) for s in scenarios)
     # The partition of D·U is the oracle's, walked from its generators.
     G = descriptors[0]
     oracle = breadth_first_partition(G.generator_tuples(), G.modulus.ell)
-    assert orbit_partition(G).orbits == oracle[0]
+    assert sorted(orbits._listed_orbits(orbit_partition(G))) == list(oracle[0])
 
 
 def test_containment_checks_fail_against_a_descriptor(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import itertools
 from math import gcd
@@ -35,18 +36,19 @@ from gl2orbits.orbits import (
     orbit_decomposition,
     orbit_size_map,
     predict_diagonal_orbits,
-    refine_orbit_codes,
     refinement_violation,
     stabilizer_order,
     uniform_divisibility_transfer,
 )
 from gl2orbits.sweep import (
     _sample_diagonal_group,
+    _sample_nested_pair,
     _times_unit_shears,
     enumerate_diagonal_subgroups,
     enumerate_upper_triangular_subgroups,
 )
-from oracle import CodePartition, breadth_first_partition, partition_of
+from oracle import breadth_first_partition
+from oracle import refinement_violation as code_refinement_violation
 
 M5 = PrimeModulus(5)
 M13 = PrimeModulus(13)
@@ -116,25 +118,24 @@ def test_orbit_matches_elementwise_action():
             G = closure(gens, m)
             assert not G.is_upper_triangular
             partition = orbits.orbit_partition(G)
-            assert partition.label[0] == -1
             for code in range(1, p * p):
                 v = Vector2.decode(code, m)
-                members = partition.orbits[partition.label[code]]
+                members = partition.orbit_codes(*partition.locate(code))
                 assert list(members) == sorted(members)
                 assert {(c % p, c // p) for c in members} == brute_orbit(G, v)
 
 
 @pytest.mark.parametrize("p", [31, 151])
 def test_trivial_group_partition_matches_elementwise_orbits(p):
-    # A group with no non-identity generator skips the walk; the identity
-    # as a generator takes the same path.
+    # A group with no non-identity generator walks every line alone with
+    # k = l - 1, so every nonzero code is its own orbit; the identity as a
+    # generator gives the same walks.
     m = PrimeModulus(p)
     for G in (trivial_group(m), closure([Mat2.identity(m)], m)):
         partition = orbits._orbit_partition(G)
-        assert partition.label[0] == -1
-        assert len(partition.orbits) == p * p - 1
+        assert partition.walks == tuple(((line,), p - 1) for line in range(p + 1))
         for code in range(1, p * p):
-            members = partition.orbits[partition.label[code]]
+            members = partition.orbit_codes(*partition.locate(code))
             assert {(c % p, c // p) for c in members} == brute_orbit(
                 G, Vector2.decode(code, m)
             )
@@ -152,30 +153,37 @@ class Generated:
         return self.gens
 
 
-CODE_VIEWS = {"orbits", "label", "sizes"}
-
-
 def orbit_lengths(size_counts):
     """The sorted orbit sizes a size view lists, one per orbit."""
     return sorted(size for size, count in size_counts for _ in range(count))
 
 
+def listed_orbits(partition):
+    """Every orbit's codes from the lister, ordered by smallest member; each
+    code must be located in the orbit it was listed in."""
+    listed = []
+    for w, (_, k) in enumerate(partition.walks):
+        for j in range(k):
+            codes = partition.orbit_codes(w, j)
+            assert all(partition.locate(code) == (w, j) for code in codes)
+            listed.append(codes)
+    return sorted(listed)
+
+
 def assert_partition_matches_oracle(G):
     """The line kernel's partition of G against the breadth-first oracle's.
 
-    The size view, read first and with no code view built, lists at most
-    one entry per line and the oracle's orbit lengths; then the code views
-    equal the oracle's (orbits, label). Returns the partition and the
-    oracle's orbits.
+    The size view lists at most one entry per line and the oracle's orbit
+    lengths, and the lister and ``locate`` give the oracle's orbits.
+    Returns the partition and the oracle's orbits.
     """
     partition = orbits._orbit_partition(G)
     ell = G.modulus.ell
-    expected = breadth_first_partition(G.generator_tuples(), ell)
+    expected = breadth_first_partition(G.generator_tuples(), ell)[0]
     assert len(partition.size_counts) <= ell + 1
-    assert orbit_lengths(partition.size_counts) == sorted(map(len, expected[0]))
-    assert not CODE_VIEWS & vars(partition).keys()
-    assert (partition.orbits, partition.label) == expected
-    return partition, expected[0]
+    assert orbit_lengths(partition.size_counts) == sorted(map(len, expected))
+    assert listed_orbits(partition) == list(expected)
+    return partition, expected
 
 
 def smallest_code_classes(orbit_codes, ell):
@@ -478,7 +486,7 @@ def test_transfer_rejects_bad_input():
 
 
 def test_minimal_uniform_constant():
-    lengths = list(map(len, orbits.orbit_partition(scalars(M5)).orbits))
+    lengths = orbits._orbit_lengths(orbits.orbit_partition(scalars(M5)).size_counts)
     assert set(lengths) == {4}
     assert minimal_uniform_constant(lengths, 4) == 1
     assert minimal_uniform_constant(lengths, 8) == 2
@@ -495,7 +503,7 @@ def test_orbit_size_map_agrees_with_decomposition():
                 assert sizes[v.encode()] == o.size
 
 
-def test_orbit_size_map_cached_per_equal_group(monkeypatch):
+def test_partition_cached_per_equal_group(monkeypatch):
     calls = []
     uncached = orbits._orbit_partition
 
@@ -510,18 +518,19 @@ def test_orbit_size_map_cached_per_equal_group(monkeypatch):
     second = conjugate(conjugate(first, Mat2(1, 4, 0, 1, m)), Mat2(1, 7, 0, 1, m))
     assert first == second and first is not second
     orbits._PARTITIONS.pop(first, None)
-    sizes = orbit_size_map(first)
-    assert orbit_size_map(second) is sizes
-    assert orbits.orbit_partition(second) is orbits._PARTITIONS[first]
+    partition = orbits.orbit_partition(first)
+    assert orbits.orbit_partition(second) is partition
+    assert orbits._PARTITIONS[second] is partition
+    orbit_size_map(second)
     orbit_decomposition(second)
     coset_orbit_refinement(first, second, e1(m))
     assert len(calls) == 1
-    assert dict(sizes) == dict(uncached(first).sizes)
+    assert partition == uncached(first)
 
     # The entry goes with the group it was stored under.
-    del first, second, sizes
+    del first, second, partition
     gc.collect()
-    assert orbit_size_map(closure(gens, m)) == uncached(closure(gens, m)).sizes
+    assert orbits.orbit_partition(closure(gens, m)) == uncached(closure(gens, m))
     assert len(calls) == 2
 
 
@@ -555,7 +564,6 @@ def test_repeated_partition_lookup_never_compares_codes(monkeypatch):
     CountingCodes.calls = 0
     for _ in range(3):
         assert orbits.orbit_partition(G) is first
-        assert orbit_size_map(G) is first.sizes
     assert CountingCodes.calls == 0 and sifted == []
     reordered = MatrixGroup(B.modulus, B.generators[::-1])
     assert orbits.orbit_partition(reordered) is first
@@ -573,8 +581,10 @@ def test_orbit_size_map_is_read_only():
 
 
 def test_orbit_readers_leave_the_size_map_unbuilt():
-    # lemma32's check, the transfers and the nonsplit check read the size
-    # view of each partition and build none of its code views.
+    # lemma32's check, the transfers, lemma33's refinement, the nonsplit
+    # check and the API readers all work from the walk: a partition keeps
+    # only its size view and line index, at most l + 1 entries each, and
+    # the size map is listed anew on each read.
     from gl2orbits import divchain, sweep
 
     def cached(G):
@@ -586,20 +596,26 @@ def test_orbit_readers_leave_the_size_map_unbuilt():
     Gp = closure([Mat2(2, 0, 0, 3, m7)], m7)
     G, H = borel(M13), split_cartan(M13)
     cns = nonsplit_cartan(m7)
-    partitions = [cached(X) for X in (Gp, G, H, cns)]
+    groups = (Gp, G, H, cns)
+    partitions = [cached(X) for X in groups]
     assert sweep._check_diagonal_prediction(Gp) == ("pass", None)
     assert uniform_divisibility_transfer(12, 1, G, H, "up").transfer_upheld
     assert uniform_divisibility_transfer(12, 1, G, H, "down").transfer_upheld
+    assert refinement_violation(partitions[1], partitions[2]) is None
     assert divchain.nonsplit_orbit_check(m7)
-    for X, partition in zip((Gp, G, H, cns), partitions):
-        assert orbits._PARTITIONS[X] is partition
-    assert not any(CODE_VIEWS & vars(p).keys() for p in partitions)
-
-    # The first read derives the map once; later reads return it.
+    assert orbit(G, e2(M13)).size == 156
+    assert len(orbit_decomposition(G).orbits) == 2
+    assert [o.size for o in coset_orbit_refinement(G, H, e2(M13))] == [12, 144]
     sizes = orbit_size_map(G)
-    assert CODE_VIEWS - {"label"} <= vars(partitions[1]).keys()
-    assert orbit_size_map(G) is sizes
-    assert dict(sizes) == {c: len(o) for o in partitions[1].orbits for c in o}
+    assert orbit_size_map(G) == sizes and orbit_size_map(G) is not sizes
+    expected = breadth_first_partition(G.generator_tuples(), 13)[0]
+    assert dict(sizes) == {c: len(o) for o in expected for c in o}
+    for X, partition in zip(groups, partitions):
+        assert orbits._PARTITIONS[X] is partition
+        data = {field.name for field in dataclasses.fields(partition)}
+        views = {k: v for k, v in vars(partition).items() if k not in data}
+        assert views.keys() <= {"size_counts", "walk_of"}
+        assert all(len(view) <= X.modulus.ell + 1 for view in views.values())
 
 
 def test_corrupted_h_partition_fails_the_refinement(monkeypatch):
@@ -607,133 +623,130 @@ def test_corrupted_h_partition_fails_the_refinement(monkeypatch):
 
     G, H = split_cartan(M5), scalars(M5)
     true = orbits.orbit_partition(H)
-    # Merge H's orbits on the two axes, (1, 0) and (0, 1): the merged
-    # orbit meets two G-orbits.
-    assert true.orbits[0] == (1, 2, 3, 4) and true.orbits[1] == (5, 10, 15, 20)
-    bad_orbits = (true.orbits[0] + true.orbits[1],) + true.orbits[2:]
-    orbits._PARTITIONS[H] = partition_of(bad_orbits, 5)
-    try:
-        with pytest.raises(RuntimeError, match="H-orbit escapes the G-orbit"):
+    # The scalars walk every line alone with k = 1. The walks of the axes,
+    # line 0 (x = 0) and line 5 (y = 0), joined: the orbit of (1, 0) takes
+    # in (0, 1) and meets two G-orbits.
+    assert true.walks == tuple(((line,), 1) for line in range(6))
+    joined = dataclasses.replace(true, walks=(((0, 5), 1),) + true.walks[1:5])
+    monkeypatch.setattr(sweep, "_sample_nested_pair", lambda rng, m: (G, H))
+    cfg = sweep.SweepConfig(primes=(5,), sample_count=1, suites=("lemma33",))
+    # The axis walk dropped: every H-orbit left lies in one G-orbit, but
+    # none holds the axis codes, so the parts no longer cover the plane.
+    dropped = dataclasses.replace(true, walks=true.walks[:5])
+    for forged, message in ((joined, ESCAPES_G_ORBIT), (dropped, MISSES_G_ORBIT)):
+        monkeypatch.setitem(orbits._PARTITIONS, H, forged)
+        with pytest.raises(RuntimeError, match=message):
             coset_orbit_refinement(G, H, e1(M5))
-        monkeypatch.setattr(sweep, "_sample_nested_pair", lambda rng, m: (G, H))
-        report = sweep.run(
-            sweep.SweepConfig(primes=(5,), sample_count=1, suites=("lemma33",))
-        )
-    finally:
-        del orbits._PARTITIONS[H]
-    (row,) = report.rows
-    assert row.status == "fail"
-    assert row.failure["scenario"]["note"] == (
-        "refinement violated: H-orbit escapes the G-orbit"
-    )
-
-    # An H-orbit that lost a member still lies in the G-orbit, but the
-    # parts no longer cover it.
-    orbits._PARTITIONS[H] = CodePartition(((1, 2, 3),) + true.orbits[1:], true.label)
-    try:
-        with pytest.raises(RuntimeError, match="do not partition the G-orbit"):
-            coset_orbit_refinement(G, H, e1(M5))
-        report = sweep.run(
-            sweep.SweepConfig(primes=(5,), sample_count=1, suites=("lemma33",))
-        )
-    finally:
-        del orbits._PARTITIONS[H]
-    (row,) = report.rows
-    assert row.status == "fail"
-    assert row.failure["scenario"]["note"] == (
-        "refinement violated: H-orbits do not partition the G-orbit"
-    )
+        (row,) = sweep.run(cfg).rows
+        assert row.status == "fail"
+        assert row.failure["scenario"]["note"] == f"refinement violated: {message}"
 
 
-def _per_orbit_verdict(g, h):
-    """The message refine_orbit_codes raises first over G's orbits, or None."""
-    try:
-        for index in range(len(g.orbits)):
-            refine_orbit_codes(g, index, h)
-    except RuntimeError as exc:
-        return str(exc)
-    return None
-
-
-def _forge(rng, h, kinds):
-    """h with each tampering of kinds applied in turn: two orbits merged, a
-    code dropped from its orbit, or a code moved to another orbit.
-
-    Every member is labeled with its orbit. A dropped code keeps the label
-    of the orbit it left while that orbit lasts, else takes a random one.
-    """
-    parts = [list(p) for p in h.orbits]
-    dropped = []
-    for kind in kinds:
-        if len(parts) < 2:
-            break
-        i, j = rng.sample(range(len(parts)), 2)
-        if kind == "merge":
-            parts[i].extend(parts[j])
-            del parts[j]
-        elif kind == "drop":
-            dropped.append((parts[i].pop(rng.randrange(len(parts[i]))), parts[i]))
-        else:
-            parts[j].append(parts[i].pop(rng.randrange(len(parts[i]))))
-        parts = [p for p in parts if p]
-    label = [-1] * len(h.label)
-    for index, codes in enumerate(parts):
-        for code in codes:
-            label[code] = index
-    for code, left in dropped:
-        kept = [index for index, p in enumerate(parts) if p is left]
-        label[code] = kept[0] if kept else rng.randrange(len(parts))
-    return CodePartition(tuple(tuple(sorted(p)) for p in parts), tuple(label))
-
-
-def test_emptied_h_orbit_escapes_in_both_checks():
-    # H trivial at l = 5 with (1, 0) dropped from its singleton orbit: the
-    # orbit is left empty while the code still points to it, and both
-    # checks report an escape.
-    g = orbits.orbit_partition(scalars(M5))
-    h = CodePartition(((),) + tuple((c,) for c in range(2, 25)), tuple(range(-1, 24)))
-    assert refinement_violation(g, h) == ESCAPES_G_ORBIT
-    assert _per_orbit_verdict(g, h) == ESCAPES_G_ORBIT
-
-
-def test_one_pass_refinement_matches_per_orbit_loop_on_forgeries():
-    # Random nested pairs at l <= 13 from the lemma33 sampler. Each H
-    # partition is forged by one tampering of each kind, and both checks
-    # must agree, message and all. After two tamperings in a row only the
-    # verdict must agree: an escape and a miss can then fall in different
-    # G-orbits, and the loop reports whichever orbit comes first.
-    from random import Random
-
-    from gl2orbits.sweep import _sample_nested_pair
-
+def test_walk_refinement_matches_oracle_on_sampled_pairs():
+    # lemma33's nested pairs, in both orders, against the code-level
+    # refinement on the oracle's partitions. A true pair always refines;
+    # swapped, G's orbits refine H's only where the two agree.
     rng = Random(33)
-    kinds = ("merge", "drop", "move")
-    verdicts = set()
-    for trial in range(300):
-        m = PrimeModulus(rng.choice([3, 5, 7, 11, 13]))
-        G, H = _sample_nested_pair(rng, m)
+    verdicts = {}
+    for p in (3, 5, 7, 11, 13, 31):
+        m = PrimeModulus(p)
+        for _ in range(40):
+            G, H = _sample_nested_pair(rng, m)
+            for order in ((G, H), (H, G)):
+                g_label = breadth_first_partition(order[0].generator_tuples(), p)[1]
+                h_orbits = breadth_first_partition(order[1].generator_tuples(), p)[0]
+                expected = code_refinement_violation(g_label, h_orbits)
+                g, h = map(orbits.orbit_partition, order)
+                assert refinement_violation(g, h) == expected
+                key = (order[0] is G, expected)
+                verdicts[key] = verdicts.get(key, 0) + 1
+    assert verdicts.keys() == {(True, None), (False, None), (False, ESCAPES_G_ORBIT)}
+
+
+def _forge_walks(rng, h, kind):
+    """h with one tampering of its walks, or None when h has too few: two
+    walks joined with the gcd of their k, one walk's k replaced by another
+    divisor of l - 1, one line's offset moved by one, or one line dropped.
+    """
+    walks = list(h.walks)
+    offset = list(h.offset)
+    units = h.modulus.ell - 1
+    i = rng.randrange(len(walks))
+    lines, k = walks[i]
+    if kind == "join":
+        if len(walks) < 2:
+            return None
+        j = rng.choice([j for j in range(len(walks)) if j != i])
+        other, k_other = walks[j]
+        walks[i] = (lines + other, gcd(k, k_other))
+        del walks[j]
+    elif kind == "rescale":
+        others = [d for d in range(1, units + 1) if units % d == 0 and d != k]
+        if not others:
+            return None
+        walks[i] = (lines, rng.choice(others))
+    elif kind == "shift":
+        line = rng.choice(lines)
+        offset[line] = (offset[line] + 1) % units
+    else:
+        line = rng.choice(lines)
+        kept = tuple(x for x in lines if x != line)
+        walks[i:i + 1] = [(kept, k)] if kept else []
+    return dataclasses.replace(h, walks=tuple(walks), offset=tuple(offset))
+
+
+def test_walk_refinement_matches_oracle_on_forged_walks():
+    # Random nested pairs at l <= 13 from the lemma33 sampler, with H's
+    # walks forged by one tampering of each kind. The walk verdict must be
+    # the code-level refinement's on the codes the forged walks list.
+    rng = Random(21)
+    kinds = ("join", "rescale", "shift", "drop")
+    seen = set()
+    for _ in range(300):
+        p = rng.choice([3, 5, 7, 11, 13])
+        G, H = _sample_nested_pair(rng, PrimeModulus(p))
         g, h = orbits.orbit_partition(G), orbits.orbit_partition(H)
-        assert refinement_violation(g, h) is None
-        if len(h.orbits) < 2:
-            continue
-        for tampering in [(kind,) for kind in kinds] + [
-            tuple(rng.choices(kinds, k=2)) for _ in range(3)
-        ]:
-            forged = _forge(rng, h, tampering)
+        g_label = breadth_first_partition(G.generator_tuples(), p)[1]
+        for kind in kinds:
+            forged = _forge_walks(rng, h, kind)
+            if forged is None:
+                continue
             verdict = refinement_violation(g, forged)
-            expected = _per_orbit_verdict(g, forged)
-            if len(tampering) == 1:
-                assert verdict == expected
-            else:
-                assert (verdict is None) == (expected is None)
-            verdicts.add((tampering, verdict))
-    single = {(t[0], v) for t, v in verdicts if len(t) == 1}
-    # A merge or a move inside one G-orbit is still a refinement; a dropped
-    # code never is.
-    assert {kind for kind, verdict in single if verdict is None} == {"merge", "move"}
-    assert ("merge", ESCAPES_G_ORBIT) in single
-    assert ("move", ESCAPES_G_ORBIT) in single
-    assert ("drop", MISSES_G_ORBIT) in single
+            listed = orbits._listed_orbits(forged)
+            assert verdict == code_refinement_violation(g_label, listed)
+            seen.add((kind, verdict))
+    # A join, rescale or shift that keeps every H-orbit in one G-orbit is
+    # still a refinement; a dropped line never is.
+    for kind in ("join", "rescale", "shift"):
+        assert {(kind, None), (kind, ESCAPES_G_ORBIT)} <= seen
+    assert {verdict for kind, verdict in seen if kind == "drop"} == {MISSES_G_ORBIT}
+
+
+def test_first_violation_is_the_oracles_first_failing_orbit():
+    # The counterexample read off the walks: the smallest member and size
+    # of the first orbit, by smallest member, whose size fails the check.
+    rng = Random(3)
+    cases = 0
+    for p in (3, 5, 7, 13):
+        m = PrimeModulus(p)
+        for _ in range(30):
+            G, _ = _sample_nested_pair(rng, m)
+            partition = orbits.orbit_partition(G)
+            expected_orbits = breadth_first_partition(G.generator_tuples(), p)[0]
+            for multiplier in (1, 2, 3, 6):
+                for divisor in range(1, 2 * p):
+                    expected = next(
+                        (
+                            (codes[0], len(codes))
+                            for codes in expected_orbits
+                            if multiplier * len(codes) % divisor
+                        ),
+                        None,
+                    )
+                    got = orbits._first_violation(partition, multiplier, divisor)
+                    assert got == expected
+                    cases += expected is not None
+    assert cases > 1000
 
 
 LINE_KERNEL_MUTATIONS = ("tree_offset", "rotation", "no_schreier", "root_schreier")
@@ -807,7 +820,8 @@ def test_unmutated_kernel_copy_is_the_kernel():
 # lemma32 lattice at l = 7 fails rows; a missed Schreier generator also
 # fails certificates. A rotation off by one moves codes between the orbits
 # over a walk but keeps every size, so no reader of sizes alone can see it;
-# lemma33's refinement reads codes and fails rows.
+# lemma33's refinement compares the offsets of H's walks with G's, which
+# are rotated from other roots, and fails rows.
 _LEMMA32_7 = sweep.SweepConfig(primes=(7,), mode="exhaustive", suites=("lemma32",))
 _CERTIFICATES = sweep.SweepConfig(
     primes=(5, 7, 13), sample_count=24, degrees=(1, 2, 3, 6, 12),
@@ -842,7 +856,11 @@ def test_line_kernel_mutations_turn_oracle_and_sweeps_red(monkeypatch, mutation)
         expected = breadth_first_partition(G.generator_tuples(), G.modulus.ell)
         lengths = sorted(map(len, expected[0]))
         sizes_wrong += orbit_lengths(partition.size_counts) != lengths
-        codes_wrong += (partition.orbits, partition.label) != expected
+        listed = [
+            tuple(sorted(v.encode() for v in o.members))
+            for o in orbit_decomposition(G).orbits
+        ]
+        codes_wrong += listed != list(expected[0])
     assert codes_wrong > 0
     assert (sizes_wrong > 0) == (mutation != "rotation")
     for cfg in MUTATION_SWEEPS[mutation]:

@@ -13,7 +13,6 @@ from gl2orbits.gl2 import (
 )
 from gl2orbits.modarith import FpUnit, PrimeModulus
 from gl2orbits.semisimplify import (
-    CommutatorWitness,
     DiagonalizerWitness,
     TransvectionWitness,
     classify_semisimplification,
@@ -158,7 +157,7 @@ def test_classify_picks_smallest_encoding_candidate():
 
 def test_classify_borel_fires_shear_case():
     result = classify_semisimplification(borel(M5))
-    assert isinstance(result.witness, (TransvectionWitness, CommutatorWitness))
+    assert isinstance(result.witness, TransvectionWitness)
     assert result.cases_matched[0] == "repeated_eigenvalue"
     assert "noncommutative" in result.cases_matched
     assert result.contained_in_G
@@ -223,15 +222,6 @@ def test_verify_witness_rejects_bad_witnesses():
     # Identity basis change against a non-diagonal group.
     G = closure([Mat2(1, 1, 0, 2, M5)])
     assert not verify_witness(G, DiagonalizerWitness(Mat2.identity(M5)))
-    # Commuting pair: the commutator is the identity, so lam would be 0.
-    cartan = split_cartan(M5)
-    bad = CommutatorWitness(
-        gamma1=Mat2(2, 0, 0, 1, M5),
-        gamma2=Mat2(1, 0, 0, 2, M5),
-        lam=FpUnit(1, M5),
-        transvection=Mat2(1, 1, 0, 1, M5),
-    )
-    assert not verify_witness(cartan, bad)
     # Wrong lambda on an otherwise valid gamma.
     gamma = Mat2(2, 1, 0, 2, M5)
     G2 = closure([gamma])
@@ -242,18 +232,6 @@ def test_verify_witness_rejects_bad_witnesses():
         Mat2(2, 1, 0, 2, M7), FpUnit(2, M7), 4, Mat2(1, 1, 0, 1, M7)
     )
     assert not verify_witness(G2, alien)
-
-
-def test_valid_commutator_witness_verifies():
-    B = borel(M5)
-    g1 = Mat2(1, 1, 0, 1, M5)
-    g2 = Mat2(2, 0, 0, 1, M5)
-    comm = g1 * g2 * g1.inverse() * g2.inverse()
-    assert comm.a == 1 and comm.d == 1 and comm.c == 0 and comm.b != 0
-    witness = CommutatorWitness(
-        g1, g2, FpUnit(comm.b, M5), comm ** pow(comm.b, -1, 5)
-    )
-    assert verify_witness(B, witness)
 
 
 def test_case1_lambda_formula_matches_matrix_power():

@@ -26,7 +26,11 @@ from gl2orbits.gl2 import (
     unipotent,
 )
 from gl2orbits.modarith import PrimeModulus, divisors, is_prime
-from gl2orbits.orbits import OrbitPartition, predict_diagonal_orbits
+from gl2orbits.orbits import (
+    OrbitPartition,
+    orbit_decomposition,
+    predict_diagonal_orbits,
+)
 from gl2orbits.sweep import (
     SUITE_NAMES,
     ConfigError,
@@ -39,7 +43,7 @@ from gl2orbits.sweep import (
     run,
     sample_scenarios,
 )
-from oracle import breadth_first_closure, mul, partition_of
+from oracle import breadth_first_closure, mul
 
 M3 = PrimeModulus(3)
 M5 = PrimeModulus(5)
@@ -405,6 +409,29 @@ def test_cli_end_to_end(tmp_path):
     assert "pass=" in result.stderr
 
 
+@pytest.mark.parametrize(
+    "args, expected",
+    [
+        (["full_verification.py"], "total failures: 0"),
+        (["borel_lattice_census.py", "3", "5"], "l = 5: 78 subgroups of the Borel"),
+    ],
+    ids=["full_verification", "borel_lattice_census"],
+)
+def test_scripts_exit_zero(args, expected):
+    # full_verification.py exits 1 on a failing row and on a stage whose
+    # report differs from its recorded digest.
+    script = Path(__file__).resolve().parents[1] / "scripts" / args[0]
+    result = subprocess.run(
+        [sys.executable, str(script), *args[1:]],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=600,
+    )
+    assert result.returncode == 0, result.stderr
+    assert expected in result.stdout
+
+
 def test_cli_reports_config_errors(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "gl2orbits.cli", "--primes", "14..16"],
@@ -576,15 +603,6 @@ def _lemma32_notes_with_walks(monkeypatch, G, *new):
     (entry,) = run(_lemma32_config(G.modulus.ell)).suites
     monkeypatch.undo()
     return [f["scenario"]["note"] for f in entry["failures"]]
-
-
-def _recut(G, *new):
-    """G's orbits with the ones the codes of new meet replaced by new."""
-    touched = set().union(*new)
-    parts = orbits.orbit_partition(G).orbits
-    kept = [p for p in parts if touched.isdisjoint(p)]
-    assert sum(map(len, kept)) + len(touched) == len(set().union(*parts))
-    return tuple(sorted(kept + [tuple(sorted(p)) for p in new]))
 
 
 def test_lemma32_gates_can_fail(monkeypatch):
@@ -836,10 +854,12 @@ def _forge_diagonal_partitions(monkeypatch):
 
 
 def _forge_trivial_partition(monkeypatch):
-    # The trivial group's orbits with (1, 0) and (0, 1) in one orbit, which
-    # escapes the G-orbits of every G that keeps the line of (1, 0).
+    # The trivial group's walks with the axes, lines 0 (x = 0) and 7
+    # (y = 0), in one walk of k = 6: its orbit j is {g^j * (1, 0),
+    # g^j * (0, 1)}, which escapes the G-orbits of every G that keeps the
+    # two axes apart.
     T = trivial_group(PrimeModulus(7))
-    monkeypatch.setitem(orbits._PARTITIONS, T, partition_of(_recut(T, (1, 7)), 7))
+    monkeypatch.setitem(orbits._PARTITIONS, T, _forged_walks(T, ((0, 7), 6)))
 
 
 def _forge_transfer_down(monkeypatch):
@@ -994,21 +1014,20 @@ def test_large_prime_samples_build_no_code_set(monkeypatch):
 
 
 def test_size_readers_build_no_code_view(monkeypatch):
-    # The benchmark's certificates round and its lattices round (exhaustive
-    # lemma31 at l <= 7 and lemma32 at l <= 31) read only the size view of
-    # every partition: no partition lists its orbits' codes, from which its
-    # label and size map are built too. The same spy sees lemma33's
-    # refinement build them.
-    built = []
-    codes = OrbitPartition.orbits
+    # The benchmark's three rounds (certificates; lattices: exhaustive
+    # lemma31 at l <= 7 and lemma32 at l <= 31; large_primes: lemma31,
+    # lemma33 and nonsplit at l in {151, 199}) and a lemma33 sweep at l = 7
+    # read every partition's walks and size view only: the one lister of
+    # vector codes is never called. orbit_decomposition, an API reader,
+    # calls it once per orbit.
+    listed = []
+    lister = OrbitPartition.orbit_codes
 
-    def recording(partition):
-        built.append(partition.modulus.ell)
-        return codes.func(partition)
+    def recording(partition, w, j):
+        listed.append(partition.modulus.ell)
+        return lister(partition, w, j)
 
-    spy = functools.cached_property(recording)
-    spy.__set_name__(OrbitPartition, "orbits")
-    monkeypatch.setattr(OrbitPartition, "orbits", spy)
+    monkeypatch.setattr(OrbitPartition, "orbit_codes", recording)
     monkeypatch.setattr(orbits, "_PARTITIONS", weakref.WeakKeyDictionary())
     walked = []
     walk = orbits._orbit_partition
@@ -1018,7 +1037,7 @@ def test_size_readers_build_no_code_view(monkeypatch):
         return walk(G)
 
     monkeypatch.setattr(orbits, "_orbit_partition", walking)
-    size_readers = [
+    walk_readers = [
         SweepConfig(
             primes=tuple(p for p in range(37, 68) if is_prime(p)),
             sample_count=16,
@@ -1032,13 +1051,20 @@ def test_size_readers_build_no_code_view(monkeypatch):
             mode="exhaustive",
             suites=("lemma32",),
         ),
+        SweepConfig(
+            primes=(151, 199),
+            sample_count=2,
+            suites=("lemma31", "lemma33", "nonsplit"),
+            seed=2024,
+        ),
+        SweepConfig(primes=(7,), sample_count=12, suites=("lemma33",), seed=5),
     ]
-    for cfg in size_readers:
+    for cfg in walk_readers:
         report = run(cfg)
         assert report.total_failures == 0 and report.suites
-    assert len(walked) > 800 and built == []
-    report = run(SweepConfig(primes=(7,), sample_count=12, suites=("lemma33",), seed=5))
-    assert report.total_failures == 0 and built and set(built) == {7}
+    assert len(walked) > 800 and listed == []
+    orbit_decomposition(scalars(PrimeModulus(7)))
+    assert listed == [7] * 8
 
 
 def test_tracer_layer_names_resolve():
