@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Run every suite at the scale of the acceptance criteria and write a report.
 
-Exhaustive lattice suites run at their guarded caps; the certificate suites
-sample 500 scenarios each over the odd primes up to 97; the inert and
-nonsplit suites cover every prime up to 199. Exits nonzero on any genuine
-verification failure, and on any stage whose report differs from the one
-recorded.
+The lattice suites run exhaustively: lemma31 over every subgroup of the
+Borel at l = 3, 5, 7 (stage 1) and at every odd l up to 31 (stage 6, 18,908
+groups), lemma32 over every diagonal subgroup at each odd l up to 31. The
+certificate suites sample 500 scenarios each over the odd primes up to 97;
+the inert and nonsplit suites cover every prime up to 199. Exits nonzero
+on any genuine verification failure, and on any stage whose report
+differs from the one recorded.
 
 After each stage, its wall time, the sha256 of its JSON report and the peak
 resident set sizes so far go to stderr, for this process and for its
@@ -31,6 +33,7 @@ RECORDED_DIGESTS = (
     "8ab04258e586deb6f099a075e128764f745d883fbc46a45e34923934cb65144f",
     "c954417ac915ca6717bce36b2f8c473b10f397bf9be874c9b293b56d007914e6",
     "0c80af1870544088617eb33bb253a3b59e5cab89dee5a2d9f1c13a6d51c4d99f",
+    "5d018fff4d2d4365133f8d39b4e739c168e435ba9ed742119ba6225a5f116a25",
 )
 
 
@@ -79,6 +82,14 @@ def main() -> int:
             mode="sampled",
             sample_count=1,
             suites=("inert", "nonsplit"),
+            seed=0,
+            parallelism=2,
+        ),
+        SweepConfig(
+            primes=tuple(p for p in range(3, 32) if is_prime(p)),
+            mode="exhaustive",
+            sample_count=1,
+            suites=("lemma31",),
             seed=0,
             parallelism=2,
         ),

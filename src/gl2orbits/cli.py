@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         default="sampled",
         choices=("exhaustive", "sampled"),
-        help="exhaustive enumerates full subgroup lattices where guarded caps allow",
+        help="exhaustive runs the whole lemma31 and lemma32 lattices at each prime",
     )
     parser.add_argument(
         "--samples",

@@ -361,10 +361,6 @@ class MatrixGroup:
     def __iter__(self) -> Iterator[Mat2]:
         return map(self.decode, self.codes)
 
-    def sorted_elements(self) -> list[Mat2]:
-        """Elements in ascending canonical encoding, for reproducible output."""
-        return [self.decode(code) for code in sorted(self.codes)]
-
     def generator_tuples(self) -> list[MatTuple]:
         return [g.as_tuple() for g in self.generators]
 

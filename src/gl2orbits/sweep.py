@@ -8,9 +8,10 @@ final constant 864), inert (the l + 1 divides 12wf exclusion), and
 nonsplit (transitivity of the nonsplit Cartan and its subgroups).
 
 Every suite follows one protocol. At each prime, ``_scenarios`` streams
-its (scenario id, scenario) pairs in scenario-id order: the full subgroup
-lattice where the mode and its cap allow, the (w, f) grid for inert, the
-prime itself for nonsplit, and otherwise seeded draws, each from the
+its (scenario id, scenario) pairs in scenario-id order: in exhaustive
+mode the whole subgroup lattice for lemma31 and lemma32, at every prime
+and in the lattice's own enumeration order, the (w, f) grid for inert,
+the prime itself for nonsplit, and otherwise seeded draws, each from the
 random stream that ``_scenario_rng`` derives from (seed, suite, prime,
 index) alone. The suite's check turns one scenario into its row's status
 and failure record, and ``_run_task``, the only place that builds a
@@ -78,10 +79,6 @@ from .semisimplify import (
 SUITE_NAMES = ("lemma31", "lemma32", "lemma33", "case1", "case2", "inert", "nonsplit")
 REPORT_VERSION = __version__
 
-# Full-lattice enumeration guards. The Borel subgroup lattice grows sharply
-# with l; beyond these bounds suites fall back to sampling.
-LEMMA31_EXHAUSTIVE_CAP = 13
-LEMMA32_EXHAUSTIVE_CAP = 31
 INERT_F_MAX = 10
 MAX_SWEEP_PRIME = 199
 
@@ -271,27 +268,21 @@ def _verdict(
 
 
 def enumerate_upper_triangular_subgroups(m: PrimeModulus) -> Iterator[MatrixGroup]:
-    """Every subgroup of the Borel, exactly once, in a deterministic order.
+    """Every subgroup of the Borel, exactly once, in a fixed order.
 
     The Borel is B = U ⋊ T with U the unit shears and T the diagonal group.
     |U| = l is prime, so a subgroup G either contains U, and is then D·U
     for its diagonal parts D <= T, or meets U trivially, and is then
     u^-1 D u for a shear u and some D <= T. A scalar D is its own
-    conjugate; any other D has l distinct shear conjugates. Groups come in
-    ascending (order, sorted element tuples). Guarded to small primes.
+    conjugate; any other D has l distinct shear conjugates. For each D of
+    ``enumerate_diagonal_subgroups`` in turn come D·U and then D's shear
+    conjugates by [[1, t], [0, 1]], t ascending. Each group is held by its
+    generators; none is closed.
     """
-    ell = m.ell
-    cap = LEMMA31_EXHAUSTIVE_CAP
-    if ell > cap:
-        raise ValueError(f"exhaustive Borel lattice enumeration capped at l <= {cap}")
-    groups = []
     for D in enumerate_diagonal_subgroups(m):
-        groups.append(_times_unit_shears(D))
-        shears = [0] if D.is_scalar else range(ell)
-        groups.extend(conjugate(D, Mat2(1, t, 0, 1, m)) for t in shears)
-    # Ascending codes are ascending element tuples.
-    groups.sort(key=lambda G: (G.order, sorted(G.codes)))
-    yield from groups
+        yield _times_unit_shears(D)
+        for t in [0] if D.is_scalar else range(m.ell):
+            yield conjugate(D, Mat2(1, t, 0, 1, m))
 
 
 def _times_unit_shears(D: MatrixGroup) -> MatrixGroup:
@@ -498,11 +489,11 @@ def _row_id(suite: str, ell: int, index: int) -> str:
 def _scenarios(cfg: SweepConfig, suite: str, ell: int) -> Iterator[tuple[str, object]]:
     """The suite's (scenario id, scenario) pairs at one prime, in id order.
 
-    lemma31 and lemma32 enumerate their lattice in exhaustive mode up to its
-    cap; otherwise every suite but inert and nonsplit takes the prime's
-    share of seeded draws. The samplers and enumerations are looked up
-    here, when the stream starts, so wrappers installed on this module's
-    names see every call.
+    lemma31 and lemma32 enumerate their whole lattice in exhaustive mode, at
+    every prime; otherwise every suite but inert and nonsplit takes the
+    prime's share of seeded draws. The samplers and enumerations are
+    looked up here, when the stream starts, so wrappers installed on this
+    module's names see every call.
     """
     m = PrimeModulus(ell)
     if suite == "inert":
@@ -515,9 +506,9 @@ def _scenarios(cfg: SweepConfig, suite: str, ell: int) -> Iterator[tuple[str, ob
         return
     draws = range(_sample_count(cfg, ell))
     exhaustive = cfg.mode == "exhaustive"
-    if exhaustive and suite == "lemma31" and ell <= LEMMA31_EXHAUSTIVE_CAP:
+    if exhaustive and suite == "lemma31":
         scenarios = enumerate_upper_triangular_subgroups(m)
-    elif exhaustive and suite == "lemma32" and ell <= LEMMA32_EXHAUSTIVE_CAP:
+    elif exhaustive and suite == "lemma32":
         scenarios = enumerate_diagonal_subgroups(m)
     elif suite in ("case1", "case2"):
         scenarios = (_build_scenario(cfg, suite, ell, i) for i in draws)

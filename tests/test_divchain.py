@@ -116,6 +116,31 @@ def test_case1_chain_rejects_invalid():
         verify_case1_chain(s)
 
 
+def test_final_constant_72_is_sharp_on_the_l73_witness(monkeypatch):
+    # G = <diag(5, 1), [[1, 1], [0, 1]]> at l = 73, with Gp = <diag(5, 1),
+    # diag(1, 3)> of index 6 in the diagonal group and d = 1, is a valid
+    # case-1 scenario whose orbit sizes are 72 and 73. l - 1 = 72 divides
+    # 72 * 73 but not 36 * 73, so the direct check passes with the final
+    # constant 72 and fails with 36 on an orbit of size 73.
+    m = PrimeModulus(73)
+    G = closure([Mat2(5, 0, 0, 1, m), Mat2(1, 1, 0, 1, m)], m)
+    Gp = closure([Mat2(5, 0, 0, 1, m), Mat2(1, 0, 0, 3, m)], m)
+    assert (G.order, Gp.order, 72 * 72 // Gp.order) == (5256, 864, 6)
+    s = Case1Scenario(G, Gp, DegreeParameter(1))
+    assert validate_case1(s).valid
+    assert set(orbits._orbit_lengths(orbit_partition(G).size_counts)) == {72, 73}
+    assert verify_case1_chain(s).verdict
+
+    monkeypatch.setattr(divchain, "FINAL_CONSTANT", 72)
+    assert checks_by_name(verify_case1_chain(s))["final_direct"]
+
+    monkeypatch.setattr(divchain, "FINAL_CONSTANT", 36)
+    cert = verify_case1_chain(s)
+    assert not checks_by_name(cert)["final_direct"]
+    bad = cert.counterexample
+    assert (bad["expected_divisor"], bad["value"]) == (72, 36 * 73)
+
+
 @pytest.mark.parametrize(
     "chain, validate, s",
     [

@@ -67,12 +67,11 @@ def brute_force_subgroups(G):
 
 
 def borel_join_fixpoint(m):
-    """Every subgroup of the Borel as a sorted list of element-tuple sets.
+    """Every subgroup of the Borel as a set of element-tuple sets.
 
     Starts from all cyclic subgroups and closes the collection under joins
     with cyclic subgroups; every subgroup is a join of the cyclic subgroups
-    of its elements, so the fixpoint is the full lattice. Ordered by
-    (order, sorted element tuples).
+    of its elements, so the fixpoint is the full lattice.
     """
     ell = m.ell
     identity = (1, 0, 0, 1)
@@ -96,20 +95,28 @@ def borel_join_fixpoint(m):
             if joined not in subgroups:
                 subgroups[joined] = joined_gens
                 worklist.append((joined, joined_gens))
-    return sorted(subgroups, key=lambda s: (len(s), sorted(s)))
+    return set(subgroups)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_borel_lattice_matches_join_fixpoint(p):
+    # The lattice streams in enumeration order: each subgroup once, in the
+    # same order on every enumeration.
     m = PrimeModulus(p)
-    enumerated = [
-        frozenset(g.as_tuple() for g in G.elements)
-        for G in enumerate_upper_triangular_subgroups(m)
-    ]
-    assert enumerated == borel_join_fixpoint(m)
+
+    def element_sets():
+        return [
+            frozenset(g.as_tuple() for g in G.elements)
+            for G in enumerate_upper_triangular_subgroups(m)
+        ]
+
+    enumerated = element_sets()
+    assert len(set(enumerated)) == len(enumerated)
+    assert set(enumerated) == borel_join_fixpoint(m)
+    assert element_sets() == enumerated
 
 
-@pytest.mark.parametrize("p, count", [(11, 440), (13, 1188)])
+@pytest.mark.parametrize("p, count", [(11, 440), (13, 1188), (17, 1414), (31, 7440)])
 def test_borel_lattice_counts(p, count):
     # S groups D·U, plus tau scalar D and l shear conjugates of every other
     # D, where S counts the diagonal subgroups and tau the divisors of l - 1.
@@ -144,11 +151,6 @@ def test_borel_lattice_entries_are_closed_groups():
         assert isinstance(G, MatrixGroup)
         assert closure(G.generators, M5) == G
         assert all(x.inverse() in G.elements for x in G.elements)
-
-
-def test_borel_lattice_guard():
-    with pytest.raises(ValueError):
-        list(enumerate_upper_triangular_subgroups(PrimeModulus(17)))
 
 
 def test_diagonal_lattice_matches_join_fixpoint():
@@ -358,14 +360,19 @@ def test_csv_has_one_row_per_scenario():
     assert len(lines) - 1 == len(report.rows) == 5
 
 
-def test_exhaustive_mode_falls_back_to_sampling_above_cap():
-    cfg = SweepConfig(
-        primes=(17,), mode="exhaustive", sample_count=3, suites=("lemma31",), seed=4
-    )
-    report = run(cfg)
-    entry = report.suites[0]
-    assert entry["total"] == 3  # sampled allocation, not a lattice enumeration
-    assert entry["fail"] == 0
+def test_exhaustive_mode_enumerates_the_lattice_at_any_prime():
+    # Exhaustive mode is the whole lattice at every prime, whatever the
+    # sample count: all 1,414 Borel subgroups at l = 17 and every diagonal
+    # subgroup at l = 37.
+    def counts(ell, suite):
+        cfg = SweepConfig(
+            primes=(ell,), mode="exhaustive", sample_count=3, suites=(suite,)
+        )
+        return [(e["pass"], e["total"]) for e in run(cfg).suites]
+
+    diagonal = len(list(enumerate_diagonal_subgroups(PrimeModulus(37))))
+    assert counts(17, "lemma31") == [(1414, 1414)]
+    assert counts(37, "lemma32") == [(diagonal, diagonal)]
 
 
 def _cli_env() -> dict[str, str]:
@@ -478,7 +485,7 @@ def test_full_verification_names_a_stage_whose_digest_differs(capsys, monkeypatc
     spec = importlib.util.spec_from_file_location("full_verification", path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert len(script.RECORDED_DIGESTS) == 5
+    assert len(script.RECORDED_DIGESTS) == 6
 
     class Stub:
         suites = []
@@ -489,17 +496,16 @@ def test_full_verification_names_a_stage_whose_digest_differs(capsys, monkeypatc
 
     stub_digest = hashlib.sha256(b"stub\n").hexdigest()
     monkeypatch.setattr(script, "run", lambda cfg: Stub())
-    recorded = list(script.RECORDED_DIGESTS)
-    recorded[:2] = [stub_digest] * 2
-    recorded[3:] = [stub_digest] * 2
+    recorded = [stub_digest] * 6
+    recorded[2] = script.RECORDED_DIGESTS[2]
     monkeypatch.setattr(script, "RECORDED_DIGESTS", tuple(recorded))
 
     assert script.main() == 1
     err = capsys.readouterr().err
-    assert "stage 3/5 lemma33: report sha256 differs from the recorded" in err
+    assert "stage 3/6 lemma33: report sha256 differs from the recorded" in err
     assert err.count("differs") == 1
 
-    monkeypatch.setattr(script, "RECORDED_DIGESTS", (stub_digest,) * 5)
+    monkeypatch.setattr(script, "RECORDED_DIGESTS", (stub_digest,) * 6)
     assert script.main() == 0
     assert "differs" not in capsys.readouterr().err
 
@@ -537,12 +543,14 @@ def test_large_triangular_draw_keeps_its_group():
 
 
 def test_sweeps_never_build_matrix_sets(monkeypatch):
+    # No sweep lists a group's elements, as Mat2 objects or as codes: the
+    # exhaustive lattices included, at l = 17 as at l = 2.
     def refuse(self, *args):
-        raise AssertionError("a sweep built Mat2 elements")
+        raise AssertionError("a sweep built a group's element set")
 
     monkeypatch.setattr(MatrixGroup, "elements", property(refuse))
+    monkeypatch.setattr(MatrixGroup, "codes", property(refuse))
     monkeypatch.setattr(MatrixGroup, "__iter__", refuse)
-    monkeypatch.setattr(MatrixGroup, "sorted_elements", refuse)
     sampled = run(
         SweepConfig(
             primes=(5, 7, 13), sample_count=18, degrees=(1, 2, 3, 6, 12),
@@ -550,7 +558,9 @@ def test_sweeps_never_build_matrix_sets(monkeypatch):
         )
     )
     exhaustive = run(
-        SweepConfig(primes=(2, 3, 5, 7), mode="exhaustive", suites=("lemma31",))
+        SweepConfig(
+            primes=(2, 3, 5, 7, 17), mode="exhaustive", suites=("lemma31", "lemma32")
+        )
     )
     assert sampled.total_failures == exhaustive.total_failures == 0
     assert all(entry["total"] > 0 for entry in sampled.suites)
@@ -900,8 +910,8 @@ def _forge_inert_and_nonsplit_checks(monkeypatch):
                 primes=(3, 17), mode="exhaustive", sample_count=2,
                 suites=("lemma31",),
             ),
-            "c929b34e903cec7decc8cb7954c26465feda2675a58f6b123715f7ad84836e7a",
-            "f649238e90fb0ae4b12a7413c84215bd815b78b59ed3ee4a40e6df0d6bb11596",
+            "b5b39fb4a2271b2074dbdfed5fb2d756b151aae4084d85d40573b43e6698e458",
+            "3f3c176d684fc5172538ff19b94afabd532f9d709fb3830119b9e0279789009f",
         ),
         (
             _forge_diagonal_partitions,
