@@ -55,7 +55,6 @@ from .orbits import (
     orbit,
     orbit_decomposition,
     predict_diagonal_orbits,
-    stabilizer_order,
     uniform_divisibility_transfer,
 )
 from .semisimplify import (

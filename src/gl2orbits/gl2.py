@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import gcd
 from operator import add, mod
 from random import Random
@@ -712,13 +712,15 @@ def _nonsplit_generator(m: PrimeModulus) -> Mat2:
 
     Kept per prime. The codes are walked lazily up to the generator, so a
     caller that needs only the generator and its powers builds neither the
-    Cartan's code set nor its group.
+    Cartan's code set nor its group. The walk starts at a = 1, since every
+    a = 0 code squares to a scalar and so has order at most 2(l - 1).
     """
     m.require_odd("nonsplit_cartan")
     ell = m.ell
     n = ell * ell - 1
     factors = prime_factors(n)
-    for code in _nonsplit_codes(m):
+    # The first l - 1 codes have a = 0: [[0, b*eps], [b, 0]]^2 = eps*b^2 * I.
+    for code in islice(_nonsplit_codes(m), ell - 1, None):
         t = decode_tuple(code, ell)
         if all(_pow_t(t, n // q, ell) != (1, 0, 0, 1) for q in factors):
             return Mat2(*t, m)
@@ -730,7 +732,8 @@ def nonsplit_cartan(m: PrimeModulus) -> MatrixGroup:
 
     This is the unit group of the quadratic extension of Z/lZ in matrix
     form: it is cyclic of order l^2 - 1, and it is the group its generator,
-    the least code of that order, generates. Rejects l = 2.
+    the least code of that order, generates. The search for it skips the
+    a = 0 codes, whose squares are scalars. Rejects l = 2.
     """
     return MatrixGroup(m, (_nonsplit_generator(m),))
 

@@ -315,15 +315,6 @@ def orbit_decomposition(G: MatrixGroup) -> OrbitDecomposition:
     return OrbitDecomposition(G, orbits)
 
 
-def stabilizer_order(G: MatrixGroup, v: Vector2) -> int:
-    """Number of elements of G fixing v, counted directly."""
-    if v.is_zero:
-        raise ValueError("stabilizer of the zero vector is excluded")
-    if v.modulus != G.modulus:
-        raise ValueError("mixed moduli")
-    return sum(1 for g in G.elements if g.apply(v.x, v.y) == (v.x, v.y))
-
-
 def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
     """Orbit structure of a diagonal group from its diagonal characters.
 

@@ -8,7 +8,8 @@ with ``gl2orbits``, so the code and line kernels are checked against them.
 structure, and the lemma 3.1 derivations below read a group's element codes
 where the library reads its generators. ``refinement_violation`` is the
 lemma 3.3 refinement check on codes, which the library now reads off the
-line walks.
+line walks. ``stabilizer_order`` counts the elements fixing a vector, and
+``power`` raises a tuple to a power with ``mul`` alone.
 """
 
 from collections import deque
@@ -29,6 +30,17 @@ def mul(x, y, ell):
         (c * e + d * g) % ell,
         (c * f + d * h) % ell,
     )
+
+
+def power(t, k, ell):
+    """t^k for a 4-tuple t, by square-and-multiply with ``mul``."""
+    result = IDENTITY
+    while k:
+        if k & 1:
+            result = mul(result, t, ell)
+        t = mul(t, t, ell)
+        k >>= 1
+    return result
 
 
 def encode(t, ell):
@@ -122,6 +134,17 @@ def decode(code, ell):
     code, c = divmod(code, ell)
     a, b = divmod(code, ell)
     return a, b, c, d
+
+
+def stabilizer_order(codes, v, ell):
+    """How many of the codes' matrices fix the column vector v = (x, y)."""
+    x, y = v
+    fixed = 0
+    for code in codes:
+        a, b, c, d = decode(code, ell)
+        if ((a * x + b * y) % ell, (c * x + d * y) % ell) == (x, y):
+            fixed += 1
+    return fixed
 
 
 # The elementwise lemma 3.1 derivations the library used before it read

@@ -41,7 +41,10 @@ from gl2orbits.sweep import (
 from oracle import (
     breadth_first_closure,
     breadth_first_codes,
+    decode,
     large_group_order,
+    mul,
+    power,
     power_codes,
 )
 
@@ -655,29 +658,73 @@ def test_one_image_list_builder(monkeypatch):
     assert built == [(h, 5), (h, 5), (u, 5), (u, 5), (h, 5)]
 
 
+ODD_PRIMES_BELOW_200 = [q for q in range(3, 200) if is_prime(q)]
+
+
 def test_nonsplit_cartan_codes_and_least_generator():
     # The codes are every [[a, b*eps], [b, a]] but zero, and the generator
     # is the least code of order l^2 - 1.
     from gl2orbits.modarith import least_primitive_root
 
-    for p in [q for q in range(3, 32) if is_prime(q)]:
+    for p in ODD_PRIMES_BELOW_200:
         m = PrimeModulus(p)
         eps = least_primitive_root(m).value
         n = p * p - 1
-        cns = nonsplit_cartan(m)
         expected = {
             ((a * p + b * eps % p) * p + b) * p + a
             for a in range(p)
             for b in range(p)
             if (a, b) != (0, 0)
         }
+        codes = list(gl2._nonsplit_codes(m))
+        assert codes == sorted(expected)
+        # The first code of order l^2 - 1, tested on the oracle's tuples
+        # from the first code on, a = 0 included: the Cartan has exponent
+        # n, so x has order n when no x^(n/q), q a prime factor, is 1.
+        factors = [q for q in range(2, n + 1) if n % q == 0 and is_prime(q)]
+        least = next(
+            code
+            for code in codes
+            if all(power(decode(code, p), n // q, p) != (1, 0, 0, 1)
+                   for q in factors)
+        )
+        assert gl2._nonsplit_generator(m) == Mat2(*decode(least, p), m)
+        if p > 31:
+            continue
+        # Each a = 0 code squares to a scalar, so none can generate.
+        for code in codes[: p - 1]:
+            t = decode(code, p)
+            assert t[0] == 0
+            a, b, c, d = mul(t, t, p)
+            assert b == c == 0 and a == d
+        cns = nonsplit_cartan(m)
         assert cns.codes == expected
         (gen,) = cns.generators
-        for code in sorted(expected):
+        for code in codes:
             g = cns.decode(code)
             if len(breadth_first_closure([g.as_tuple()], p)) == n:
                 assert gen == g
                 break
+
+
+def test_nonsplit_generator_search_skips_the_a0_codes(monkeypatch):
+    # The a = 0 codes square to scalars, so the search never order-tests one.
+    tested = []
+
+    def spy(x, k, ell):
+        tested.append(x)
+        return pow_t(x, k, ell)
+
+    pow_t = gl2._pow_t
+    gl2._nonsplit_generator.cache_clear()
+    monkeypatch.setattr(gl2, "_pow_t", spy)
+    try:
+        for p in ODD_PRIMES_BELOW_200:
+            gl2._nonsplit_generator(PrimeModulus(p))
+    finally:
+        gl2._nonsplit_generator.cache_clear()
+    assert tested
+    assert not [t for t in tested if t[0] == 0]
 
 
 def _chain_draws(rng, p, count):
