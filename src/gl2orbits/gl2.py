@@ -1,34 +1,21 @@
 """2x2 invertible matrices over Z/lZ and finite subgroups of GL2(l).
 
-A group is held by its generators. Its order and membership come from a
-one-level stabilizer chain over the l + 1 lines of the plane
-(``_stabilizer_chain``): G permutes the lines, and the stabilizer of the
-axis line y = 0 is G ∩ B for the Borel B = U ⋊ T. So |G| is the length of
-the axis line's orbit times the stabilizer's order, and the stabilizer,
-which maps onto the group D of its diagonal parts with kernel 1 or the
-unit shears U, is read off D's exponent lattice and one test for U.
+A group is held by its generators. Its order, membership, uniform draws
+and element list come from a one-level stabilizer chain over the l + 1
+lines of the plane (``_stabilizer_chain``): G permutes the lines, and the
+stabilizer S of the axis line y = 0 is G ∩ B for the Borel B = U ⋊ T. So
+G is the disjoint union of the cosets t_L * S over the axis line's orbit,
+and S, which maps onto the group D of its diagonal parts with kernel 1 or
+the unit shears U, is read off D's exponent lattice and one test for U.
 Equality and containment sift generators through the chain, so no element
 set is compared.
 
 The element set is the frozenset ``codes`` of integer codes
-a*l^3 + b*l^2 + c*l + d, built on first read and refused with
-ClosureBudgetError above ``CLOSURE_BUDGET`` elements before anything is
-built; ``random_element`` draws from the chain without it. ``Mat2``
-objects are built only at the API edge (``elements``, iteration,
-generators and witnesses). Every code set is closed breadth-first by
-``_close``, except the Borel's, which ``borel`` lists directly and hands
-to ``_make_group`` under the same budget. Either way the codes pass the
-same checks, the last of which is that they number |G|.
-
-``_close`` walks element codes. Right multiplication by a generator h
-acts on each row of a matrix on its own, so one table T_h of the l^2 row
-codes, built by ``_row_table``, gives
-code(X * h) = T_h[code // l^2] * l^2 + T_h[code % l^2].
-
-Every code is checked for nonsingularity. An upper-triangular set is
-checked at C speed from its low halves code % l^2 = c*l + d: when they all
-lie in 1..l-1, c = 0 gives det = a*d, and the smallest code being at least
-l^3 gives a != 0. Other sets are scanned code by code.
+a*l^3 + b*l^2 + c*l + d, listed on first read by ``_close`` as the codes
+of t_L * s, and refused with ClosureBudgetError above ``CLOSURE_BUDGET``
+elements before anything is listed. The listing must number |G| and hold
+every generator. ``Mat2`` objects are built only at the API edge
+(``elements``, iteration, generators and witnesses).
 """
 
 from __future__ import annotations
@@ -37,7 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, islice, repeat
 from math import gcd
-from operator import add, mod
+from operator import add
 from random import Random
 from typing import Iterable, Iterator
 
@@ -50,13 +37,6 @@ MatTuple = tuple[int, int, int, int]
 
 class ClosureBudgetError(ValueError):
     """A group's code set would hold more than ``CLOSURE_BUDGET`` elements."""
-
-
-def _require_budget(order: int) -> None:
-    """Raise ClosureBudgetError when a code set of this size is over budget."""
-    # The identity alone never overruns the budget.
-    if order > max(CLOSURE_BUDGET, 1):
-        raise ClosureBudgetError(f"closure exceeded element budget {CLOSURE_BUDGET}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -186,67 +166,6 @@ def _pow_t(x: MatTuple, k: int, ell: int) -> MatTuple:
     return result
 
 
-def _row_table(h: MatTuple, ell: int) -> list[int]:
-    """Right multiplication by h on the row codes x*l + y of a matrix's rows.
-
-    The row (x, y) times h = [[a, b], [c, d]] is (a*x + c*y, b*x + d*y),
-    so entry x*l + y of the table is (a*x + c*y)*l + (b*x + d*y), reduced.
-    A matrix code splits into its two row codes as
-    code = (code // l^2) * l^2 + code % l^2, giving
-    code(X * h) = T[code // l^2] * l^2 + T[code % l^2].
-
-    Built one run of fixed x at a time. With the doubled table D[y] = d*y
-    mod l, b*x + d*y = D[y + s] for the offset s = b*x/d, so the run's low
-    digits are the slice D[s : s + l]; likewise l*(a*x + c*y) is a slice
-    of the doubled table l*(c*y mod l) at offset a*x/c. A zero d or c makes
-    that digit constant along the run; h is invertible, so c and d are not
-    both zero.
-    """
-    a, b, c, d = h
-    ys = range(2 * ell)
-    d_table = [d * y % ell for y in ys]
-    c_table = [c * y % ell * ell for y in ys]
-    d_inv = pow(d, -1, ell) if d else 0
-    c_inv = pow(c, -1, ell) if c else 0
-    table: list[int] = []
-    for x in range(ell):
-        if d:
-            s = b * x * d_inv % ell
-            low = d_table[s : s + ell]
-        else:
-            low = repeat(b * x % ell)
-        if c:
-            t = a * x * c_inv % ell
-            high = c_table[t : t + ell]
-        else:
-            high = repeat(a * x % ell * ell)
-        table += map(add, low, high)
-    return table
-
-
-def _close(gen_tuples: Iterable[MatTuple], ell: int) -> set[int]:
-    """Codes of the group the generators generate, breadth-first on codes.
-
-    Each step multiplies on the right by a generator through its row table
-    (``_row_table``), so no matrix is built. Generators alone suffice
-    because the ambient group is finite, so inverses are positive powers.
-    """
-    l2 = ell * ell
-    tables = [_row_table(g, ell) for g in dict.fromkeys(gen_tuples)]
-    identity = l2 * ell + 1
-    seen = {identity}
-    # The list grows while it is read, as a breadth-first queue.
-    queue = [identity]
-    for code in queue:
-        high, low = divmod(code, l2)
-        for table in tables:
-            nxt = table[high] * l2 + table[low]
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return seen
-
-
 def decode_tuple(code: int, ell: int) -> MatTuple:
     d = code % ell
     c = (code // ell) % ell
@@ -268,10 +187,12 @@ class MatrixGroup:
 
     ``codes`` is the element set as canonical integer encodings
     a*l^3 + b*l^2 + c*l + d (see ``Mat2.encode``); every entry is below l,
-    so ascending codes are ascending (a, b, c, d) tuples. It is built on
-    first read by ``_close``, unless ``_make_group`` supplied it; a group
-    of more than ``CLOSURE_BUDGET`` elements raises ClosureBudgetError from
-    its order instead. Instances are immutable and safe for concurrent reads.
+    so ascending codes are ascending (a, b, c, d) tuples. It is listed on
+    first read from the chain by ``_close``; a group of more than
+    ``CLOSURE_BUDGET`` elements raises ClosureBudgetError from its order
+    instead, and a listing that does not number the order or misses a
+    generator raises ValueError. Instances are immutable and safe for
+    concurrent reads.
     """
 
     modulus: PrimeModulus
@@ -291,47 +212,14 @@ class MatrixGroup:
 
     @cached_property
     def codes(self) -> frozenset[int]:
-        _require_budget(self.order)
-        return self._checked(_close(self.generator_tuples(), self.modulus.ell))
-
-    def _checked(self, codes: Iterable[int]) -> frozenset[int]:
-        """The codes as a frozenset, once they pass every check.
-
-        Rejects a code outside the entry range, a singular code, a
-        non-triangular code for triangular generators, a missing identity,
-        a generator outside the set and a count other than the order.
-        """
-        codes = frozenset(codes)
-        ell = self.modulus.ell
-        l2, l3 = ell * ell, ell * ell * ell
-        lowest = min(codes, default=0)
-        if lowest < 0 or max(codes, default=0) >= ell**4:
-            raise ValueError("element code outside the reduced entry range")
-        triangular = self.is_upper_triangular
-        if triangular:
-            # code % l^2 = c*l + d lies in 1..l-1 exactly when c = 0, d != 0.
-            low = set(map(mod, codes, repeat(l2)))
-            triangular = 0 not in low and max(low, default=0) < ell
-        # With c = 0, det = a*d and a != 0 means code >= l^3.
-        if not (triangular and lowest >= l3):
-            for code in codes:
-                # a * d - b * c, read off the code.
-                det = code // l3 * (code % ell) - code // l2 % ell * (code // ell % ell)
-                if det % ell == 0:
-                    a, b, c, d = decode_tuple(code, ell)
-                    raise ValueError(
-                        f"singular matrix [[{a},{b}],[{c},{d}]] mod {ell}"
-                    )
-            if self.is_upper_triangular:
-                raise ValueError("a code with c != 0 for triangular generators")
-        if l3 + 1 not in codes:
-            raise ValueError("group must contain the identity")
+        # The identity alone never overruns the budget.
+        if self.order > max(CLOSURE_BUDGET, 1):
+            raise ClosureBudgetError(f"closure exceeded element budget {CLOSURE_BUDGET}")
+        codes = _close(self._chain)
+        if len(codes) != self.order:
+            raise ValueError(f"{len(codes)} codes for a group of order {self.order}")
         if any(g.encode() not in codes for g in self.generators):
             raise ValueError("generator outside element set")
-        if len(codes) != self.order:
-            raise ValueError(
-                f"{len(codes)} codes for a generated group of order {self.order}"
-            )
         return codes
 
     def __eq__(self, other: object) -> bool:
@@ -405,27 +293,15 @@ class MatrixGroup:
         return f"MatrixGroup(order={self.order}, mod {self.modulus.ell})"
 
 
-def _make_group(
-    modulus: PrimeModulus,
-    codes: Iterable[int],
-    generator_tuples: Iterable[MatTuple],
-) -> MatrixGroup:
-    """The group of reduced generator tuples, with its codes listed directly.
-
-    For a construction that knows its elements (``borel``); the caller
-    keeps to the budget. The codes are read once and pass every check of
-    ``MatrixGroup.codes``.
-    """
+def _make_group(modulus: PrimeModulus, generator_tuples: Iterable[MatTuple]) -> MatrixGroup:
+    """The group of generator tuples whose entries are already reduced mod l."""
     gens = []
     for t in generator_tuples:
         g = Mat2(*t, modulus)
         if g.as_tuple() != tuple(t):
             raise ValueError(f"generator entries {t} are not reduced mod {modulus.ell}")
         gens.append(g)
-    group = MatrixGroup(modulus, tuple(gens))
-    # codes is a cached property, so the stored set is never rebuilt.
-    object.__setattr__(group, "codes", group._checked(codes))
-    return group
+    return MatrixGroup(modulus, tuple(gens))
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +394,7 @@ def _inverse_t(x: MatTuple, ell: int) -> MatTuple:
 
 @dataclass(frozen=True)
 class _StabilizerChain:
-    """Order and membership of a group G from its action on the lines.
+    """Order, membership, draws and elements of G from its action on the lines.
 
     Line t < l is spanned by (t, 1) and line l, the axis, by e1 = (1, 0).
     inverses maps each line L of the axis line's orbit to t_L^-1, for a
@@ -623,6 +499,39 @@ def _stabilizer_chain(gens: Iterable[MatTuple], m: PrimeModulus) -> _StabilizerC
     return _StabilizerChain(m, inverses, (d1, d2, c), shear, order)
 
 
+def _close(chain: _StabilizerChain) -> frozenset[int]:
+    """The codes of the chain's group G, listed as t_L * s.
+
+    t_L runs over the transversal and s over S: diagonal exponents
+    x*(d1, 0) + y*(c, d2) for x < n/d1 and y < n/d2 (n = l - 1), and b over
+    all of Z/l when U <= S, else b = x0 * (d - a). This is the enumeration
+    ``_StabilizerChain.random_tuple`` draws from. With t_L = [[p, q], [r, s]],
+    t_L * [[a, b], [0, d]] = [[p*a, p*b + q*d], [r*a, r*b + s*d]].
+    """
+    m = chain.modulus
+    ell = m.ell
+    n = ell - 1
+    l2, l3 = ell * ell, ell * ell * ell
+    d1, d2, c = chain.lattice
+    pow_g = _primitive_root_powers(m)
+    diagonals = [
+        (pow_g[(x * d1 + y * c) % n], pow_g[y * d2 % n])
+        for x in range(n // d1)
+        for y in range(n // d2)
+    ]
+    x0 = chain.shear
+    codes: list[int] = []
+    for t_inv in chain.inverses.values():
+        p, q, r, s = _inverse_t(t_inv, ell)
+        for a, d in diagonals:
+            high = p * a % ell * l3 + r * a % ell * ell
+            shears = range(ell) if x0 is None else (x0 * (d - a),)
+            codes += [
+                high + (p * b + q * d) % ell * l2 + (r * b + s * d) % ell for b in shears
+            ]
+    return frozenset(codes)
+
+
 def closure(
     generators: Iterable[Mat2], modulus: PrimeModulus | None = None
 ) -> MatrixGroup:
@@ -645,25 +554,16 @@ def trivial_group(m: PrimeModulus) -> MatrixGroup:
 
 
 def borel(m: PrimeModulus) -> MatrixGroup:
-    """Full upper-triangular subgroup, order l(l-1)^2, with its codes listed.
+    """Full upper-triangular subgroup, order l(l-1)^2.
 
-    Raises ClosureBudgetError before listing anything when the order
-    exceeds ``CLOSURE_BUDGET``.
+    Reading its ``codes`` raises ClosureBudgetError when that order exceeds
+    ``CLOSURE_BUDGET``.
     """
-    ell = m.ell
-    _require_budget(ell * (ell - 1) ** 2)
-    l2, l3 = ell * ell, ell * ell * ell
-    elems = [
-        a * l3 + b * l2 + d
-        for a in range(1, ell)
-        for d in range(1, ell)
-        for b in range(ell)
-    ]
     gens: list[MatTuple] = [(1, 1, 0, 1)]
-    if ell > 2:
+    if m.ell > 2:
         g = _primitive_root_powers(m)[1]
         gens += [(g, 0, 0, 1), (1, 0, 0, g)]
-    return _make_group(m, elems, gens)
+    return _make_group(m, gens)
 
 
 def split_cartan(m: PrimeModulus) -> MatrixGroup:

@@ -69,10 +69,6 @@ class PrimeModulus:
         if not is_prime(self.ell):
             raise ValueError(f"modulus {self.ell} is not prime")
 
-    @property
-    def unit_group_order(self) -> int:
-        return self.ell - 1
-
     def require_odd(self, context: str) -> None:
         """Explicitly reject l = 2 where the construction needs an odd prime."""
         if self.ell == 2:

@@ -23,7 +23,6 @@ from gl2orbits.divchain import (
 )
 from gl2orbits.gl2 import (
     Mat2,
-    _close,
     _nonsplit_codes,
     borel,
     closure,
@@ -37,7 +36,7 @@ from gl2orbits.modarith import PrimeModulus, divisors, is_prime, power_image_ord
 from gl2orbits.orbits import orbit_partition, orbit_size_map
 from gl2orbits.semisimplify import semisimplification
 from gl2orbits.sweep import _times_unit_shears
-from oracle import breadth_first_partition, power_codes
+from oracle import breadth_first_codes, breadth_first_partition, power_codes
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -119,26 +118,40 @@ def test_case1_chain_rejects_invalid():
 def test_final_constant_72_is_sharp_on_the_l73_witness(monkeypatch):
     # G = <diag(5, 1), [[1, 1], [0, 1]]> at l = 73, with Gp = <diag(5, 1),
     # diag(1, 3)> of index 6 in the diagonal group and d = 1, is a valid
-    # case-1 scenario whose orbit sizes are 72 and 73. l - 1 = 72 divides
-    # 72 * 73 but not 36 * 73, so the direct check passes with the final
-    # constant 72 and fails with 36 on an orbit of size 73.
+    # case-1 scenario whose orbits are 72 of size 73 and one of size 72.
+    # l - 1 = 72 divides 72 * 73 but not 36 * 73, so the direct check
+    # passes with the final constant 72 and fails with 36 on an orbit of
+    # size 73. The chain assembles [Cartan : Gp] * [Gp : Gp^12] = 6 * 144
+    # = 864, so its assembled-constant gate rejects both.
     m = PrimeModulus(73)
     G = closure([Mat2(5, 0, 0, 1, m), Mat2(1, 1, 0, 1, m)], m)
     Gp = closure([Mat2(5, 0, 0, 1, m), Mat2(1, 0, 0, 3, m)], m)
     assert (G.order, Gp.order, 72 * 72 // Gp.order) == (5256, 864, 6)
     s = Case1Scenario(G, Gp, DegreeParameter(1))
     assert validate_case1(s).valid
-    assert set(orbits._orbit_lengths(orbit_partition(G).size_counts)) == {72, 73}
-    assert verify_case1_chain(s).verdict
+    assert orbit_partition(G).size_counts == ((73, 72), (72, 1))
+    cert = verify_case1_chain(s)
+    assert cert.verdict and cert.counterexample is None
+    assert dict(cert.factors)["comparison_over_twelfth"] == 144
 
     monkeypatch.setattr(divchain, "FINAL_CONSTANT", 72)
-    assert checks_by_name(verify_case1_chain(s))["final_direct"]
+    cert = verify_case1_chain(s)
+    assert not cert.verdict and cert.counterexample is None
+    assert [c.name for c in cert.checks if not c.passed] == [
+        "assembled_constant_divides"
+    ]
 
     monkeypatch.setattr(divchain, "FINAL_CONSTANT", 36)
     cert = verify_case1_chain(s)
-    assert not checks_by_name(cert)["final_direct"]
-    bad = cert.counterexample
-    assert (bad["expected_divisor"], bad["value"]) == (72, 36 * 73)
+    assert [c.name for c in cert.checks if not c.passed] == [
+        "assembled_constant_divides",
+        "final_direct",
+    ]
+    assert cert.counterexample == {
+        "vector": [0, 1],
+        "expected_divisor": 72,
+        "value": 36 * 73,
+    }
 
 
 @pytest.mark.parametrize(
@@ -439,7 +452,7 @@ def test_power_codes_match_tuple_powers():
         (gen,) = nonsplit_cartan(PrimeModulus(p)).generators
         codes = power_codes(gen.as_tuple(), n, p)
         assert [(gen**k).encode() for k in range(n)] == codes
-        assert set(codes) == _close([gen.as_tuple()], p)
+        assert set(codes) == breadth_first_codes([gen.as_tuple()], p)
     (gen,) = nonsplit_cartan(M7).generators
     codes = power_codes((gen * gen).as_tuple(), 48, 7)
     assert [(gen ** (2 * k)).encode() for k in range(48)] == codes

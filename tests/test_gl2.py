@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from random import Random
 
@@ -10,11 +11,8 @@ from gl2orbits.gl2 import (
     ClosureBudgetError,
     Mat2,
     MatrixGroup,
-    _close,
     _diagonal_group_from_hnf,
     _make_group,
-    _mul_t,
-    _row_table,
     borel,
     closure,
     conjugate,
@@ -32,7 +30,6 @@ from gl2orbits.sweep import (
     _sample_nested_pair,
     _sample_triangular_group,
     _scenario_rng,
-    _serialize_group,
     _times_unit_shears,
     enumerate_diagonal_subgroups,
     enumerate_upper_triangular_subgroups,
@@ -280,24 +277,23 @@ def test_closure_budget_guard(monkeypatch):
 
 
 def test_borel_budget(monkeypatch):
-    # borel lists its codes only within CLOSURE_BUDGET and refuses a larger
-    # order before it hands anything to _make_group.
-    def refuse(*args):
-        raise AssertionError("_make_group called over budget")
-
+    # borel is the group of its generators: it builds at any l, and only
+    # reading codes checks the order against CLOSURE_BUDGET.
     monkeypatch.setattr(gl2, "CLOSURE_BUDGET", 80)
     assert len(borel(M5).codes) == 80
     monkeypatch.setattr(gl2, "CLOSURE_BUDGET", 100)
     assert len(borel(M5).codes) == 80
-    monkeypatch.setattr(gl2, "_make_group", refuse)
+    B7 = borel(PrimeModulus(7))
+    assert B7.order == 252
     with pytest.raises(ClosureBudgetError):
-        borel(PrimeModulus(7))
+        B7.codes
     monkeypatch.undo()
-    monkeypatch.setattr(gl2, "_make_group", refuse)
     # 127 * 126^2 = 2,016,252 elements, over the default budget.
-    assert 127 * 126**2 > gl2.CLOSURE_BUDGET
+    B = borel(PrimeModulus(127))
+    assert B.order == 127 * 126**2 > gl2.CLOSURE_BUDGET
     with pytest.raises(ClosureBudgetError):
-        borel(PrimeModulus(127))
+        B.codes
+    assert "codes" not in vars(B)
 
 
 def test_lagrange_in_gl2():
@@ -313,33 +309,20 @@ def code5(a, b, c, d):
 
 
 def test_make_group_rejects_singular_and_unreduced_input():
-    identity = code5(1, 0, 0, 1)
     cartan = split_cartan(M5)
     with pytest.raises(ValueError, match="singular"):
-        _make_group(M5, [identity, code5(1, 2, 2, 4)], [])
-    with pytest.raises(ValueError, match="singular"):
-        _make_group(M5, cartan.codes, [(1, 2, 2, 4)])
+        _make_group(M5, [(1, 2, 2, 4)])
     with pytest.raises(ValueError, match="not reduced"):
-        _make_group(M5, cartan.codes, [(6, 0, 0, 1)])
+        _make_group(M5, [(6, 0, 0, 1)])
     with pytest.raises(ValueError, match="not reduced"):
-        _make_group(M5, cartan.codes, [(1, 0, 0, -1)])
-    with pytest.raises(ValueError, match="range"):
-        _make_group(M5, [identity, 5**4 + identity], [])
-    with pytest.raises(ValueError, match="identity"):
-        _make_group(M5, [code5(4, 0, 0, 4)], [])
-    with pytest.raises(ValueError, match="generator"):
-        _make_group(M5, scalars(M5).codes, [(1, 1, 0, 1)])
-    # The count must be the order of the generated group: seven codes are
-    # no group, and the Cartan's 16 are not the group of diag(2, 1) alone.
-    seven = [code5(a, 0, 0, d) for a in (1, 2) for d in (1, 2, 3, 4)][:7]
-    with pytest.raises(ValueError, match="order 1$"):
-        _make_group(M5, seven, [])
-    with pytest.raises(ValueError, match="16 codes for a generated group of order 4"):
-        _make_group(M5, cartan.codes, [(2, 0, 0, 1)])
-    # A non-triangular code for triangular generators.
-    with pytest.raises(ValueError, match="c != 0"):
-        _make_group(M5, [identity, code5(1, 0, 1, 1)], [])
-    assert _make_group(M5, cartan.codes, [(2, 0, 0, 1), (1, 0, 0, 2)]) == cartan
+        _make_group(M5, [(1, 0, 0, -1)])
+    assert _make_group(M5, [(2, 0, 0, 1), (1, 0, 0, 2)]) == cartan
+    assert _make_group(M5, []) == trivial_group(M5)
+
+
+def _is_singular(code, ell):
+    a, b, c, d = decode(code, ell)
+    return (a * d - b * c) % ell == 0
 
 
 @pytest.mark.parametrize(
@@ -349,22 +332,28 @@ def test_make_group_rejects_singular_and_unreduced_input():
         [code5(1, 0, 0, 1), code5(0, 1, 0, 1)],
         [code5(1, 0, 0, 1), code5(1, 1, 0, 0)],
         # Triangular codes and one singular non-triangular code.
-        sorted(split_cartan(M5).codes) + [code5(1, 2, 2, 4)],
+        [code5(a, 0, 0, d) for a in range(1, 5) for d in range(1, 5)]
+        + [code5(1, 2, 2, 4)],
     ],
 )
 @pytest.mark.parametrize(
     "generators",
-    # Triangular generators send the set through the low-half test first;
-    # a non-triangular one sends it straight to the per-code scan.
     [[], [(2, 0, 0, 1)], [(0, 1, 1, 0)]],
 )
 def test_every_code_is_checked_for_singularity(codes, generators):
-    # Listed codes and codes built on first read pass the same checks.
+    # Membership sifts every code through the chain, which rejects a
+    # singular code first. GL2(5) has every line in its orbit and all of
+    # the Borel as S, so without that test it would take the codes with
+    # c = 0 and a zero entry on the diagonal.
     gens = tuple(Mat2(*t, M5) for t in generators)
-    with pytest.raises(ValueError, match="singular"):
-        MatrixGroup(M5, gens)._checked(codes)
-    with pytest.raises(ValueError, match="singular"):
-        _make_group(M5, codes, generators)
+    whole = closure([Mat2(1, 1, 0, 1, M5), Mat2(1, 0, 1, 1, M5), Mat2(2, 0, 0, 1, M5)])
+    assert whole.order == 480
+    singular = [code for code in codes if _is_singular(code, 5)]
+    assert len(singular) == 1
+    for G in (MatrixGroup(M5, gens), whole):
+        assert not G.contains_codes(singular)
+        assert not G.contains_codes(codes)
+        assert "codes" not in vars(G)
 
 
 def test_borel_constructions_agree():
@@ -379,13 +368,11 @@ def test_borel_constructions_agree():
 
 
 def _adjoined_by_union(D):
-    """D·U as the union of l shifted copies of D's codes, built eagerly."""
+    """The codes of D·U as the union of l shifted copies of D's codes."""
     ell = D.modulus.ell
-    codes = frozenset().union(
+    return frozenset().union(
         *[{code + b * ell * ell for code in D.codes} for b in range(ell)]
     )
-    gens = [g.as_tuple() for g in D.generators] + [(1, 1, 0, 1)]
-    return _make_group(D.modulus, codes, dict.fromkeys(gens))
 
 
 def test_unipotent_product_membership_is_code_arithmetic():
@@ -397,7 +384,7 @@ def test_unipotent_product_membership_is_code_arithmetic():
             G = _times_unit_shears(D)
             members = {code for code in range(p**4) if G.contains_codes([code])}
             assert "codes" not in vars(G)
-            assert members == _adjoined_by_union(D).codes
+            assert members == _adjoined_by_union(D)
             assert G.contains_codes(G.codes)
             assert not G.contains_codes([*D.codes, p**3 + p + 1])
 
@@ -407,18 +394,17 @@ def test_unipotent_product_matches_breadth_first_and_the_union():
         m = PrimeModulus(p)
         for D in enumerate_diagonal_subgroups(m):
             G = _times_unit_shears(D)
-            old = _adjoined_by_union(D)
+            union = _adjoined_by_union(D)
             # Answered from the generators, before any code set is built.
-            assert G.order == old.order
-            assert G.generators == old.generators
-            assert G.generator_tuples() == old.generator_tuples()
-            assert _serialize_group(G) == _serialize_group(old)
+            assert G.order == len(union)
+            shear = Mat2(1, 1, 0, 1, m)
+            assert G.generators == tuple(dict.fromkeys((*D.generators, shear)))
             assert G.is_upper_triangular and not G.is_diagonal
-            assert G == old and "codes" not in vars(G)
+            assert G.contains_codes(union) and "codes" not in vars(G)
             built = G.codes
             assert built is G.codes
-            assert built == old.codes == _breadth_first_codes(G.generators, p)
-            assert G.elements == old.elements
+            assert built == union == _breadth_first_codes(G.generators, p)
+            assert G.elements == frozenset(map(G.decode, union))
 
 
 def test_unipotent_product_identity_and_rejections():
@@ -441,8 +427,7 @@ def test_unipotent_product_identity_and_rejections():
     assert not nonsplit_cartan(m).is_subgroup_of(G)
     assert not D.is_subgroup_of(_times_unit_shears(split_cartan(PrimeModulus(5))))
     assert "codes" not in vars(G)
-    built = _adjoined_by_union(D)
-    assert G == built and built == G
+    assert G.codes == _adjoined_by_union(D)
 
 
 def test_codes_are_the_encodings_of_elements():
@@ -463,10 +448,6 @@ def test_codes_are_the_encodings_of_elements():
         assert G.is_upper_triangular == all(g.is_upper_triangular for g in elems)
         assert G.is_diagonal == all(g.is_diagonal for g in elems)
         assert G.is_scalar == all(g.is_scalar for g in elems)
-    # Without generators the nonsplit Cartan's set meets the low-half test,
-    # which finds codes with c != 0.
-    with pytest.raises(ValueError, match="c != 0"):
-        _make_group(m, cns.codes, [])
     assert Mat2(1, 0, 0, 1, PrimeModulus(7)) not in trivial_group(M5)
 
 
@@ -620,42 +601,33 @@ def test_code_closure_matches_breadth_first_on_random_sets(monkeypatch):
                 with pytest.raises(ClosureBudgetError):
                     G.codes
                 continue
-            assert _close(tuples, p) == expected
             assert G.codes == expected and G.generators == tuple(gens)
 
 
-def test_row_table_matches_tuple_products():
-    # code(X * h) = T_h[code // l^2] * l^2 + T_h[code % l^2] for every
-    # invertible h and every X, singular ones included.
-    for p in (2, 3, 5):
-        l2 = p * p
-        tuples = list(itertools.product(range(p), repeat=4))
-        codes = [((a * p + b) * p + c) * p + d for a, b, c, d in tuples]
-        for h in tuples:
-            if (h[0] * h[3] - h[1] * h[2]) % p == 0:
-                continue
-            table = _row_table(h, p)
-            walked = [table[code // l2] * l2 + table[code % l2] for code in codes]
-            products = [_mul_t(x, h, p) for x in tuples]
-            assert walked == [((a * p + b) * p + c) * p + d for a, b, c, d in products]
-
-
 def test_one_image_list_builder(monkeypatch):
-    # The closure's tables come from _row_table, the one table builder:
-    # one table per distinct generator.
-    built = []
+    # Every code set, a construction's or a closure's, is listed by
+    # gl2._close from the group's own chain, once per group: a second read
+    # returns the cached set.
+    listed = []
+    close = gl2._close
 
-    def spy(h, ell):
-        built.append((h, ell))
-        return _row_table(h, ell)
+    def spy(chain):
+        codes = close(chain)
+        listed.append((chain, len(codes)))
+        return codes
 
-    monkeypatch.setattr(gl2, "_row_table", spy)
-    h = (2, 1, 0, 3)
-    assert _close([h], 5) == set(power_codes(h, 4, 5))
-    assert built == [(h, 5)]
-    u = (1, 1, 0, 1)
-    assert _close([h, u, h], 5) == _close([u, h], 5)
-    assert built == [(h, 5), (h, 5), (u, 5), (u, 5), (h, 5)]
+    monkeypatch.setattr(gl2, "_close", spy)
+    for p in (2, 3, 5, 7):
+        m = PrimeModulus(p)
+        groups = [borel(m), split_cartan(m), scalars(m), unipotent(m), trivial_group(m)]
+        groups += [closure([Mat2(1, 1, 0, 1, m), Mat2(0, 1, 1, 0, m)], m)]
+        if p > 2:
+            groups += [nonsplit_cartan(m), conjugate(borel(m), Mat2(0, 1, 1, 0, m))]
+        for G in groups:
+            del listed[:]
+            assert G.codes is G.codes
+            assert listed == [(G._chain, G.order)]
+    assert _make_group(M5, [(2, 1, 0, 3)]).codes == set(power_codes((2, 1, 0, 3), 4, 5))
 
 
 ODD_PRIMES_BELOW_200 = [q for q in range(3, 200) if is_prime(q)]
@@ -768,7 +740,8 @@ def _hand_picked_draws(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_stabilizer_chain_matches_breadth_first_oracle(p):
     # Order and membership from the chain against the tuple closure; at
-    # l <= 7 membership is checked on every invertible code.
+    # l <= 7 membership is checked on every invertible code. Then the
+    # codes listed from the chain against the same closure.
     m = PrimeModulus(p)
     rng = Random(1970 + p)
     invertible = [
@@ -784,6 +757,7 @@ def test_stabilizer_chain_matches_breadth_first_oracle(p):
         if p <= 7:
             assert {c for c in invertible if G.contains_codes([c])} == expected
         assert "codes" not in vars(G)
+        assert G.codes == expected
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -822,17 +796,18 @@ def test_stabilizer_chain_order_on_sampled_draws(p):
             for G in groups:
                 gens = G.generator_tuples()
                 if G.order <= 40_000:
-                    assert G.order == len(_close(gens, p))
+                    assert G.order == len(breadth_first_codes(gens, p))
                 else:
                     large += 1
                     assert G.order == large_group_order(gens, p)
     assert large > 10
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
 def test_constructions_are_the_groups_of_their_generators(p):
-    # Every library construction's codes, listed or built on first read,
-    # are the tuple closure of its generators.
+    # Every library construction's codes, listed from its chain, are the
+    # tuple closure of its generators; the conjugated Borels move the
+    # axis line's orbit off the axis.
     m = PrimeModulus(p)
     n = p - 1
     groups = [
@@ -852,8 +827,45 @@ def test_constructions_are_the_groups_of_their_generators(p):
             kth_power_subgroup(cns, 2),
             kth_power_subgroup(split_cartan(m), 2),
             conjugate(borel(m), Mat2(0, 1, 1, 0, m)),
+            conjugate(borel(m), Mat2(1, 0, 1, 1, m)),
             conjugate(split_cartan(m), Mat2(1, 1, 0, 1, m)),
         ]
     for G in groups:
         assert G.codes == breadth_first_codes(G.generator_tuples(), p)
         assert len(G.codes) == G.order
+
+
+def test_every_gate_of_the_lister_can_fail():
+    # Chains forged with dataclasses.replace list a set that misses a
+    # generator or does not number the order, and reading codes raises.
+    m = PrimeModulus(7)
+    shear = Mat2(1, 1, 0, 1, m)
+
+    def forged(G, **changes):
+        F = MatrixGroup(m, G.generators)
+        vars(F)["_chain"] = dataclasses.replace(G._chain, **changes)
+        return F
+
+    # diag(3, 1) conjugated by the shear fixes e1 and the line (6, 1).
+    G = conjugate(closure([Mat2(3, 0, 0, 1, m)]), shear)
+    assert G.generator_tuples() == [(3, 2, 0, 1)] and G._chain.shear == 6
+    assert len(G.codes) == 6
+    with pytest.raises(ValueError, match="generator outside element set"):
+        forged(G, shear=0).codes
+    with pytest.raises(ValueError, match="42 codes for a group of order 6"):
+        forged(G, shear=None).codes
+    # A lattice for a smaller D, and a wrong order with the right lattice.
+    B = borel(m)
+    with pytest.raises(ValueError, match="126 codes for a group of order 252"):
+        forged(B, lattice=(2, 1, 0)).codes
+    with pytest.raises(ValueError, match="252 codes for a group of order 504"):
+        forged(B, order=504).codes
+    # A transversal that misses a line, or repeats the coset S.
+    W = conjugate(B, Mat2(1, 0, 1, 1, m))
+    assert len(W._chain.inverses) == 7 and len(W.codes) == 252
+    inverses = dict(W._chain.inverses)
+    line, t_inv = inverses.popitem()
+    with pytest.raises(ValueError, match="216 codes for a group of order 252"):
+        forged(W, inverses=inverses).codes
+    with pytest.raises(ValueError, match="216 codes for a group of order 252"):
+        forged(W, inverses={**inverses, line: (1, 0, 0, 1)}).codes

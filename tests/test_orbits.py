@@ -1,6 +1,5 @@
 import dataclasses
 import gc
-import itertools
 from math import gcd
 from random import Random
 from weakref import WeakKeyDictionary
@@ -15,7 +14,6 @@ from gl2orbits.gl2 import (
     MatrixGroup,
     _discrete_logs,
     _primitive_root_powers,
-    _row_table,
     borel,
     closure,
     conjugate,
@@ -269,27 +267,6 @@ def test_line_kernel_matches_oracle_at_large_primes(p):
     groups += [Generated(m, random_generator_set(rng, p)) for _ in range(3)]
     for G in groups:
         assert_partition_matches_oracle(G)
-
-
-def test_image_list_matches_apply():
-    # The row table of every matrix h of GL2(l), l in {2, 3, 5}, against
-    # Mat2.apply: the row (x, y) times h is h's transpose applied to the
-    # column (x, y). The builder's d = 0, c = 0 and general runs all occur.
-    for p, count in ((2, 6), (3, 48), (5, 480)):
-        m = PrimeModulus(p)
-        seen = 0
-        for a, b, c, d in itertools.product(range(p), repeat=4):
-            if (a * d - b * c) % p == 0:
-                continue
-            transpose = Mat2(a, c, b, d, m)
-            table = _row_table((a, b, c, d), p)
-            assert len(table) == p * p
-            for x in range(p):
-                for y in range(p):
-                    u, v = transpose.apply(x, y)
-                    assert table[x * p + y] == u * p + v
-            seen += 1
-        assert seen == count
 
 
 def test_orbit_decomposition_examples():

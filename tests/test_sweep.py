@@ -568,8 +568,8 @@ def test_sweeps_never_build_matrix_sets(monkeypatch):
 
 def test_certificate_sweep_closes_no_diagonal_set_breadth_first(monkeypatch):
     # The benchmark's certificates round: its samplers, validators and the
-    # triangular order bound close diagonal generator sets only from their
-    # exponent lattice.
+    # triangular order bound read generators and chains, and gl2._close,
+    # the one code lister, is never called.
     calls = []
     original = gl2._close
 
@@ -956,17 +956,16 @@ def test_forged_failure_rows_pinned(monkeypatch, forge, cfg, json_pin, csv_pin):
 def test_certificate_round_builds_no_unipotent_product(monkeypatch):
     # The benchmark's certificates round. Every D·U has order divisible by
     # l; no other group of the certificate path does, so no code set built
-    # may have such a size. Every code set, listed by a construction or
-    # built on first read, passes MatrixGroup._checked.
+    # may have such a size. Every code set is listed by gl2._close.
     built = []
-    checked = MatrixGroup._checked
+    close = gl2._close
 
-    def recording(group, codes):
-        codes = checked(group, codes)
-        built.append((group.modulus.ell, len(codes)))
+    def recording(chain):
+        codes = close(chain)
+        built.append((chain.modulus.ell, len(codes)))
         return codes
 
-    monkeypatch.setattr(MatrixGroup, "_checked", recording)
+    monkeypatch.setattr(gl2, "_close", recording)
     cfg = SweepConfig(
         primes=tuple(p for p in range(37, 68) if is_prime(p)),
         sample_count=16,
@@ -992,13 +991,13 @@ def test_large_prime_samples_build_no_code_set(monkeypatch):
     # passes and no group's code set is built, the largest of all GL2(199)
     # (order 1,560,319,200).
     built = []
-    checked = MatrixGroup._checked
+    close = gl2._close
 
-    def recording(group, codes):
-        built.append(group)
-        return checked(group, codes)
+    def recording(chain):
+        built.append(chain)
+        return close(chain)
 
-    monkeypatch.setattr(MatrixGroup, "_checked", recording)
+    monkeypatch.setattr(gl2, "_close", recording)
     for seed in (864, 2024):
         cfg = SweepConfig(
             primes=(131, 151, 199),
@@ -1095,6 +1094,40 @@ def test_tracer_layer_names_resolve():
         if not callable(getattr(importlib.import_module(module), name, None))
     ]
     assert missing == []
+
+
+def test_traced_bench_round_reports_every_layer(tmp_path):
+    # One traced lattices round in a fresh process, as `bench/run.py
+    # --trace 1` starts it: the wrapped layers still take the library's
+    # calls, whatever their signatures, and the JSON line reports every
+    # per-layer metric.
+    import importlib.util
+
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    spec = importlib.util.spec_from_file_location("bench_tracer", bench / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    spans = tmp_path / "spans.jsonl"
+    result = subprocess.run(
+        [
+            sys.executable,
+            str(bench / "sweep_round.py"),
+            "--workload",
+            "lattices",
+            "--round",
+            "0",
+            "--trace-file",
+            str(spans),
+        ],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    layers = json.loads(result.stdout.splitlines()[-1])["layers"]
+    assert sorted(layers) == sorted(name for name, _ in tracer.PER_LAYER_METRICS)
+    assert spans.stat().st_size > 0
 
 
 def test_benchmark_checks_pass_on_generator_held_groups():
