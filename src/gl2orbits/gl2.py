@@ -15,7 +15,9 @@ a*l^3 + b*l^2 + c*l + d, listed on first read by ``_close`` as the codes
 of t_L * s, and refused with ClosureBudgetError above ``CLOSURE_BUDGET``
 elements before anything is listed. The listing must number |G| and hold
 every generator. ``Mat2`` objects are built only at the API edge
-(``elements``, iteration, generators and witnesses).
+(``elements``, iteration, generators and witnesses); their products,
+inverses and powers are the tuple kernels ``_mul_t``, ``_inverse_t`` and
+``_pow_t``, which the chain and the nonsplit Cartan search call directly.
 """
 
 from __future__ import annotations
@@ -83,36 +85,15 @@ class Mat2:
     def __mul__(self, other: Mat2) -> Mat2:
         if self.modulus != other.modulus:
             raise ValueError("mixed moduli")
-        ell = self.modulus.ell
         return Mat2(
-            (self.a * other.a + self.b * other.c) % ell,
-            (self.a * other.b + self.b * other.d) % ell,
-            (self.c * other.a + self.d * other.c) % ell,
-            (self.c * other.b + self.d * other.d) % ell,
-            self.modulus,
+            *_mul_t(self.as_tuple(), other.as_tuple(), self.modulus.ell), self.modulus
         )
 
     def inverse(self) -> Mat2:
-        ell = self.modulus.ell
-        inv_det = pow(self.det, -1, ell)
-        return Mat2(
-            self.d * inv_det,
-            -self.b * inv_det,
-            -self.c * inv_det,
-            self.a * inv_det,
-            self.modulus,
-        )
+        return Mat2(*_inverse_t(self.as_tuple(), self.modulus.ell), self.modulus)
 
     def __pow__(self, k: int) -> Mat2:
-        base = self if k >= 0 else self.inverse()
-        k = abs(k)
-        result = Mat2.identity(self.modulus)
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+        return Mat2(*_pow_t(self.as_tuple(), k, self.modulus.ell), self.modulus)
 
     def apply(self, x: int, y: int) -> tuple[int, int]:
         """Image of the column vector (x, y) under left multiplication."""
@@ -155,9 +136,17 @@ def _mul_t(x: MatTuple, y: MatTuple, ell: int) -> MatTuple:
     )
 
 
+def _inverse_t(x: MatTuple, ell: int) -> MatTuple:
+    a, b, c, d = x
+    r = pow(a * d - b * c, -1, ell)
+    return (d * r % ell, -b * r % ell, -c * r % ell, a * r % ell)
+
+
 def _pow_t(x: MatTuple, k: int, ell: int) -> MatTuple:
+    """x^k by square-and-multiply; a negative k powers the inverse."""
     result: MatTuple = (1, 0, 0, 1)
-    base = x
+    base = x if k >= 0 else _inverse_t(x, ell)
+    k = abs(k)
     while k:
         if k & 1:
             result = _mul_t(result, base, ell)
@@ -386,12 +375,6 @@ def _diagonal_group_from_hnf(m: PrimeModulus, d1: int, d2: int, c: int) -> Matri
 # The stabilizer chain over the lines
 
 
-def _inverse_t(x: MatTuple, ell: int) -> MatTuple:
-    a, b, c, d = x
-    r = pow(a * d - b * c, -1, ell)
-    return (d * r % ell, -b * r % ell, -c * r % ell, a * r % ell)
-
-
 @dataclass(frozen=True)
 class _StabilizerChain:
     """Order, membership, draws and elements of G from its action on the lines.
@@ -469,6 +452,10 @@ def _stabilizer_chain(gens: Iterable[MatTuple], m: PrimeModulus) -> _StabilizerC
     a != d fix different lines (x0, 1), x0 = b / (d - a) (then they do not
     commute, and their commutator is a nontrivial shear); otherwise every
     product fixes e1 and one line (x0, 1), and so does S. |G| = |O| * |S|.
+    For an upper-triangular G the walk stays on the axis, so S = G and
+    shear settles lemma 3.1's trichotomy: None when G holds the unit
+    shears, else the x0 with [[1, x0], [0, 1]]^-1 G [[1, x0], [0, 1]]
+    diagonal.
     """
     ell = m.ell
     gens = list(dict.fromkeys(gens))

@@ -1,8 +1,9 @@
 """Semisimplification of upper-triangular matrix groups, with checkable witnesses.
 
 The diagonal-parts group of an upper-triangular group G is always contained
-in G or G is simultaneously diagonalizable. Classification produces one of
-two machine-checkable witnesses for this trichotomy:
+in G or G is simultaneously diagonalizable. Classification reads which
+from the shear of G's stabilizer chain (see ``gl2._stabilizer_chain``) and
+produces one of two machine-checkable witnesses for this trichotomy:
 
   * TransvectionWitness: G holds a non-diagonal matrix gamma with repeated
     eigenvalues; gamma^(l-1) is the shear [[1, lam], [0, 1]] with
@@ -12,11 +13,10 @@ two machine-checkable witnesses for this trichotomy:
   * DiagonalizerWitness: a basis change P with P^-1 G P diagonal.
 
 The third case of the trichotomy, a non-abelian G, needs no witness of
-its own: two non-commuting elements of the Borel have a nontrivial shear
-as their commutator, so G holds every unit shear, and the unit shear
-[[1, 1], [0, 1]] is a repeated-eigenvalue candidate. A non-abelian G gets
-the transvection witness, and "noncommutative" is recorded only among the
-matched cases.
+its own: such a G holds the unit shears, so it gets the transvection
+witness, and "noncommutative" is recorded only among the matched cases.
+``verify_witness`` checks a basis change by conjugating G's generators,
+never by reading the chain's shear.
 """
 
 from __future__ import annotations
@@ -90,29 +90,11 @@ def semisimplification(G: MatrixGroup) -> MatrixGroup:
     return result
 
 
-def _unit_shear(G: MatrixGroup, n: int) -> Mat2:
-    return Mat2(1, n, 0, 1, G.modulus)
-
-
-def _case_flags(G: MatrixGroup) -> tuple[Mat2 | None, bool, bool]:
-    """(least repeated-eigenvalue non-diagonal element, non-abelian, diagonalizable).
-
-    A non-diagonal [[a, b], [0, a]] has a nontrivial shear as its
-    (l-1)-th power, so G holds such an element exactly when it holds the
-    unit shears, and then the least one by code is [[1, 1], [0, 1]].
-    """
-    shear = _unit_shear(G, 1)
-    candidate = shear if shear in G else None
-    nonabelian = not G.is_abelian
-    diagonalizable = candidate is None and not nonabelian
-    return candidate, nonabelian, diagonalizable
-
-
 def _transvection_witness(G: MatrixGroup, gamma: Mat2) -> TransvectionWitness:
     ell = G.modulus.ell
     lam_value = ((ell - 1) * gamma.b * pow(gamma.a, ell - 2, ell)) % ell
     power = gamma ** (ell - 1)
-    if power != _unit_shear(G, lam_value):
+    if power != Mat2(1, lam_value, 0, 1, G.modulus):
         raise RuntimeError("shear power disagrees with the closed form")
     lam = FpUnit(lam_value, G.modulus)
     lam_inverse = pow(lam_value, -1, ell)
@@ -120,56 +102,40 @@ def _transvection_witness(G: MatrixGroup, gamma: Mat2) -> TransvectionWitness:
     return TransvectionWitness(gamma, lam, lam_inverse, transvection)
 
 
-def _diagonalizer_witness(G: MatrixGroup) -> DiagonalizerWitness:
-    """Basis change to the line that every element of G fixes besides e1's.
-
-    Called for a G without the unit shears. Then a matrix [[a, b], [0, d]]
-    of G with b != 0 has a != d, and it fixes the line (x0, 1) for
-    x0 = b / (d - a). Every element of G fixes that one line: two elements
-    of the Borel that fix different such lines do not commute, and their
-    commutator is a nontrivial shear. So x0 is read off the first
-    generator with b != 0, and P = [[1, x0], [0, 1]] carries e2 onto that
-    line. Diagonal generators get P = I.
-    """
-    ell = G.modulus.ell
-    chosen = next((g for g in G.generators if g.b), None)
-    if chosen is None:
-        return DiagonalizerWitness(Mat2.identity(G.modulus))
-    x = (chosen.b * pow(chosen.d - chosen.a, -1, ell)) % ell
-    return DiagonalizerWitness(Mat2(1, x, 0, 1, G.modulus))
-
-
 def classify_semisimplification(G: MatrixGroup) -> SemisimplificationResult:
     """Classify an upper-triangular group and build the matching witness.
 
-    A group with a repeated-eigenvalue shear gets a transvection witness,
-    and the containment of the diagonal-parts group in G is checked by
-    sifting its generators through G's stabilizer chain. Every other group
-    gets a diagonalizer. A non-abelian group always has such a
-    shear (see the module docstring), so "noncommutative" is only recorded
-    in cases_matched, after "repeated_eigenvalue".
+    G's stabilizer chain has shear None exactly when G holds the unit
+    shear [[1, 1], [0, 1]], the least non-diagonal element with repeated
+    eigenvalues: it becomes the transvection witness, and the containment
+    of the diagonal-parts group in G is checked by sifting its generators
+    through the chain. Otherwise the shear is the x0 for which
+    P = [[1, x0], [0, 1]] diagonalizes G. "noncommutative" is read off the
+    generators and only recorded in cases_matched, after
+    "repeated_eigenvalue".
     """
     _require_upper_triangular(G)
     gss = semisimplification(G)
-    candidate, nonabelian, diagonalizable = _case_flags(G)
+    x0 = G._chain.shear
+    nonabelian = not G.is_abelian
 
     matched = []
-    if candidate is not None:
+    if x0 is None:
         matched.append(CASE_REPEATED_EIGENVALUE)
     if nonabelian:
         matched.append(CASE_NONCOMMUTATIVE)
-    if diagonalizable:
+    if x0 is not None and not nonabelian:
         matched.append(CASE_DIAGONALIZABLE)
 
     witness: TrichotomyWitness
-    if candidate is not None:
-        witness = _transvection_witness(G, candidate)
+    if x0 is None:
+        witness = _transvection_witness(G, Mat2(1, 1, 0, 1, G.modulus))
         # [[a, b], [0, d]] * [[1, n], [0, 1]] = [[a, an + b], [0, d]] is
         # diag(a, d) for n = -b * a^-1, so G, which holds all unit shears,
         # holds every diagonal part.
         contained = gss.is_subgroup_of(G)
     else:
-        witness = _diagonalizer_witness(G)
+        witness = DiagonalizerWitness(Mat2(1, x0, 0, 1, G.modulus))
         contained = False
     return SemisimplificationResult(gss, contained, witness, tuple(matched))
 

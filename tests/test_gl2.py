@@ -74,6 +74,32 @@ def test_mat2_algebra():
     assert x.apply(0, 1) == (1, 3)
 
 
+def test_mat2_arithmetic_matches_the_oracle():
+    # Every pair in GL2(3), and seeded random pairs at l = 13 and 199: the
+    # product, the inverse and the powers k = -3 .. 5 against the entrywise
+    # product and square-and-multiply of tests/oracle.py.
+    def invertible(p, entries):
+        return [t for t in entries if (t[0] * t[3] - t[1] * t[2]) % p]
+
+    gl2_3 = invertible(3, itertools.product(range(3), repeat=4))
+    assert len(gl2_3) == 48
+    pairs = [(3, x, y) for x in gl2_3 for y in gl2_3]
+    rng = Random(2102)
+    for p in (13, 199):
+        draws = [tuple(rng.randrange(p) for _ in range(4)) for _ in range(400)]
+        units = invertible(p, draws)
+        pairs += [(p, x, y) for x, y in zip(units[::2], units[1::2])]
+    for p, x, y in pairs:
+        m = PrimeModulus(p)
+        X = Mat2(*x, m)
+        assert (X * Mat2(*y, m)).as_tuple() == mul(x, y, p)
+        inv = X.inverse().as_tuple()
+        assert mul(x, inv, p) == mul(inv, x, p) == (1, 0, 0, 1)
+        for k in range(-3, 6):
+            expected = power(x, k, p) if k >= 0 else power(inv, -k, p)
+            assert (X**k).as_tuple() == expected
+
+
 def test_mat2_encoding_is_positional():
     x = Mat2(2, 1, 0, 3, M5)
     assert x.encode() == 2 * 125 + 1 * 25 + 0 * 5 + 3

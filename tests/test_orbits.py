@@ -269,6 +269,19 @@ def test_line_kernel_matches_oracle_at_large_primes(p):
         assert_partition_matches_oracle(G)
 
 
+def test_orbit_size_self_check_can_fire(monkeypatch):
+    # The unipotent group mod 5 fixes every axis vector. Its cached axis
+    # walk forged to k = 1 puts the four axis vectors in one orbit, whose
+    # size 4 does not divide |G| = 5.
+    G = unipotent(M5)
+    true = orbits.orbit_partition(G)
+    assert true.walks == (((0, 1, 2, 3, 4), 4), ((5,), 4))
+    forged = dataclasses.replace(true, walks=(true.walks[0], ((5,), 1)))
+    monkeypatch.setitem(orbits._PARTITIONS, G, forged)
+    with pytest.raises(RuntimeError, match="orbit size does not divide group order"):
+        orbit(G, e1(M5))
+
+
 def test_orbit_decomposition_examples():
     assert sorted(orbit_decomposition(split_cartan(M5)).sizes()) == [4, 4, 16]
     dec = orbit_decomposition(nonsplit_cartan(M5))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,6 +200,50 @@ def test_shear_containment_fails_without_a_diagonal_part(monkeypatch):
     assert not result.contained_in_G
     status, failure = _check_triangular_group(G)
     assert (status, failure["scenario"]["note"]) == ("fail", "shear containment failed")
+
+
+def test_forged_chain_shear_turns_lemma31_red():
+    # The basis change is read off the chain's shear, and the checker
+    # conjugates G's generators by it, so a wrong x0 turns the row red.
+    # A forged shear=None is not caught this way: verify_witness checks the
+    # unit shear's membership by sifting it through the same chain. Only
+    # test_classification_matches_the_elementwise_derivation, which reads
+    # the group's codes, catches that forgery.
+    G = closure([Mat2(1, 1, 0, 2, M5)])
+    assert G._chain.shear == 1
+    assert _check_triangular_group(G) == ("pass", None)
+    vars(G)["_chain"] = dataclasses.replace(G._chain, shear=2)
+    status, failure = _check_triangular_group(G)
+    note = failure["scenario"]["note"]
+    assert (status, note) == ("fail", "witness rejected on re-derivation")
+
+
+def test_shear_power_self_check_can_fire(monkeypatch):
+    # Mat2 powers go through gl2._pow_t; a forged kernel that returns the
+    # identity contradicts the closed form gamma^(l-1) = [[1, lam], [0, 1]].
+    monkeypatch.setattr(gl2, "_pow_t", lambda x, k, ell: (1, 0, 0, 1))
+    message = "shear power disagrees with the closed form"
+    with pytest.raises(RuntimeError, match=message):
+        classify_semisimplification(borel(M5))
+
+
+def test_semisimplification_order_self_check_can_fire(monkeypatch):
+    # The chain of the projected group <diag(1, 2)> forged to five times
+    # its order, which then no longer divides |G| = 4.
+    G = closure([Mat2(1, 1, 0, 2, M5)])
+    assert G.order == semisimplification(G).order == 4
+    chain_of = gl2._stabilizer_chain
+
+    def forged(gens, m):
+        chain = chain_of(gens, m)
+        if gens != [(1, 0, 0, 2)]:
+            return chain
+        return dataclasses.replace(chain, order=5 * chain.order)
+
+    monkeypatch.setattr(gl2, "_stabilizer_chain", forged)
+    message = "semisimplification order does not divide group order"
+    with pytest.raises(RuntimeError, match=message):
+        semisimplification(G)
 
 
 def test_classify_diagonalizer_case():

@@ -450,6 +450,18 @@ def test_cli_reports_config_errors(tmp_path):
     assert "configuration error" in result.stderr
 
 
+def test_cli_names_a_listed_non_prime():
+    # A comma list is checked for primality by SweepConfig alone.
+    result = subprocess.run(
+        [sys.executable, "-m", "gl2orbits.cli", "--primes", "3,4"],
+        capture_output=True,
+        text=True,
+        env=_cli_env(),
+    )
+    assert result.returncode == 2
+    assert "4 is not prime" in result.stderr
+
+
 def test_cli_byte_identical_reports(tmp_path):
     args = [
         sys.executable,
