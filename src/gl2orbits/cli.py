@@ -1,7 +1,8 @@
 """Command line front end for the verification sweep.
 
 Exit codes: 0 all selected suites verified, 1 at least one genuine
-verification failure, 2 configuration error.
+verification failure, 2 configuration error, an unwritable --out path
+included: the report file is opened before the sweep runs.
 """
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import ExitStack
 
 from .modarith import is_prime
 from .sweep import SUITE_NAMES, ConfigError, SweepConfig, run
@@ -98,16 +100,20 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
 
-    started = time.monotonic()
-    report = run(cfg)
-    elapsed = time.monotonic() - started
-
-    text = report.text()
-    if args.out == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+    with ExitStack() as stack:
+        try:
+            out = (
+                sys.stdout
+                if args.out == "-"
+                else stack.enter_context(open(args.out, "w", encoding="utf-8"))
+            )
+        except OSError as exc:
+            print(f"sweep: configuration error: {exc}", file=sys.stderr)
+            return 2
+        started = time.monotonic()
+        report = run(cfg)
+        elapsed = time.monotonic() - started
+        out.write(report.text())
 
     totals: dict[str, list[int]] = {}
     for entry in report.suites:

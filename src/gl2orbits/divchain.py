@@ -159,7 +159,9 @@ def _cached_cartan(m: PrimeModulus) -> MatrixGroup:
 
 
 def _det_image_order(G: MatrixGroup) -> int:
-    return image_order((g.det for g in G.generators), G.modulus)
+    ell = G.modulus.ell
+    dets = ((a * d - b * c) % ell for a, b, c, d in G.generator_tuples())
+    return image_order(dets, G.modulus)
 
 
 def _divisibility_check(
@@ -251,7 +253,8 @@ def validate_case2(s: Case2Scenario) -> ValidationReport:
     gss = _triangular_prefix(s.G, checks, dependent)
     if gss is not None:
         # a^6 = d^6 on G^ss exactly when the character (a/d)^6 is trivial.
-        ratios = (pow(g.a * pow(g.d, -1, ell), 6, ell) for g in gss.generators)
+        gens = gss.generator_tuples()
+        ratios = (pow(a * pow(d, -1, ell), 6, ell) for a, _, _, d in gens)
         sixth = image_order(ratios, gss.modulus) == 1
         checks.append(CheckRecord("sixth_powers_agree", sixth))
         n_chi = _det_image_order(gss)
@@ -395,7 +398,7 @@ def verify_case2_chain(s: Case2Scenario) -> DivisibilityCertificate:
     deg = s.degree.d
     gss = report.gss
     sixth = kth_power_subgroup(gss, 6)
-    n_r = image_order((g.a for g in gss.generators), gss.modulus)
+    n_r = image_order((a for a, _, _, _ in gss.generator_tuples()), gss.modulus)
     n_chi = report.det_image_order
     r6 = power_image_order(n_r, 6)
     sixth_lengths = {size for size, _ in orbit_partition(sixth).size_counts}

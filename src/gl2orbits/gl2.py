@@ -1,8 +1,9 @@
 """2x2 invertible matrices over Z/lZ and finite subgroups of GL2(l).
 
-A group is held by its generators. Its order, membership, uniform draws
-and element list come from a one-level stabilizer chain over the l + 1
-lines of the plane (``_stabilizer_chain``): G permutes the lines, and the
+A group is held by its generators, as reduced (a, b, c, d) tuples. Its
+order, membership, uniform draws and element list come from a one-level
+stabilizer chain over the l + 1 lines of the plane
+(``_stabilizer_chain``): G permutes the lines, and the
 stabilizer S of the axis line y = 0 is G ∩ B for the Borel B = U ⋊ T. So
 G is the disjoint union of the cosets t_L * S over the axis line's orbit,
 and S, which maps onto the group D of its diagonal parts with kernel 1 or
@@ -14,10 +15,13 @@ The element set is the frozenset ``codes`` of integer codes
 a*l^3 + b*l^2 + c*l + d, listed on first read by ``_close`` as the codes
 of t_L * s, and refused with ClosureBudgetError above ``CLOSURE_BUDGET``
 elements before anything is listed. The listing must number |G| and hold
-every generator. ``Mat2`` objects are built only at the API edge
-(``elements``, iteration, generators and witnesses); their products,
-inverses and powers are the tuple kernels ``_mul_t``, ``_inverse_t`` and
-``_pow_t``, which the chain and the nonsplit Cartan search call directly.
+every generator. ``Mat2`` is the API edge: ``MatrixGroup(modulus, mats)``
+and ``closure`` take validated ``Mat2``s, and ``elements``, iteration,
+``generators`` and the trichotomy witnesses hand them out. Inside, groups
+are built from tuples by ``_tuple_group`` (conjugates, powers, lattice
+enumerations, projections), and every product, inverse and power is one
+of the tuple kernels ``_mul_t``, ``_inverse_t`` and ``_pow_t``, which
+``Mat2``'s own arithmetic calls too.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from itertools import chain, islice, repeat
 from math import gcd
 from operator import add
 from random import Random
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .modarith import PrimeModulus, least_primitive_root, prime_factors
 
@@ -76,8 +80,7 @@ class Mat2:
 
     def encode(self) -> int:
         """Canonical integer encoding a*l^3 + b*l^2 + c*l + d."""
-        ell = self.modulus.ell
-        return ((self.a * ell + self.b) * ell + self.c) * ell + self.d
+        return _encode_t(self.as_tuple(), self.modulus.ell)
 
     def __hash__(self) -> int:
         return hash(self.encode())
@@ -111,12 +114,6 @@ class Mat2:
     @property
     def is_scalar(self) -> bool:
         return self.is_diagonal and self.a == self.d
-
-    def diagonal_part(self) -> Mat2:
-        """diag(a, d) for an upper-triangular matrix."""
-        if self.c != 0:
-            raise ValueError("diagonal part only defined for upper-triangular input")
-        return Mat2(self.a, 0, 0, self.d, self.modulus)
 
     def as_tuple(self) -> MatTuple:
         return (self.a, self.b, self.c, self.d)
@@ -163,9 +160,16 @@ def decode_tuple(code: int, ell: int) -> MatTuple:
     return (a, b, c, d)
 
 
-@dataclass(frozen=True, eq=False)
 class MatrixGroup:
-    """The subgroup of GL2(l) that ``generators`` generate.
+    """The subgroup of GL2(l) that its generators generate.
+
+    ``MatrixGroup(modulus, generators)`` takes invertible ``Mat2``s of that
+    modulus; the group holds them as reduced (a, b, c, d) tuples, which
+    ``generator_tuples`` lists and every internal reader uses. The
+    ``generators`` attribute gives them back as ``Mat2``s: the caller's own
+    objects for a group built from them, else matrices built on first read.
+    Groups derived inside the library (conjugates, powers, projections,
+    lattice enumerations) are built from tuples by ``_tuple_group``.
 
     Order, membership (``__contains__``, ``contains_codes``) and
     ``is_subgroup_of`` come from the stabilizer chain (``_stabilizer_chain``),
@@ -185,11 +189,26 @@ class MatrixGroup:
     """
 
     modulus: PrimeModulus
-    generators: tuple[Mat2, ...]
+    _gens: tuple[MatTuple, ...]
 
-    def __post_init__(self) -> None:
-        if any(g.modulus != self.modulus for g in self.generators):
+    def __init__(self, modulus: PrimeModulus, generators: Iterable[Mat2]) -> None:
+        mats = tuple(generators)
+        if any(g.modulus != modulus for g in mats):
             raise ValueError("mixed moduli in generator list")
+        fields = vars(self)
+        fields["modulus"] = modulus
+        fields["_gens"] = tuple(g.as_tuple() for g in mats)
+        fields["generators"] = mats
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"MatrixGroup is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"MatrixGroup is immutable; cannot delete {name!r}")
+
+    @cached_property
+    def generators(self) -> tuple[Mat2, ...]:
+        return tuple(Mat2(*t, self.modulus) for t in self._gens)
 
     @cached_property
     def _chain(self) -> _StabilizerChain:
@@ -207,7 +226,8 @@ class MatrixGroup:
         codes = _close(self._chain)
         if len(codes) != self.order:
             raise ValueError(f"{len(codes)} codes for a group of order {self.order}")
-        if any(g.encode() not in codes for g in self.generators):
+        ell = self.modulus.ell
+        if any(_encode_t(g, ell) not in codes for g in self._gens):
             raise ValueError("generator outside element set")
         return codes
 
@@ -239,12 +259,13 @@ class MatrixGroup:
         return map(self.decode, self.codes)
 
     def generator_tuples(self) -> list[MatTuple]:
-        return [g.as_tuple() for g in self.generators]
+        return list(self._gens)
 
     def is_subgroup_of(self, other: MatrixGroup) -> bool:
         """Whether other holds every generator of this group."""
+        ell = self.modulus.ell
         return self.modulus == other.modulus and other.contains_codes(
-            g.encode() for g in self.generators
+            _encode_t(g, ell) for g in self._gens
         )
 
     def contains_codes(self, codes: Iterable[int]) -> bool:
@@ -258,39 +279,64 @@ class MatrixGroup:
 
     @property
     def is_upper_triangular(self) -> bool:
-        return all(g.is_upper_triangular for g in self.generators)
+        return all(c == 0 for _, _, c, _ in self._gens)
 
     @property
     def is_diagonal(self) -> bool:
-        return all(g.is_diagonal for g in self.generators)
+        return all(b == c == 0 for _, b, c, _ in self._gens)
 
     @property
     def is_scalar(self) -> bool:
-        return all(g.is_scalar for g in self.generators)
+        return all(b == c == 0 and a == d for a, b, c, d in self._gens)
 
     @cached_property
     def is_abelian(self) -> bool:
         # Generators pairwise commuting is equivalent for the generated group.
-        gens = self.generators
-        for i, g in enumerate(gens):
-            for h in gens[i + 1 :]:
-                if g * h != h * g:
-                    return False
-        return True
+        return _commute(self._gens, self.modulus.ell)
 
     def __repr__(self) -> str:
         return f"MatrixGroup(order={self.order}, mod {self.modulus.ell})"
 
 
+def _tuple_group(modulus: PrimeModulus, gens: tuple[MatTuple, ...]) -> MatrixGroup:
+    """The group of invertible generator tuples whose entries are reduced mod l.
+
+    Nothing is checked: every caller builds its tuples reduced and
+    invertible, by a tuple kernel or from exponent tables.
+    """
+    G = object.__new__(MatrixGroup)
+    fields = vars(G)
+    fields["modulus"] = modulus
+    fields["_gens"] = gens
+    return G
+
+
 def _make_group(modulus: PrimeModulus, generator_tuples: Iterable[MatTuple]) -> MatrixGroup:
-    """The group of generator tuples whose entries are already reduced mod l."""
-    gens = []
-    for t in generator_tuples:
-        g = Mat2(*t, modulus)
-        if g.as_tuple() != tuple(t):
-            raise ValueError(f"generator entries {t} are not reduced mod {modulus.ell}")
-        gens.append(g)
-    return MatrixGroup(modulus, tuple(gens))
+    """The group of generator tuples, checked to be invertible and reduced mod l."""
+    ell = modulus.ell
+    gens = tuple(map(tuple, generator_tuples))
+    for t in gens:
+        a, b, c, d = t
+        if (a * d - b * c) % ell == 0:
+            raise ValueError(f"singular matrix [[{a},{b}],[{c},{d}]] mod {ell}")
+        if any(not 0 <= x < ell for x in t):
+            raise ValueError(f"generator entries {t} are not reduced mod {ell}")
+    return _tuple_group(modulus, gens)
+
+
+def _encode_t(x: MatTuple, ell: int) -> int:
+    """The code a*l^3 + b*l^2 + c*l + d of a reduced tuple."""
+    a, b, c, d = x
+    return ((a * ell + b) * ell + c) * ell + d
+
+
+def _commute(gens: Sequence[MatTuple], ell: int) -> bool:
+    """Whether the tuples pairwise commute."""
+    for i, g in enumerate(gens):
+        for h in gens[i + 1 :]:
+            if _mul_t(g, h, ell) != _mul_t(h, g, ell):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +414,7 @@ def _diagonal_group_from_hnf(m: PrimeModulus, d1: int, d2: int, c: int) -> Matri
     n = m.ell - 1
     pow_g = _primitive_root_powers(m)
     gens = [(pow_g[d1 % n], 0, 0, 1), (pow_g[c], 0, 0, pow_g[d2 % n])]
-    return MatrixGroup(m, tuple(Mat2(*t, m) for t in dict.fromkeys(gens)))
+    return _tuple_group(m, tuple(dict.fromkeys(gens)))
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +583,7 @@ def closure(
 
 
 def trivial_group(m: PrimeModulus) -> MatrixGroup:
-    return MatrixGroup(m, ())
+    return _tuple_group(m, ())
 
 
 def borel(m: PrimeModulus) -> MatrixGroup:
@@ -558,7 +604,7 @@ def split_cartan(m: PrimeModulus) -> MatrixGroup:
     if m.ell == 2:
         return trivial_group(m)
     g = _primitive_root_powers(m)[1]
-    return MatrixGroup(m, (Mat2(g, 0, 0, 1, m), Mat2(1, 0, 0, g, m)))
+    return _tuple_group(m, ((g, 0, 0, 1), (1, 0, 0, g)))
 
 
 def scalars(m: PrimeModulus) -> MatrixGroup:
@@ -566,12 +612,12 @@ def scalars(m: PrimeModulus) -> MatrixGroup:
     if m.ell == 2:
         return trivial_group(m)
     g = _primitive_root_powers(m)[1]
-    return MatrixGroup(m, (Mat2(g, 0, 0, g, m),))
+    return _tuple_group(m, ((g, 0, 0, g),))
 
 
 def unipotent(m: PrimeModulus) -> MatrixGroup:
     """Upper unitriangular matrices [[1, b], [0, 1]], order l."""
-    return MatrixGroup(m, (Mat2(1, 1, 0, 1, m),))
+    return _tuple_group(m, ((1, 1, 0, 1),))
 
 
 def _nonsplit_codes(m: PrimeModulus) -> Iterator[int]:
@@ -632,12 +678,21 @@ def kth_power_subgroup(G: MatrixGroup, k: int) -> MatrixGroup:
         raise ValueError("exponent must be positive")
     if not G.is_abelian:
         raise ValueError("k-th power subgroup only defined here for abelian groups")
-    return MatrixGroup(G.modulus, tuple(dict.fromkeys(g**k for g in G.generators)))
+    ell = G.modulus.ell
+    powers = dict.fromkeys(_pow_t(g, k, ell) for g in G._gens)
+    return _tuple_group(G.modulus, tuple(powers))
 
 
 def conjugate(G: MatrixGroup, P: Mat2) -> MatrixGroup:
     """The conjugate group P^-1 G P, generated by the conjugated generators."""
     if P.modulus != G.modulus:
         raise ValueError("mixed moduli")
-    P_inv = P.inverse()
-    return MatrixGroup(G.modulus, tuple(P_inv * g * P for g in G.generators))
+    return _tuple_group(G.modulus, _conjugates(G._gens, P.as_tuple(), G.modulus.ell))
+
+
+def _conjugates(
+    gens: Iterable[MatTuple], p: MatTuple, ell: int
+) -> tuple[MatTuple, ...]:
+    """p^-1 * g * p for each tuple g, in order."""
+    p_inv = _inverse_t(p, ell)
+    return tuple(_mul_t(_mul_t(p_inv, g, ell), p, ell) for g in gens)

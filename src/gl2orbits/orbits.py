@@ -327,8 +327,9 @@ def predict_diagonal_orbits(Gp: MatrixGroup) -> DiagonalOrbitPrediction:
         raise ValueError("diagonal orbit prediction needs a diagonal group")
     n = Gp.modulus.ell - 1
     order = Gp.order
-    im1 = image_order((g.a for g in Gp.generators), Gp.modulus)
-    im2 = image_order((g.d for g in Gp.generators), Gp.modulus)
+    gens = Gp.generator_tuples()
+    im1 = image_order((a for a, _, _, _ in gens), Gp.modulus)
+    im2 = image_order((d for _, _, _, d in gens), Gp.modulus)
     return DiagonalOrbitPrediction(
         index1=n // im1,
         index2=n // im2,

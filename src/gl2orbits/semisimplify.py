@@ -15,16 +15,25 @@ produces one of two machine-checkable witnesses for this trichotomy:
 The third case of the trichotomy, a non-abelian G, needs no witness of
 its own: such a G holds the unit shears, so it gets the transvection
 witness, and "noncommutative" is recorded only among the matched cases.
-``verify_witness`` checks a basis change by conjugating G's generators,
-never by reading the chain's shear.
+``verify_witness`` reads neither the chain's shear nor its derivation of
+U <= G: it conjugates G's generator tuples by a basis change, and derives
+U <= G for a transvection witness from the generator tuples alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
-from .gl2 import Mat2, MatrixGroup, conjugate
+from .gl2 import (
+    Mat2,
+    MatrixGroup,
+    MatTuple,
+    _commute,
+    _conjugates,
+    _pow_t,
+    _tuple_group,
+)
 from .modarith import FpUnit
 
 
@@ -83,8 +92,8 @@ def semisimplification(G: MatrixGroup) -> MatrixGroup:
     this equals the elementwise projection of G.
     """
     _require_upper_triangular(G)
-    gens = dict.fromkeys(g.diagonal_part() for g in G.generators)
-    result = MatrixGroup(G.modulus, tuple(gens))
+    gens = dict.fromkeys((a, 0, 0, d) for a, _, _, d in G.generator_tuples())
+    result = _tuple_group(G.modulus, tuple(gens))
     if G.order % result.order != 0:
         raise RuntimeError("semisimplification order does not divide group order")
     return result
@@ -93,8 +102,7 @@ def semisimplification(G: MatrixGroup) -> MatrixGroup:
 def _transvection_witness(G: MatrixGroup, gamma: Mat2) -> TransvectionWitness:
     ell = G.modulus.ell
     lam_value = ((ell - 1) * gamma.b * pow(gamma.a, ell - 2, ell)) % ell
-    power = gamma ** (ell - 1)
-    if power != Mat2(1, lam_value, 0, 1, G.modulus):
+    if (gamma ** (ell - 1)).as_tuple() != (1, lam_value, 0, 1):
         raise RuntimeError("shear power disagrees with the closed form")
     lam = FpUnit(lam_value, G.modulus)
     lam_inverse = pow(lam_value, -1, ell)
@@ -156,28 +164,47 @@ def verify_witness(G: MatrixGroup, witness: TrichotomyWitness) -> bool:
     return False
 
 
+def _holds_unit_shears(gens: Sequence[MatTuple], ell: int) -> bool:
+    """Whether the upper-triangular group these tuples generate holds U.
+
+    A generator [[a, b], [0, a]] with b != 0 has a nontrivial shear as its
+    (l - 1)-th power, and B / U is abelian, so two generators that do not
+    commute have a nontrivial shear as their commutator; either generates
+    U. Otherwise every generator is scalar or has two distinct eigenvalues,
+    and commuting generators share their eigenvectors: G is conjugate to a
+    diagonal group, whose order is prime to l.
+    """
+    return any(a == d and b for a, b, _, d in gens) or not _commute(gens, ell)
+
+
 def _verify_transvection(G: MatrixGroup, w: TransvectionWitness) -> bool:
     ell = G.modulus.ell
     gamma = w.gamma
     if gamma.modulus != G.modulus or gamma not in G:
         return False
-    if gamma.b == 0 or gamma.a != gamma.d or gamma.c != 0:
+    a, b, c, d = gamma.as_tuple()
+    if b == 0 or a != d or c != 0:
         return False
-    lam_formula = ((ell - 1) * gamma.b * pow(gamma.a, ell - 2, ell)) % ell
+    lam_formula = ((ell - 1) * b * pow(a, ell - 2, ell)) % ell
     if w.lam.value != lam_formula or lam_formula == 0:
         return False
-    if gamma ** (ell - 1) != Mat2(1, lam_formula, 0, 1, G.modulus):
+    if _pow_t((a, b, c, d), ell - 1, ell) != (1, lam_formula, 0, 1):
         return False
     if (w.lam_inverse * lam_formula) % ell != 1:
         return False
-    expected = gamma ** ((ell - 1) * w.lam_inverse)
-    unit_shear = Mat2(1, 1, 0, 1, G.modulus)
-    return w.transvection == expected == unit_shear and unit_shear in G
+    expected = _pow_t((a, b, c, d), (ell - 1) * w.lam_inverse, ell)
+    if w.transvection.modulus != G.modulus or w.transvection.as_tuple() != expected:
+        return False
+    # U <= G is derived from G's generators, not from the chain that gamma
+    # was sifted through.
+    return expected == (1, 1, 0, 1) and _holds_unit_shears(G.generator_tuples(), ell)
 
 
 def _verify_diagonalizer(G: MatrixGroup, w: DiagonalizerWitness) -> bool:
     # Diagonal matrices form a group, so P^-1 G P is diagonal exactly when
     # every conjugated generator is.
-    if w.basis_change.modulus != G.modulus:
+    P = w.basis_change
+    if P.modulus != G.modulus:
         return False
-    return conjugate(G, w.basis_change).is_diagonal
+    conjugated = _conjugates(G.generator_tuples(), P.as_tuple(), G.modulus.ell)
+    return all(b == c == 0 for _, b, c, _ in conjugated)

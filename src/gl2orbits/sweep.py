@@ -50,14 +50,13 @@ from .divchain import (
     verify_case2_chain,
 )
 from .gl2 import (
-    Mat2,
     MatrixGroup,
     MatTuple,
     _diagonal_group_from_hnf,
     _nonsplit_generator,
     _primitive_root_powers,
+    _tuple_group,
     closure,
-    conjugate,
     trivial_group,
 )
 from .modarith import PrimeModulus, divisors, is_prime
@@ -237,7 +236,7 @@ def _sample_count(cfg: SweepConfig, ell: int) -> int:
 def _serialize_group(G: MatrixGroup) -> dict:
     return {
         "ell": G.modulus.ell,
-        "generators": sorted(list(g.as_tuple()) for g in G.generators),
+        "generators": sorted(list(g) for g in G.generator_tuples()),
         "order": G.order,
     }
 
@@ -276,19 +275,23 @@ def enumerate_upper_triangular_subgroups(m: PrimeModulus) -> Iterator[MatrixGrou
     u^-1 D u for a shear u and some D <= T. A scalar D is its own
     conjugate; any other D has l distinct shear conjugates. For each D of
     ``enumerate_diagonal_subgroups`` in turn come D·U and then D's shear
-    conjugates by [[1, t], [0, 1]], t ascending. Each group is held by its
-    generators; none is closed.
+    conjugates by [[1, t], [0, 1]], t ascending; the conjugate of diag(a, d)
+    by it is [[a, t*(a - d)], [0, d]]. Each group is held by its generator
+    tuples; none is closed.
     """
+    ell = m.ell
     for D in enumerate_diagonal_subgroups(m):
         yield _times_unit_shears(D)
-        for t in [0] if D.is_scalar else range(m.ell):
-            yield conjugate(D, Mat2(1, t, 0, 1, m))
+        diagonals = [(a, d) for a, _, _, d in D.generator_tuples()]
+        for t in [0] if D.is_scalar else range(ell):
+            conjugates = ((a, t * (a - d) % ell, 0, d) for a, d in diagonals)
+            yield _tuple_group(m, tuple(conjugates))
 
 
 def _times_unit_shears(D: MatrixGroup) -> MatrixGroup:
     """D·U: D's generators, then the unit shear [[1, 1], [0, 1]]."""
-    shear = Mat2(1, 1, 0, 1, D.modulus)
-    return MatrixGroup(D.modulus, tuple(dict.fromkeys((*D.generators, shear))))
+    gens = (*D.generator_tuples(), (1, 1, 0, 1))
+    return _tuple_group(D.modulus, tuple(dict.fromkeys(gens)))
 
 
 def _hermite_step(n: int, d1: int, d2: int) -> int:
@@ -328,8 +331,7 @@ def _sample_triangular_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
     """
     ell = m.ell
     k = rng.choice([1, 2, 3])
-    gens = [Mat2(*_random_triangular_tuple(rng, ell), m) for _ in range(k)]
-    return closure(gens, m)
+    return _tuple_group(m, tuple(_random_triangular_tuple(rng, ell) for _ in range(k)))
 
 
 def _sample_diagonal_group(rng: Random, m: PrimeModulus) -> MatrixGroup:
@@ -357,7 +359,7 @@ def _sample_case1(rng: Random, m: PrimeModulus, deg: int) -> Case1Scenario | Non
     d1, d2 = rng.choice(pairs)
     c = rng.randrange(0, d1, _hermite_step(n, d1, d2))
     comparison = _diagonal_group_from_hnf(m, d1, d2, c)
-    gens = list(comparison.generators)
+    gens = comparison.generator_tuples()
     if rng.random() < 0.5:
         # Adjoin diagonal 12-torsion: it cannot change the 12th powers.
         torsion = gcd(12, n)
@@ -366,8 +368,8 @@ def _sample_case1(rng: Random, m: PrimeModulus, deg: int) -> Case1Scenario | Non
         u = t_step * rng.randrange(torsion)
         v = t_step * rng.randrange(torsion)
         if (u, v) != (0, 0):
-            gens.append(Mat2(pow(g, u, ell), 0, 0, pow(g, v, ell), m))
-    gss = closure(gens, m)
+            gens.append((pow(g, u, ell), 0, 0, pow(g, v, ell)))
+    gss = _tuple_group(m, tuple(gens))
     G = _times_unit_shears(gss) if rng.random() < 2 / 3 else gss
     return Case1Scenario(G, comparison, DegreeParameter(deg))
 
@@ -390,14 +392,14 @@ def _sample_case2(
     zstep = n // sixth_torsion
     for attempt in range(40):
         if attempt == 39:
-            gens = [Mat2(g, 0, 0, g, m)]
+            gens = [(g, 0, 0, g)]
         else:
             gens = []
             for _ in range(rng.choice([1, 2, 3])):
                 u = rng.randrange(n)
                 v = (u + zstep * rng.randrange(sixth_torsion)) % n
-                gens.append(Mat2(pow(g, u, ell), 0, 0, pow(g, v, ell), m))
-        gss = closure(gens, m)
+                gens.append((pow(g, u, ell), 0, 0, pow(g, v, ell)))
+        gss = _tuple_group(m, tuple(gens))
         index = n // _det_image_order(gss)
         compatible = [d for d in degrees if d % index == 0]
         if not compatible:
@@ -453,12 +455,8 @@ def _sample_nested_pair(
             k = rng.choice(divisors(m.ell * m.ell - 1))
             G = closure([_nonsplit_generator(m) ** k], m)
     else:
-        ell = m.ell
-        gens = [
-            Mat2(*t, m)
-            for t in _random_invertible_tuples(rng, ell, rng.choice([1, 2]))
-        ]
-        G = closure(gens, m)
+        gens = _random_invertible_tuples(rng, m.ell, rng.choice([1, 2]))
+        G = _tuple_group(m, tuple(gens))
     k = rng.choice([0, 1, 2])
     H = closure([G.random_element(rng) for _ in range(k)], m)
     return G, H

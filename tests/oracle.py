@@ -170,6 +170,11 @@ def least_sheared_x(codes, ell):
     return b * pow(d - a, -1, ell) % ell
 
 
+def holds_unit_shears(codes, ell):
+    """Whether every unit shear [[1, b], [0, 1]] is a code."""
+    return all(encode((1, b, 0, 1), ell) in codes for b in range(ell))
+
+
 def contains_unsheared(codes, ell):
     """Whether the diagonal part diag(a, d) of every [[a, b], [0, d]] is a code."""
     l2 = ell * ell

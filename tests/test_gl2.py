@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import operator
 from random import Random
 
 import pytest
@@ -110,6 +111,63 @@ def test_mixed_moduli_rejected():
         Mat2(1, 0, 0, 1, M5) * Mat2(1, 0, 0, 1, PrimeModulus(7))
     with pytest.raises(ValueError):
         closure([Mat2(1, 0, 0, 1, M5), Mat2(1, 0, 0, 1, PrimeModulus(7))])
+
+
+def test_matrix_group_takes_mat2_at_its_edge():
+    # MatrixGroup(m, mats) is where Mat2 generators come in: it rejects
+    # mixed moduli, holds the reduced tuples, and hands back the caller's
+    # own matrices, so the group rebuilt from them is equal.
+    m7 = PrimeModulus(7)
+    with pytest.raises(ValueError, match="mixed moduli"):
+        MatrixGroup(m7, (Mat2(1, 1, 0, 1, m7), Mat2(2, 0, 0, 1, M5)))
+    with pytest.raises(ValueError, match="mixed moduli"):
+        MatrixGroup(m7, [Mat2(2, 0, 0, 1, M5)])
+    gens = (Mat2(9, 1, 0, 3, m7), Mat2(1, -1, 0, 1, m7))
+    G = MatrixGroup(m7, iter(gens))
+    assert G.generator_tuples() == [(2, 1, 0, 3), (1, 6, 0, 1)]
+    assert G.generators == gens and all(map(operator.is_, G.generators, gens))
+    assert MatrixGroup(m7, G.generators) == G
+    assert closure(gens).generators == gens
+    # The tuple list is a copy, and the group cannot be rebound.
+    G.generator_tuples().append((1, 0, 0, 1))
+    assert G.generator_tuples() == [(2, 1, 0, 3), (1, 6, 0, 1)]
+    with pytest.raises(AttributeError):
+        G.modulus = M5
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_generators_round_trip_on_tuple_built_groups(p):
+    # Groups built inside the library hold only tuples; generators builds
+    # their Mat2s once, in order, and the group rebuilt from them is equal.
+    m = PrimeModulus(p)
+    B = borel(m)
+    groups = [
+        conjugate(B, Mat2(1, 0, 1, 1, m)),
+        semisimplification(B),
+        kth_power_subgroup(split_cartan(m), 2),
+        *enumerate_diagonal_subgroups(m),
+        *enumerate_upper_triangular_subgroups(m),
+    ]
+    for G in groups:
+        assert "generators" not in vars(G)
+        tuples = G.generator_tuples()
+        mats = G.generators
+        assert G.generators is mats
+        assert [g.as_tuple() for g in mats] == tuples
+        assert all(g.modulus == m for g in mats)
+        rebuilt = MatrixGroup(m, mats)
+        assert rebuilt == G and rebuilt.generator_tuples() == tuples
+
+
+def test_benchmark_pinned_names_resolve_on_tuple_held_groups():
+    # The benchmark wraps gl2._make_group and gl2._close by name and reads
+    # generator_tuples() and elements; a tuple-held group serves both.
+    assert callable(gl2._make_group) and callable(gl2._close)
+    G = _make_group(M5, [(2, 1, 0, 3)])
+    assert G.generator_tuples() == [(2, 1, 0, 3)]
+    assert G.elements == frozenset(map(G.decode, G.codes))
+    elements = {g.as_tuple() for g in G.elements}
+    assert elements == breadth_first_closure([(2, 1, 0, 3)], 5)
 
 
 def test_closure_examples():

@@ -1,4 +1,5 @@
 import dataclasses
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from gl2orbits.modarith import FpUnit, PrimeModulus
 from gl2orbits.semisimplify import (
     DiagonalizerWitness,
     TransvectionWitness,
+    _holds_unit_shears,
     classify_semisimplification,
     semisimplification,
     verify_witness,
@@ -31,6 +33,7 @@ from oracle import (
     breadth_first_codes,
     contains_unsheared,
     diagonalizes,
+    holds_unit_shears,
     least_repeated_eigenvalue_code,
     least_sheared_x,
     mul,
@@ -205,10 +208,8 @@ def test_shear_containment_fails_without_a_diagonal_part(monkeypatch):
 def test_forged_chain_shear_turns_lemma31_red():
     # The basis change is read off the chain's shear, and the checker
     # conjugates G's generators by it, so a wrong x0 turns the row red.
-    # A forged shear=None is not caught this way: verify_witness checks the
-    # unit shear's membership by sifting it through the same chain. Only
-    # test_classification_matches_the_elementwise_derivation, which reads
-    # the group's codes, catches that forgery.
+    # A forged shear=None is caught by the checker's own derivation of
+    # U <= G (test_forged_unit_shears_turn_lemma31_red).
     G = closure([Mat2(1, 1, 0, 2, M5)])
     assert G._chain.shear == 1
     assert _check_triangular_group(G) == ("pass", None)
@@ -216,6 +217,57 @@ def test_forged_chain_shear_turns_lemma31_red():
     status, failure = _check_triangular_group(G)
     note = failure["scenario"]["note"]
     assert (status, note) == ("fail", "witness rejected on re-derivation")
+
+
+def test_forged_unit_shears_turn_lemma31_red():
+    # G = <[[1, 1], [0, 2]]> mod 5 has order 4 and no unit shears. With its
+    # chain forged to report them, the classifier builds the transvection
+    # witness and the unit shear and G's diagonal parts sift through the
+    # forged chain; the checker derives U <= G from G's generators instead
+    # and rejects the witness.
+    G = closure([Mat2(1, 1, 0, 2, M5)])
+    vars(G)["_chain"] = dataclasses.replace(G._chain, shear=None)
+    assert Mat2(1, 1, 0, 1, M5) in G
+    result = classify_semisimplification(G)
+    assert isinstance(result.witness, TransvectionWitness) and result.contained_in_G
+    assert not verify_witness(G, result.witness)
+    status, failure = _check_triangular_group(G)
+    note = failure["scenario"]["note"]
+    assert (status, note) == ("fail", "witness rejected on re-derivation")
+
+
+def _noncommuting_draws(rng, p, count):
+    """Two or three upper-triangular tuples, each with a != d, so that only
+    a failure to commute can put the unit shears in their group."""
+    draws = []
+    while len(draws) < count:
+        gens = []
+        while len(gens) < rng.choice([2, 3]):
+            a, b, d = rng.randrange(1, p), rng.randrange(p), rng.randrange(1, p)
+            if a != d:
+                gens.append((a, b, 0, d))
+        draws.append(gens)
+    return draws
+
+
+def test_unit_shear_criterion_matches_the_elementwise_containment():
+    # For upper-triangular G: U <= G exactly when some generator is
+    # [[a, b], [0, a]] with b != 0 or two generators do not commute. Against
+    # the elementwise U <= G on every Borel subgroup at l <= 13, whose
+    # groups holding U all have the unit shear as a generator, and on
+    # generator sets with a != d throughout, which reach the commutator.
+    rng = Random(31)
+    by_commutator = 0
+    for p in (2, 3, 5, 7, 11, 13):
+        m = PrimeModulus(p)
+        draws = [G.generator_tuples() for G in enumerate_upper_triangular_subgroups(m)]
+        if p > 3:
+            draws += _noncommuting_draws(rng, p, 40)
+        for gens in draws:
+            expected = holds_unit_shears(breadth_first_codes(gens, p), p)
+            assert _holds_unit_shears(gens, p) == expected
+            by_commutator += expected and not any(a == d and b for a, b, _, d in gens)
+    assert by_commutator > 50
 
 
 def test_shear_power_self_check_can_fire(monkeypatch):

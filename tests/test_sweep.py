@@ -13,7 +13,7 @@ from random import Random
 
 import pytest
 
-from gl2orbits import divchain, gl2, orbits, sweep
+from gl2orbits import cli, divchain, gl2, orbits, sweep
 from gl2orbits.divchain import Case1Scenario, Case2Scenario, DegreeParameter
 from gl2orbits.gl2 import (
     Mat2,
@@ -450,6 +450,20 @@ def test_cli_reports_config_errors(tmp_path):
     assert "configuration error" in result.stderr
 
 
+def test_cli_unwritable_out_is_a_configuration_error(tmp_path, monkeypatch, capsys):
+    # The report file is opened before the sweep runs, so a path in a
+    # missing directory exits 2, the configuration-error code, and no
+    # suite runs; exit 1 stays the code of a genuine verification failure.
+    calls = []
+    monkeypatch.setattr(cli, "run", lambda cfg: calls.append(cfg))
+    out = tmp_path / "missing" / "report.json"
+    args = ["--primes", "3", "--suites", "lemma31", "--samples", "1", "--out", str(out)]
+    assert cli.main(args) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("sweep: configuration error: ")
+    assert not out.parent.exists()
+
+
 def test_cli_names_a_listed_non_prime():
     # A comma list is checked for primality by SweepConfig alone.
     result = subprocess.run(
@@ -576,6 +590,36 @@ def test_sweeps_never_build_matrix_sets(monkeypatch):
     )
     assert sampled.total_failures == exhaustive.total_failures == 0
     assert all(entry["total"] > 0 for entry in sampled.suites)
+
+
+def test_lattice_sweeps_build_mat2_only_for_witnesses(monkeypatch):
+    # Groups hold generator tuples, so the exhaustive lattices run on tuple
+    # arithmetic. lemma32 builds no Mat2. lemma31 builds only its witnesses'
+    # own matrices: the basis change [[1, x0], [0, 1]] of a group without
+    # the unit shears U, and for a group holding U the matrix gamma, its
+    # (l - 1)-th power checked against the closed form, and the
+    # transvection. The groups holding U are the D·U, one per diagonal
+    # subgroup D, so the bound is one Mat2 per group and two more per D.
+    built = []
+    post_init = Mat2.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    primes = (2, 3, 5, 7)
+    diagonal = sum(
+        len(list(enumerate_diagonal_subgroups(PrimeModulus(p)))) for p in primes
+    )
+    monkeypatch.setattr(Mat2, "__post_init__", counting)
+    lemma32 = run(
+        SweepConfig(primes=(3, 5, 7, 11, 13), mode="exhaustive", suites=("lemma32",))
+    )
+    assert lemma32.total_failures == 0 and built == []
+    lemma31 = run(SweepConfig(primes=primes, mode="exhaustive", suites=("lemma31",)))
+    groups = sum(entry["total"] for entry in lemma31.suites)
+    assert lemma31.total_failures == 0 and groups == 312
+    assert len(built) <= groups + 2 * diagonal
 
 
 def test_certificate_sweep_closes_no_diagonal_set_breadth_first(monkeypatch):
