@@ -40,7 +40,6 @@ from .gl2 import (
     unipotent,
 )
 from .modarith import (
-    FpUnit,
     PrimeModulus,
     least_primitive_root,
     power_image_order,

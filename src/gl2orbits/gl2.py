@@ -28,9 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, islice, repeat
 from math import gcd
-from operator import add
 from random import Random
 from typing import Iterable, Iterator, Sequence
 
@@ -347,7 +345,7 @@ def _commute(gens: Sequence[MatTuple], ell: int) -> bool:
 def _primitive_root_powers(m: PrimeModulus) -> tuple[int, ...]:
     """(g^0, ..., g^(l-2)) mod l for the least primitive root g (g = 1 at l = 2)."""
     ell = m.ell
-    g = least_primitive_root(m).value if ell > 2 else 1
+    g = least_primitive_root(m) if ell > 2 else 1
     pow_g = [1] * (ell - 1)
     for i in range(1, ell - 1):
         pow_g[i] = (pow_g[i - 1] * g) % ell
@@ -620,43 +618,28 @@ def unipotent(m: PrimeModulus) -> MatrixGroup:
     return _tuple_group(m, ((1, 1, 0, 1),))
 
 
-def _nonsplit_codes(m: PrimeModulus) -> Iterator[int]:
-    """Codes of the nonzero [[a, b*eps], [b, a]], eps the least primitive root.
-
-    The code of [[a, b*eps], [b, a]] is a*(l^3 + 1) + (b*eps mod l)*l^2 + b*l.
-    Taking b = s/eps for s = 0 .. l-1 lists each a's codes in ascending
-    order, so the codes come in ascending order.
-    """
-    ell = m.ell
-    l2 = ell * ell
-    eps = _primitive_root_powers(m)[1]  # cached per prime
-    eps_inv = pow(eps, -1, ell)
-    off_diagonal = [s * l2 + s * eps_inv % ell * ell for s in range(ell)]
-    codes = chain.from_iterable(
-        map(add, off_diagonal, repeat(a * (l2 * ell + 1))) for a in range(ell)
-    )
-    next(codes)  # a = b = 0
-    return codes
-
-
 @lru_cache(maxsize=None)
-def _nonsplit_generator(m: PrimeModulus) -> Mat2:
+def _nonsplit_generator(m: PrimeModulus) -> MatTuple:
     """The least code of order l^2 - 1 in the nonsplit Cartan, which generates it.
 
-    Kept per prime. The codes are walked lazily up to the generator, so a
-    caller that needs only the generator and its powers builds neither the
-    Cartan's code set nor its group. The walk starts at a = 1, since every
-    a = 0 code squares to a scalar and so has order at most 2(l - 1).
+    Kept per prime. The walk takes the tuples (a, s, s/eps mod l, a), the
+    matrices [[a, b*eps], [b, a]] with b = s/eps, for a = 1 .. l-1 and
+    s = 0 .. l-1, which is ascending code order, and stops at the first of
+    order l^2 - 1; so a caller that needs only the generator and its powers
+    builds neither the Cartan's code set nor its group. It starts at a = 1,
+    since [[0, b*eps], [b, 0]] squares to the scalar eps*b^2 and so has order
+    at most 2(l - 1).
     """
     m.require_odd("nonsplit_cartan")
     ell = m.ell
     n = ell * ell - 1
     factors = prime_factors(n)
-    # The first l - 1 codes have a = 0: [[0, b*eps], [b, 0]]^2 = eps*b^2 * I.
-    for code in islice(_nonsplit_codes(m), ell - 1, None):
-        t = decode_tuple(code, ell)
-        if all(_pow_t(t, n // q, ell) != (1, 0, 0, 1) for q in factors):
-            return Mat2(*t, m)
+    eps_inv = pow(_primitive_root_powers(m)[1], -1, ell)  # cached per prime
+    for a in range(1, ell):
+        for s in range(ell):
+            t = (a, s, s * eps_inv % ell, a)
+            if all(_pow_t(t, n // q, ell) != (1, 0, 0, 1) for q in factors):
+                return t
     raise RuntimeError(f"nonsplit Cartan mod {ell} has no cyclic generator")
 
 
@@ -665,10 +648,11 @@ def nonsplit_cartan(m: PrimeModulus) -> MatrixGroup:
 
     This is the unit group of the quadratic extension of Z/lZ in matrix
     form: it is cyclic of order l^2 - 1, and it is the group its generator,
-    the least code of that order, generates. The search for it skips the
-    a = 0 codes, whose squares are scalars. Rejects l = 2.
+    the least code of that order, generates, held as that one tuple. The
+    tuple walk that finds it skips a = 0, whose squares are scalars.
+    Rejects l = 2.
     """
-    return MatrixGroup(m, (_nonsplit_generator(m),))
+    return _tuple_group(m, (_nonsplit_generator(m),))
 
 
 def kth_power_subgroup(G: MatrixGroup, k: int) -> MatrixGroup:

@@ -1,7 +1,7 @@
 """Exact arithmetic in the prime field Z/lZ and in its cyclic unit group.
 
-Everything in this module is an immutable value or a pure function, so all
-of it can be shared freely between threads.
+Residues are plain ints. Everything in this module is an immutable value
+or a pure function, so all of it can be shared freely between threads.
 """
 
 from __future__ import annotations
@@ -78,46 +78,23 @@ class PrimeModulus:
         return f"PrimeModulus({self.ell})"
 
 
-@dataclass(frozen=True)
-class FpUnit:
-    """A nonzero residue mod l, stored canonically in [1, l-1]."""
-
-    value: int
-    modulus: PrimeModulus
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.modulus.ell)
-        if self.value == 0:
-            raise ValueError(f"0 is not a unit mod {self.modulus.ell}")
-
-    def __mul__(self, other: FpUnit) -> FpUnit:
-        if self.modulus != other.modulus:
-            raise ValueError("mixed moduli")
-        return FpUnit(self.value * other.value, self.modulus)
-
-    def inverse(self) -> FpUnit:
-        return FpUnit(pow(self.value, -1, self.modulus.ell), self.modulus)
-
-    def __repr__(self) -> str:
-        return f"{self.value} (mod {self.modulus.ell})"
-
-
-def multiplicative_order(x: FpUnit) -> int:
-    n = x.modulus.ell - 1
+def multiplicative_order(x: int, m: PrimeModulus) -> int:
+    """Order of the nonzero residue x in the unit group mod l."""
+    n = m.ell - 1
     order = n
     for p in prime_factors(n):
-        while order % p == 0 and pow(x.value, order // p, x.modulus.ell) == 1:
+        while order % p == 0 and pow(x, order // p, m.ell) == 1:
             order //= p
     return order
 
 
-def least_primitive_root(m: PrimeModulus) -> FpUnit:
+def least_primitive_root(m: PrimeModulus) -> int:
     """Smallest integer in [2, l-1] generating the full unit group mod l."""
     m.require_odd("least_primitive_root")
     n = m.ell - 1
     for g in range(2, m.ell):
-        if multiplicative_order(FpUnit(g, m)) == n:
-            return FpUnit(g, m)
+        if multiplicative_order(g, m) == n:
+            return g
     raise RuntimeError(f"no primitive root mod {m.ell}")  # unreachable for prime l
 
 

@@ -63,7 +63,10 @@ class Vector2:
 
     @classmethod
     def decode(cls, code: int, modulus: PrimeModulus) -> Vector2:
-        return cls(code % modulus.ell, code // modulus.ell, modulus)
+        ell = modulus.ell
+        if not 0 <= code < ell * ell:
+            raise ValueError(f"vector code {code} is outside [0, {ell * ell})")
+        return cls(code % ell, code // ell, modulus)
 
     def __repr__(self) -> str:
         return f"({self.x},{self.y}) mod {self.modulus.ell}"
@@ -502,6 +505,8 @@ def uniform_divisibility_transfer(
 
 def minimal_uniform_constant(sizes: Iterable[int], M: int) -> int:
     """Smallest c with M dividing c * s for every orbit size s in sizes."""
+    if M < 1:
+        raise ValueError("divisor must be positive")
     c = 1
     for s in set(sizes):
         need = M // gcd(M, s)

@@ -54,9 +54,9 @@ from .gl2 import (
     MatTuple,
     _diagonal_group_from_hnf,
     _nonsplit_generator,
+    _pow_t,
     _primitive_root_powers,
     _tuple_group,
-    closure,
     trivial_group,
 )
 from .modarith import PrimeModulus, divisors, is_prime
@@ -453,12 +453,12 @@ def _sample_nested_pair(
             G = _sample_triangular_group(rng, m)
         else:
             k = rng.choice(divisors(m.ell * m.ell - 1))
-            G = closure([_nonsplit_generator(m) ** k], m)
+            G = _tuple_group(m, (_pow_t(_nonsplit_generator(m), k, m.ell),))
     else:
         gens = _random_invertible_tuples(rng, m.ell, rng.choice([1, 2]))
         G = _tuple_group(m, tuple(gens))
     k = rng.choice([0, 1, 2])
-    H = closure([G.random_element(rng) for _ in range(k)], m)
+    H = _tuple_group(m, tuple(G._chain.random_tuple(rng) for _ in range(k)))
     return G, H
 
 

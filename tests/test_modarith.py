@@ -1,7 +1,6 @@
 import pytest
 
 from gl2orbits.modarith import (
-    FpUnit,
     PrimeModulus,
     divisors,
     is_prime,
@@ -41,20 +40,10 @@ def test_prime_modulus_rejects_composites(bad):
         PrimeModulus(bad)
 
 
-def test_fp_unit_normalizes_and_rejects_zero():
-    m = PrimeModulus(7)
-    assert FpUnit(9, m).value == 2
-    assert FpUnit(-1, m).value == 6
-    with pytest.raises(ValueError):
-        FpUnit(0, m)
-    with pytest.raises(ValueError):
-        FpUnit(14, m)
-
-
 def test_least_primitive_root_examples():
-    assert least_primitive_root(PrimeModulus(5)).value == 2
-    assert least_primitive_root(PrimeModulus(7)).value == 3
-    assert least_primitive_root(PrimeModulus(13)).value == 2
+    assert least_primitive_root(PrimeModulus(5)) == 2
+    assert least_primitive_root(PrimeModulus(7)) == 3
+    assert least_primitive_root(PrimeModulus(13)) == 2
 
 
 def test_least_primitive_root_rejects_two():
@@ -69,9 +58,16 @@ def test_least_primitive_root_exhaustive_to_200():
             continue
         m = PrimeModulus(p)
         got = least_primitive_root(m)
-        assert got.value == brute_least_primitive_root(p)
-        assert brute_order(got.value, p) == p - 1
-        assert multiplicative_order(got) == p - 1
+        assert got == brute_least_primitive_root(p)
+        assert brute_order(got, p) == p - 1
+        assert multiplicative_order(got, m) == p - 1
+
+
+def test_multiplicative_order_matches_brute_force():
+    for p in (3, 5, 7, 11, 13, 97):
+        m = PrimeModulus(p)
+        for x in range(1, p):
+            assert multiplicative_order(x, m) == brute_order(x, p)
 
 
 def test_power_image_order_examples():

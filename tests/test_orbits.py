@@ -71,6 +71,14 @@ def test_vector_encoding():
     assert Vector2(7, -1, M5) == Vector2(2, 4, M5)
 
 
+def test_vector_decode_inverts_encode_and_rejects_out_of_range_codes():
+    for code in range(25):
+        assert Vector2.decode(code, M5).encode() == code
+    for bad in (-1, 25, 26, 125):
+        with pytest.raises(ValueError):
+            Vector2.decode(bad, M5)
+
+
 def test_orbit_examples():
     assert orbit(split_cartan(M5), e1(M5)).size == 4
     assert orbit(borel(M5), e2(M5)).size == 20
@@ -480,6 +488,9 @@ def test_minimal_uniform_constant():
     assert minimal_uniform_constant(lengths, 8) == 2
     assert minimal_uniform_constant(lengths, 3) == 3
     assert minimal_uniform_constant(orbit_size_map(split_cartan(M5)).values(), 8) == 2
+    for sizes, M in (([3], 0), ([2], -4)):
+        with pytest.raises(ValueError):
+            minimal_uniform_constant(sizes, M)
 
 
 def test_orbit_size_map_agrees_with_decomposition():

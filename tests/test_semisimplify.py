@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gl2orbits import gl2
+from gl2orbits import gl2, semisimplify
 from gl2orbits.gl2 import (
     Mat2,
     borel,
@@ -14,7 +14,7 @@ from gl2orbits.gl2 import (
     split_cartan,
     unipotent,
 )
-from gl2orbits.modarith import FpUnit, PrimeModulus
+from gl2orbits.modarith import PrimeModulus
 from gl2orbits.semisimplify import (
     DiagonalizerWitness,
     TransvectionWitness,
@@ -139,13 +139,7 @@ def test_classify_transvection_case_with_frozen_values():
     assert lam == 2
     assert (3 * lam) % 5 == 1
     G = closure([gamma])
-    manual = TransvectionWitness(
-        gamma=gamma,
-        lam=FpUnit(2, M5),
-        lam_inverse=3,
-        transvection=Mat2(1, 1, 0, 1, M5),
-    )
-    assert verify_witness(G, manual)
+    assert verify_witness(G, TransvectionWitness(gamma))
     result = classify_semisimplification(G)
     assert isinstance(result.witness, TransvectionWitness)
     assert verify_witness(G, result.witness)
@@ -271,12 +265,17 @@ def test_unit_shear_criterion_matches_the_elementwise_containment():
 
 
 def test_shear_power_self_check_can_fire(monkeypatch):
-    # Mat2 powers go through gl2._pow_t; a forged kernel that returns the
-    # identity contradicts the closed form gamma^(l-1) = [[1, lam], [0, 1]].
-    monkeypatch.setattr(gl2, "_pow_t", lambda x, k, ell: (1, 0, 0, 1))
-    message = "shear power disagrees with the closed form"
-    with pytest.raises(RuntimeError, match=message):
-        classify_semisimplification(borel(M5))
+    # The verifier powers gamma with gl2._pow_t, bound in semisimplify; a
+    # forged kernel that returns the identity contradicts the closed form
+    # gamma^(l-1) = [[1, lam], [0, 1]], and the lemma31 row turns red.
+    G = borel(M5)
+    result = classify_semisimplification(G)
+    assert verify_witness(G, result.witness)
+    monkeypatch.setattr(semisimplify, "_pow_t", lambda x, k, ell: (1, 0, 0, 1))
+    assert not verify_witness(G, result.witness)
+    status, failure = _check_triangular_group(G)
+    note = failure["scenario"]["note"]
+    assert (status, note) == ("fail", "witness rejected on re-derivation")
 
 
 def test_semisimplification_order_self_check_can_fire(monkeypatch):
@@ -320,16 +319,17 @@ def test_verify_witness_rejects_bad_witnesses():
     # Identity basis change against a non-diagonal group.
     G = closure([Mat2(1, 1, 0, 2, M5)])
     assert not verify_witness(G, DiagonalizerWitness(Mat2.identity(M5)))
-    # Wrong lambda on an otherwise valid gamma.
-    gamma = Mat2(2, 1, 0, 2, M5)
-    G2 = closure([gamma])
-    wrong = TransvectionWitness(gamma, FpUnit(1, M5), 1, Mat2(1, 1, 0, 1, M5))
-    assert not verify_witness(G2, wrong)
+    G2 = closure([Mat2(2, 1, 0, 2, M5)])
+    assert verify_witness(G2, TransvectionWitness(Mat2(1, 1, 0, 1, M5)))
+    # Gamma outside G: U holds the unit shears but no [[2, 1], [0, 2]],
+    # which passes every other gate.
+    outside = Mat2(2, 1, 0, 2, M5)
+    assert outside not in unipotent(M5)
+    assert not verify_witness(unipotent(M5), TransvectionWitness(outside))
+    # A diagonal gamma in G has no shear to power.
+    assert not verify_witness(G2, TransvectionWitness(Mat2(4, 0, 0, 4, M5)))
     # Gamma from another modulus.
-    alien = TransvectionWitness(
-        Mat2(2, 1, 0, 2, M7), FpUnit(2, M7), 4, Mat2(1, 1, 0, 1, M7)
-    )
-    assert not verify_witness(G2, alien)
+    assert not verify_witness(G2, TransvectionWitness(Mat2(2, 1, 0, 2, M7)))
 
 
 def test_case1_lambda_formula_matches_matrix_power():
